@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <sstream>
 
 #include "core/baselines.hpp"
 #include "core/group_lasso.hpp"
@@ -88,16 +89,17 @@ class GroupLassoSelection final : public SelectionBackend {
     }
     if (!gl.status.ok()) throw StatusError(gl.status);
     if (!gl.converged) {
-      // Inexact but usable: the solve stopped at the iteration cap. Surface
-      // it — selection quality may suffer — but keep going.
-      VMAP_LOG(kWarn) << "core " << core_index
-                      << ": group lasso stopped at the iteration cap; using "
-                         "the inexact solution";
+      // Inexact but usable: the solve stopped at the iteration cap before
+      // its duality gap met the tolerance. Surface it — selection quality
+      // may suffer — but keep going.
+      std::ostringstream detail;
+      detail << "core " << core_index
+             << ": iteration cap hit at relative duality gap "
+             << gl.duality_gap << "; using the inexact solution";
+      VMAP_LOG(kWarn) << detail.str();
       if (report)
-        report->record("group_lasso", ResilienceAction::kNote,
-                       "core " + std::to_string(core_index) +
-                           ": iteration cap hit; using the inexact solution",
-                       ErrorCode::kNotConverged, gl.budget);
+        report->record("group_lasso", ResilienceAction::kNote, detail.str(),
+                       ErrorCode::kNotConverged, gl.duality_gap);
     }
 
     SelectionOutcome out;

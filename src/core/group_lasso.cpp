@@ -6,7 +6,10 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -59,20 +62,153 @@ double GroupLasso::mu_max() const {
   return mx;
 }
 
-double GroupLasso::smooth_objective(const linalg::Matrix& beta) const {
-  // ½||G − βZ||²/N = ½(g_norm_sq − 2 Σ β∘B + Σ β∘(βA)).
-  linalg::Matrix p = linalg::matmul(beta, problem_.gram);
+namespace {
+
+/// Sweep iterates kept for one Anderson extrapolation (Bertrand & Massias,
+/// AISTATS 2021): every kAndersonDepth + 1 working-set sweeps are combined.
+constexpr std::size_t kAndersonDepth = 5;
+
+/// Primal value and relative duality gap of the penalized problem at β,
+/// computed from the maintained product P = βA (Ndiaye et al., JMLR 2017).
+/// The dual point is the residual G − βZ scaled into the dual feasible set,
+///   s = min(1, μ / max_m ||B_m − P_m||₂),
+/// so with smooth = ½(g² − 2⟨β,B⟩ + ⟨β,P⟩):
+///   primal = smooth + μ Σ||β_m||₂,   dual = s(g² − ⟨β,B⟩) − s²·smooth.
+/// The same formula serves the full problem and a gathered working-set
+/// block, whose max runs over the block's groups only.
+struct Certificate {
+  double primal = 0.0;
+  /// (primal − dual) / primal; +inf when anything is non-finite, so a
+  /// broken iterate can never pass as certified.
+  double gap = 0.0;
+};
+
+Certificate certify(const linalg::Matrix& beta, const linalg::Matrix& b,
+                    const linalg::Matrix& p, double g_norm_sq, double mu,
+                    std::vector<double>& column_sums) {
+  const std::size_t k_count = beta.rows();
+  const std::size_t m_count = beta.cols();
+  column_sums.assign(2 * m_count, 0.0);
+  double* norm_sq = column_sums.data();       // ||β_m||²
+  double* corr_sq = norm_sq + m_count;        // ||B_m − P_m||²
   double lin = 0.0, quad = 0.0;
-  for (std::size_t k = 0; k < beta.rows(); ++k) {
+  for (std::size_t k = 0; k < k_count; ++k) {
     const double* brow = beta.row_data(k);
-    const double* crow = problem_.cross.row_data(k);
+    const double* crow = b.row_data(k);
     const double* prow = p.row_data(k);
-    for (std::size_t m = 0; m < beta.cols(); ++m) {
+    for (std::size_t m = 0; m < m_count; ++m) {
+      const double corr = crow[m] - prow[m];
       lin += brow[m] * crow[m];
       quad += brow[m] * prow[m];
+      norm_sq[m] += brow[m] * brow[m];
+      corr_sq[m] += corr * corr;
     }
   }
-  return 0.5 * (problem_.g_norm_sq - 2.0 * lin + quad);
+  double penalty = 0.0, worst_sq = 0.0, corr_total = 0.0;
+  for (std::size_t m = 0; m < m_count; ++m) {
+    penalty += std::sqrt(norm_sq[m]);
+    worst_sq = std::max(worst_sq, corr_sq[m]);
+    corr_total += corr_sq[m];  // carries a NaN that max() would drop
+  }
+  const double smooth = 0.5 * (g_norm_sq - 2.0 * lin + quad);
+  const double worst = std::sqrt(worst_sq);
+  const double s = worst > mu ? mu / worst : 1.0;
+  Certificate cert;
+  cert.primal = smooth + mu * penalty;
+  const double gap = cert.primal - (s * (g_norm_sq - lin) - s * s * smooth);
+  cert.gap = std::isfinite(gap) && std::isfinite(corr_total)
+                 ? std::max(gap, 0.0) /
+                       std::max(cert.primal,
+                                std::numeric_limits<double>::min())
+                 : std::numeric_limits<double>::infinity();
+  return cert;
+}
+
+/// Exact minimization over group m of the block (A, B), keeping P = βA
+/// current. `r` is K-long scratch. Returns false when the group's residual
+/// correlation is non-finite: the iterate has blown up.
+bool update_group(const linalg::Matrix& a, const linalg::Matrix& b,
+                  linalg::Matrix& beta, linalg::Matrix& p, std::size_t m,
+                  double mu, double* r) {
+  const double amm = a(m, m);
+  if (amm <= 0.0) return true;  // degenerate (zero-variance) candidate
+  const std::size_t k_count = beta.rows();
+  // r = B_m − P_m + β_m·A_mm : the group's residual correlation.
+  double r_norm_sq = 0.0;
+  for (std::size_t k = 0; k < k_count; ++k) {
+    r[k] = b(k, m) - p(k, m) + beta(k, m) * amm;
+    r_norm_sq += r[k] * r[k];
+  }
+  if (!std::isfinite(r_norm_sq)) return false;
+  // Group soft threshold, then scale by 1/A_mm.
+  const double r_norm = std::sqrt(r_norm_sq);
+  const double scale = r_norm <= mu ? 0.0 : (1.0 - mu / r_norm) / amm;
+  const double* arow = a.row_data(m);
+  for (std::size_t k = 0; k < k_count; ++k) {
+    const double delta = scale * r[k] - beta(k, m);
+    if (delta == 0.0) continue;
+    beta(k, m) += delta;
+    linalg::kern::axpy(beta.cols(), delta, arow, p.row_data(k));
+  }
+  return true;
+}
+
+/// One pass of exact group updates over every group of the block.
+bool sweep(const linalg::Matrix& a, const linalg::Matrix& b,
+           linalg::Matrix& beta, linalg::Matrix& p, double mu, double* r) {
+  for (std::size_t m = 0; m < beta.cols(); ++m)
+    if (!update_group(a, b, beta, p, m, mu, r)) return false;
+  return true;
+}
+
+/// Anderson weights of the iterates xs[1..d] (d = xs.size() − 1): the
+/// affine combination c (Σc = 1) minimizing ||Σ c_i (xs[i] − xs[i−1])||,
+/// i.e. c = z / Σz with (UᵀU) z = 1 for the difference matrix U. Returns
+/// false when UᵀU is numerically singular or the weights non-finite.
+bool anderson_weights(const std::vector<linalg::Matrix>& xs, double* c) {
+  constexpr std::size_t d = kAndersonDepth;
+  const std::size_t n = xs[0].rows() * xs[0].cols();
+  linalg::Matrix u(d, d);
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double* xi1 = xs[i + 1].data();
+      const double* xi0 = xs[i].data();
+      const double* xj1 = xs[j + 1].data();
+      const double* xj0 = xs[j].data();
+      double acc = 0.0;
+      for (std::size_t e = 0; e < n; ++e)
+        acc += (xi1[e] - xi0[e]) * (xj1[e] - xj0[e]);
+      u(i, j) = u(j, i) = acc;
+    }
+  }
+  const auto chol = linalg::Cholesky::try_factorize(u);
+  if (!chol.ok()) return false;
+  const linalg::Vector z = chol->solve(linalg::Vector(d, 1.0));
+  double sum = 0.0;
+  for (std::size_t i = 0; i < d; ++i) sum += z[i];
+  if (!std::isfinite(sum) || sum == 0.0) return false;
+  for (std::size_t i = 0; i < d; ++i) c[i] = z[i] / sum;
+  return true;
+}
+
+/// out = Σ_i c_i xs[i + 1], the extrapolated point of anderson_weights.
+void combine(const std::vector<linalg::Matrix>& xs, const double* c,
+             linalg::Matrix& out) {
+  out = xs[1];
+  linalg::kern::scale(out.rows() * out.cols(), c[0], out.data());
+  for (std::size_t i = 1; i < kAndersonDepth; ++i)
+    linalg::kern::axpy(out.rows() * out.cols(), c[i], xs[i + 1].data(),
+                       out.data());
+}
+
+}  // namespace
+
+double GroupLasso::smooth_objective(const linalg::Matrix& beta) const {
+  // ½||G − βZ||²/N = ½(g_norm_sq − 2 Σ β∘B + Σ β∘(βA)): the μ = 0 primal.
+  std::vector<double> sums;
+  return certify(beta, problem_.cross, linalg::matmul(beta, problem_.gram),
+                 problem_.g_norm_sq, 0.0, sums)
+      .primal;
 }
 
 void GroupLasso::finalize(GroupLassoResult& result, double mu) const {
@@ -85,7 +221,13 @@ void GroupLasso::finalize(GroupLassoResult& result, double mu) const {
     result.group_norms[m] = norm;
     result.budget += norm;
   }
-  result.objective = smooth_objective(result.beta) + mu * result.budget;
+  std::vector<double> sums;
+  const Certificate cert =
+      certify(result.beta, problem_.cross,
+              linalg::matmul(result.beta, problem_.gram), problem_.g_norm_sq,
+              mu, sums);
+  result.objective = cert.primal;
+  result.duality_gap = cert.gap;
 }
 
 GroupLassoResult GroupLasso::solve_penalized(
@@ -103,18 +245,30 @@ GroupLassoResult GroupLasso::solve_penalized(
   static metrics::Counter& solves = metrics::counter("gl.penalized_solves");
   static metrics::Counter& sweeps = metrics::counter("gl.sweeps");
   static metrics::Counter& breakdowns = metrics::counter("gl.breakdowns");
+  static metrics::Counter& cap_hits = metrics::counter("gl.cap_hits");
   static metrics::Histogram& sweeps_per_solve = metrics::histogram(
       "gl.sweeps_per_solve", metrics::default_iteration_buckets());
+  static metrics::Histogram& gaps = metrics::histogram("gl.duality_gap", [] {
+    std::vector<double> bounds;  // 1e-12, 1e-11, …, 1
+    for (int e = -12; e <= 0; ++e) bounds.push_back(std::pow(10.0, e));
+    return bounds;
+  }());
   solves.add();
   sweeps.add(result.iterations);
   sweeps_per_solve.observe(static_cast<double>(result.iterations));
-  if (!result.status.ok()) breakdowns.add();
   span.arg("mu", mu);
   span.arg("sweeps", static_cast<double>(result.iterations));
   // On numerical breakdown the coefficients are garbage; leave the summary
   // fields zeroed rather than propagating NaN through them.
-  if (result.status.ok()) finalize(result, mu);
-  else result.penalty_weight = mu;
+  if (!result.status.ok()) {
+    breakdowns.add();
+    result.penalty_weight = mu;
+    return result;
+  }
+  finalize(result, mu);
+  if (!result.converged) cap_hits.add();
+  gaps.observe(result.duality_gap);
+  span.arg("gap", result.duality_gap);
   return result;
 }
 
@@ -124,83 +278,45 @@ GroupLassoResult GroupLasso::solve_bcd(
   const std::size_t m_count = problem_.num_groups();
   const linalg::Matrix& a = problem_.gram;
   const linalg::Matrix& b = problem_.cross;
+  const double g_norm_sq = problem_.g_norm_sq;
+  const std::size_t cap = options_.max_iterations;
 
   GroupLassoResult result;
   result.beta = warm ? *warm : linalg::Matrix(k_count, m_count);
   linalg::Matrix& beta = result.beta;
-  // Maintained product P = β A; updated incrementally per group change.
-  linalg::Matrix p = linalg::matmul(beta, a);
-
-  linalg::Vector r(k_count), delta(k_count);
-
-  // Exact minimization over one group; returns the change norm.
-  auto update_group = [&](std::size_t m) -> double {
-    const double amm = a(m, m);
-    if (amm <= 0.0) return 0.0;  // degenerate (zero-variance) candidate
-
-    // r = B_m − (βA)_m + β_m·A_mm : the group's residual correlation.
-    double r_norm_sq = 0.0;
-    for (std::size_t k = 0; k < k_count; ++k) {
-      r[k] = b(k, m) - p(k, m) + beta(k, m) * amm;
-      r_norm_sq += r[k] * r[k];
-    }
-    // Non-finite residual: the iterate has blown up. Surface an infinite
-    // violation so the sweep loop can abort with a kNumerical status.
-    if (!std::isfinite(r_norm_sq))
-      return std::numeric_limits<double>::infinity();
-    const double r_norm = std::sqrt(r_norm_sq);
-
-    // Group soft threshold then scale by 1/A_mm.
-    double change_sq = 0.0;
-    if (r_norm <= mu) {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        delta[k] = -beta(k, m);
-        change_sq += delta[k] * delta[k];
-      }
-    } else {
-      const double scale = (1.0 - mu / r_norm) / amm;
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const double next = scale * r[k];
-        delta[k] = next - beta(k, m);
-        change_sq += delta[k] * delta[k];
-      }
-    }
-
-    if (change_sq > 0.0) {
-      // P-row updates: each k owns its own row of P (and one β entry), so
-      // the rows can run on the pool in any order with identical results.
-      // The small-problem guard skips even the chunk heuristic so tiny
-      // groups stay allocation- and lock-free.
-      const double* arow = a.row_data(m);
-      auto apply_rows = [&](std::size_t kb, std::size_t ke) {
-        for (std::size_t k = kb; k < ke; ++k) {
-          if (delta[k] == 0.0) continue;
-          beta(k, m) += delta[k];
-          linalg::kern::axpy(m_count, delta[k], arow, p.row_data(k));
-        }
-      };
-      const double row_flops = 2.0 * static_cast<double>(m_count);
-      if (row_flops * static_cast<double>(k_count) >=
-          2.0 * kWorkQuantumFlops) {
-        parallel_for_chunked(0, k_count, row_flops, apply_rows);
-      } else {
-        apply_rows(0, k_count);
-      }
-    }
-    return std::sqrt(change_sq);
+  std::vector<double> r(k_count), sums;
+  auto breakdown = [&]() -> GroupLassoResult& {
+    result.status = Status::Numerical(
+        "non-finite iterate in group-lasso BCD (sweep " +
+        std::to_string(result.iterations) + ", mu=" + std::to_string(mu) +
+        ")");
+    return result;
   };
 
-  // Active-set BCD: a full sweep identifies the working set (nonzero
-  // groups); cheap inner sweeps converge on that set; a final full sweep
-  // certifies global optimality (zero groups' KKT is re-checked by the
-  // exact update itself). This keeps per-iteration work proportional to
-  // the number of *selected* sensors, not candidates.
+  // Each outer iteration rebuilds P = βA and stops once the relative gap of
+  // the full problem is within tolerance. Otherwise a full sweep picks the
+  // working set S (the nonzero groups); A_SS, B_S, β_S and P_S are gathered
+  // into contiguous blocks, so an inner group update costs K·|S| instead of
+  // K·M; the inner sweeps, Anderson-extrapolated, run until the restricted
+  // problem's gap is within tolerance; then β_S is scattered back.
   std::vector<std::size_t> active;
-  while (result.iterations < options_.max_iterations) {
-    double full_violation = 0.0;
+  std::vector<linalg::Matrix> xs(kAndersonDepth + 1), ps(kAndersonDepth + 1);
+  linalg::Matrix beta_x, p_x;
+  double weights[kAndersonDepth] = {};
+  while (true) {
+    linalg::Matrix p = linalg::matmul(beta, a);
+    const Certificate full = certify(beta, b, p, g_norm_sq, mu, sums);
+    if (!std::isfinite(full.gap)) return breakdown();
+    if (full.gap <= options_.tolerance) {
+      result.converged = true;
+      break;
+    }
+    if (result.iterations >= cap) break;
+    if (!sweep(a, b, beta, p, mu, r.data())) return breakdown();
+    ++result.iterations;
+
     active.clear();
     for (std::size_t m = 0; m < m_count; ++m) {
-      full_violation = std::max(full_violation, update_group(m));
       for (std::size_t k = 0; k < k_count; ++k) {
         if (beta(k, m) != 0.0) {
           active.push_back(m);
@@ -208,36 +324,44 @@ GroupLassoResult GroupLasso::solve_bcd(
         }
       }
     }
-    ++result.iterations;
-    if (!std::isfinite(full_violation)) {
-      result.status = Status::Numerical(
-          "non-finite iterate in group-lasso BCD (sweep " +
-          std::to_string(result.iterations) + ", mu=" + std::to_string(mu) +
-          ")");
-      return result;
-    }
-    if (full_violation < options_.tolerance) {
-      result.converged = true;
-      break;
-    }
-    while (result.iterations < options_.max_iterations) {
-      double inner_violation = 0.0;
-      for (std::size_t m : active)
-        inner_violation = std::max(inner_violation, update_group(m));
+    if (active.empty()) continue;
+    const linalg::Matrix a_s = a.select_rows(active).select_cols(active);
+    const linalg::Matrix b_s = b.select_cols(active);
+    linalg::Matrix beta_s = beta.select_cols(active);
+    linalg::Matrix p_s = p.select_cols(active);
+    std::size_t window = 0;
+    while (result.iterations < cap) {
+      if (!sweep(a_s, b_s, beta_s, p_s, mu, r.data())) return breakdown();
       ++result.iterations;
-      if (!std::isfinite(inner_violation)) {
-        result.status = Status::Numerical(
-            "non-finite iterate in group-lasso BCD (sweep " +
-            std::to_string(result.iterations) + ", mu=" + std::to_string(mu) +
-            ")");
-        return result;
+      Certificate cert = certify(beta_s, b_s, p_s, g_norm_sq, mu, sums);
+      // P is linear in β, so the extrapolated P_S is the same combination
+      // of the stored P_S snapshots.
+      xs[window] = beta_s;
+      ps[window] = p_s;
+      if (++window == kAndersonDepth + 1) {
+        window = 0;
+        if (anderson_weights(xs, weights)) {
+          combine(xs, weights, beta_x);
+          combine(ps, weights, p_x);
+          const Certificate ext =
+              certify(beta_x, b_s, p_x, g_norm_sq, mu, sums);
+          if (std::isfinite(ext.primal) && ext.primal < cert.primal) {
+            std::swap(beta_s, beta_x);
+            std::swap(p_s, p_x);
+            cert = ext;
+          }
+        }
       }
-      if (inner_violation < options_.tolerance) break;
+      if (!std::isfinite(cert.gap)) return breakdown();
+      if (cert.gap <= options_.tolerance) break;
     }
+    for (std::size_t j = 0; j < active.size(); ++j)
+      for (std::size_t k = 0; k < k_count; ++k)
+        beta(k, active[j]) = beta_s(k, j);
   }
   if (!result.converged) {
-    VMAP_LOG(kInfo) << "group-lasso BCD hit the iteration cap ("
-                    << options_.max_iterations << " sweeps) at mu=" << mu;
+    VMAP_LOG(kInfo) << "group-lasso BCD hit the iteration cap (" << cap
+                    << " sweeps) at mu=" << mu;
   }
   return result;
 }
@@ -381,6 +505,7 @@ GroupLassoResult GroupLasso::solve_budget(double lambda) const {
   std::optional<linalg::Matrix> warm = best.beta;
 
   double lo = -1.0;  // infeasible side, found during the walk
+  double lo_budget = 0.0;
   double previous_budget = 0.0;
   for (double mu = hi_mu * kWalkShrink; mu >= hi_mu * kFloorFactor;
        mu *= kWalkShrink) {
@@ -389,6 +514,7 @@ GroupLassoResult GroupLasso::solve_budget(double lambda) const {
     warm = res.beta;
     if (res.budget > lambda) {
       lo = mu;
+      lo_budget = res.budget;
       break;
     }
     hi = mu;
@@ -407,20 +533,36 @@ GroupLassoResult GroupLasso::solve_budget(double lambda) const {
     return best;
   }
 
-  // Log-space bisection on the bracket [lo (infeasible), hi (feasible)].
+  // Illinois false position on f(x) = budget(e^x) − target in x = log μ,
+  // over the bracket [log lo (f > 0, infeasible), log hi (f < 0, feasible)].
+  // The target sits mid-way in the accepted band [λ(1 − slack), λ], so a
+  // secant step that lands near it is accepted from either side.
+  const double target = lambda * (1.0 - 0.5 * options_.budget_slack);
+  double x_lo = std::log(lo), f_lo = lo_budget - target;
+  double x_hi = std::log(hi), f_hi = best.budget - target;
+  enum class Side { kNone, kLo, kHi } replaced = Side::kNone;
   for (std::size_t it = 0; it < options_.budget_bisections; ++it) {
-    const double mid = std::sqrt(lo * hi);
-    GroupLassoResult res = solve_penalized(mid, warm);
+    const double x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo);
+    GroupLassoResult res = solve_penalized(std::exp(x), warm);
     if (!res.status.ok()) return res;
     warm = res.beta;
+    const double f = res.budget - target;
     if (res.budget <= lambda) {
-      hi = mid;
       best = std::move(res);
       if (lambda - best.budget <= options_.budget_slack * lambda) break;
+      x_hi = x;
+      f_hi = f;
+      // Illinois: an endpoint kept twice in a row has its value halved, so
+      // the secant cannot stall against it.
+      if (replaced == Side::kHi) f_lo *= 0.5;
+      replaced = Side::kHi;
     } else {
-      lo = mid;
+      x_lo = x;
+      f_lo = f;
+      if (replaced == Side::kLo) f_hi *= 0.5;
+      replaced = Side::kLo;
     }
-    if (hi / lo < 1.0 + 1e-12) break;
+    if (x_hi - x_lo < 1e-12) break;
   }
   return best;
 }

@@ -6,10 +6,17 @@
 // via SOCP. We solve the equivalent Lagrangian (penalized) problem
 //     min_β ½||G − β Z||²_F + μ Σ_m ||β_m||₂
 // with two hand-coded solvers — block coordinate descent (exact group
-// updates, active-set accelerated) and FISTA (accelerated proximal
-// gradient) — and recover the constrained solution for a budget λ by
-// bisection on μ (the budget Σ||β_m||₂ is non-increasing in μ). Both
-// problems trace the same solution path for this convex objective.
+// updates) and FISTA (accelerated proximal gradient) — and recover the
+// constrained solution for a budget λ by a false-position search on μ (the
+// budget Σ||β_m||₂ is non-increasing in μ). Both problems trace the same
+// solution path for this convex objective.
+//
+// BCD stops on a certificate: the relative primal–dual gap (Ndiaye et al.,
+// "Gap Safe screening rules for sparsity enforcing penalties", JMLR 2017),
+// computed from the maintained product P = βA. Its inner sweeps run on the
+// working set of nonzero groups, gathered into contiguous blocks, with
+// Anderson extrapolation of the iterates (Bertrand & Massias, "Anderson
+// acceleration of coordinate descent", AISTATS 2021).
 //
 // Everything works on Gram matrices A = Z Zᵀ (M×M) and B = G Zᵀ (K×M), so
 // the per-iteration cost is independent of the sample count N.
@@ -43,9 +50,13 @@ enum class GlSolver { kBcd, kFista };
 
 struct GroupLassoOptions {
   GlSolver solver = GlSolver::kBcd;
-  double tolerance = 1e-6;        ///< group-change / KKT-slack tolerance
-  std::size_t max_iterations = 8000;
-  std::size_t budget_bisections = 60;  ///< iterations for solve_budget
+  /// BCD: bound on the relative duality gap (primal − dual) / primal that
+  /// certifies a solve. FISTA: bound on the largest coefficient change.
+  double tolerance = 1e-6;
+  /// Sweep cap; a safety net only — BCD solves stop on the gap certificate.
+  std::size_t max_iterations = 100000;
+  /// Step limit of solve_budget's false-position search on μ.
+  std::size_t budget_bisections = 60;
   double budget_slack = 1e-3;     ///< accept budgets within this rel. gap
 };
 
@@ -55,7 +66,11 @@ struct GroupLassoResult {
   double penalty_weight = 0.0;  ///< μ the solution corresponds to
   double budget = 0.0;          ///< Σ_m ||β_m||₂ achieved
   double objective = 0.0;       ///< ½||G − βZ||²_F + μ Σ||β_m||₂
+  /// Final relative duality gap (primal − dual) / primal at penalty_weight.
+  double duality_gap = 0.0;
   std::size_t iterations = 0;
+  /// The stop rule was met (BCD: duality_gap ≤ tolerance); false means the
+  /// sweep cap stopped the solve first.
   bool converged = false;
   /// kOk normally (even when converged == false: hitting the iteration cap
   /// is a usable-but-inexact outcome). kNumerical when the iterates went
@@ -87,8 +102,9 @@ class GroupLasso {
                      std::nullopt) const;
 
   /// Solves the paper's constrained form: min ||G − βZ||_F subject to
-  /// Σ||β_m||₂ ≤ λ, by bisecting μ. The returned budget is ≤ λ (within
-  /// slack). λ larger than the unconstrained optimum's budget simply
+  /// Σ||β_m||₂ ≤ λ: a warm-started walk down from μ_max brackets λ, then
+  /// Illinois false position on the budget in log μ closes in on it. The
+  /// returned budget is ≤ λ (within slack). λ larger than the unconstrained optimum's budget simply
   /// yields the (nearly) unpenalized solution.
   GroupLassoResult solve_budget(double lambda) const;
 

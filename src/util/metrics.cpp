@@ -124,7 +124,7 @@ std::vector<double> default_time_buckets_ms() {
 
 std::vector<double> default_iteration_buckets() {
   std::vector<double> b;
-  for (double v = 1.0; v <= 4096.0; v *= 2.0) b.push_back(v);
+  for (double v = 1.0; v <= 131072.0; v *= 2.0) b.push_back(v);
   return b;
 }
 

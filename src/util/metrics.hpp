@@ -101,7 +101,8 @@ class Histogram {
 /// histograms (values in milliseconds).
 std::vector<double> default_time_buckets_ms();
 
-/// Geometric 1 … 4096 ladder for iteration-count histograms.
+/// Geometric 1 … 131072 (2¹⁷) ladder for iteration-count histograms; its
+/// top reaches past the group-lasso sweep cap.
 std::vector<double> default_iteration_buckets();
 
 /// Looks up (or registers) a metric by name. References stay valid for

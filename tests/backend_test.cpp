@@ -18,6 +18,7 @@
 #include "core/pipeline.hpp"
 #include "core/sensor_selection.hpp"
 #include "grid/power_grid.hpp"
+#include "util/resilience.hpp"
 #include "util/status.hpp"
 #include "workload/benchmark_suite.hpp"
 
@@ -181,6 +182,26 @@ TEST_F(BackendTest, DefaultPathBitIdenticalToLegacyPipeline) {
             << "core " << c << " (" << k << "," << j << ")";
     }
   }
+}
+
+TEST_F(BackendTest, CapHitNoteCarriesTheDualityGap) {
+  // One sweep cannot certify any core's solve, so every core's fit must
+  // surface as a kNotConverged note that reports the gap it stopped at.
+  PipelineConfig config;
+  config.lambda = 6.0;
+  config.sensors_per_core = 2;
+  config.gl_options.max_iterations = 1;
+  ResilienceReport report;
+  fit_placement(data(), plan_, config, &report);
+  std::size_t notes = 0;
+  for (const ResilienceEvent& e : report.events()) {
+    if (e.stage != "group_lasso") continue;
+    ++notes;
+    EXPECT_EQ(e.code, ErrorCode::kNotConverged);
+    EXPECT_GT(e.value, config.gl_options.tolerance);
+    EXPECT_NE(e.detail.find("duality gap"), std::string::npos) << e.detail;
+  }
+  EXPECT_EQ(notes, plan_.core_count());
 }
 
 TEST_F(BackendTest, CustomPredictionBackendRoundTrips) {

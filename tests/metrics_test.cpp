@@ -71,6 +71,18 @@ TEST(Metrics, HistogramBucketMath) {
   EXPECT_DOUBLE_EQ(snap.sum, 0.5 + 1.0 + 1.5 + 2.0 + 3.0 + 4.0 + 100.0);
 }
 
+TEST(Metrics, IterationBucketsResolveLongSolves) {
+  // Group-lasso solves can take over 10,000 sweeps; they must land in a
+  // finite bucket, not in +Inf where every quantile clamps to the top bound.
+  metrics::Histogram h(metrics::default_iteration_buckets());
+  h.observe(10000.0);
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.counts.back(), 0u);
+  const double p50 = metrics::histogram_quantile(snap, 0.5);
+  EXPECT_GT(p50, 8192.0);
+  EXPECT_LE(p50, 16384.0);
+}
+
 TEST(Metrics, HistogramKeepsFirstBucketLayout) {
   metrics::Histogram& a =
       metrics::histogram("test.hist.layout", {1.0, 10.0});

@@ -18,7 +18,10 @@ Three sections, each emitted only when its input is present:
   tools/perf_gate.py gates on). Baselines are looked up as
   <baselines-dir>/<bench>.json; a missing baseline just drops the
   comparison columns. Report tags (backend names etc.) are shown next
-  to the bench name so ablation rows are self-describing.
+  to the bench name so ablation rows are self-describing. Reports whose
+  metrics snapshot holds group-lasso solves also get one line with the
+  `gl.cap_hits` count and the largest final `gl.duality_gap` (the upper
+  edge of its highest non-empty bucket); any cap hit is flagged.
 
 Always exits 0 — the summary must never fail a job; gating is
 perf_gate's business. Unreadable inputs degrade to a note in the output.
@@ -80,6 +83,50 @@ def tags_of(report):
     return " " + " ".join(f"`{k}={v}`" for k, v in sorted(tags.items()))
 
 
+def largest_bucket(hist):
+    """Upper edge of the highest non-empty bucket, as display text."""
+    buckets = hist.get("buckets", []) if isinstance(hist, dict) else []
+    finite = [b.get("le") for b in buckets
+              if isinstance(b.get("le"), (int, float))]
+    for b in reversed(buckets):
+        if not b.get("count"):
+            continue
+        edge = b.get("le")
+        if isinstance(edge, (int, float)):
+            return f"≤ {edge:.0e}"
+        return f"> {finite[-1]:.0e}" if finite else "unbounded"
+    return None
+
+
+def gl_section(report):
+    metrics = report.get("metrics")
+    if not isinstance(metrics, dict):
+        return
+    counters = metrics.get("counters") or {}
+    solves = int(counters.get("gl.penalized_solves", 0) or 0)
+    if solves == 0:
+        return
+    if "gl.cap_hits" not in counters:
+        print(f"**Group lasso:** {solves} penalized solves; cap hits not "
+              f"recorded")
+        print()
+        return
+    cap_hits = int(counters["gl.cap_hits"] or 0)
+    gap = largest_bucket((metrics.get("histograms") or {})
+                         .get("gl.duality_gap"))
+    icon = ":white_check_mark:" if cap_hits == 0 else ":x:"
+    line = (f"**Group lasso:** {icon} {cap_hits} cap hit(s) in {solves} "
+            f"penalized solves")
+    if gap:
+        line += f"; largest final duality gap {gap}"
+    print(line)
+    print()
+    if cap_hits:
+        print(f"> :warning: {cap_hits} group-lasso solve(s) stopped at the "
+              f"sweep cap before their duality gap met the tolerance")
+        print()
+
+
 def report_section(path, baselines_dir):
     report = load_json(path)
     if report is None:
@@ -131,6 +178,8 @@ def report_section(path, baselines_dir):
         else:
             print(f"| `{name}` | {fmt_ms(ms)} |")
     print()
+
+    gl_section(report)
 
     res = report.get("resilience", {})
     if isinstance(res, dict) and not res.get("clean", True):
