@@ -114,6 +114,26 @@ void BM_SkylineSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SkylineSolve)->Arg(32)->Arg(64)->Arg(96);
 
+// Multi-RHS solves through one factor: items/s counts columns (right-hand
+// sides), so the lane speed-up per column reads directly off the table.
+void BM_SkylineSolveLanes(benchmark::State& state) {
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const grid::PowerGrid grid(bench_grid(96));
+  const sparse::SkylineCholesky factor(grid.conductance());
+  Rng rng(3);
+  std::vector<double> b(grid.node_count() * lanes), x(b.size());
+  for (double& v : b) v = rng.normal();
+  for (auto _ : state) {
+    factor.solve_lanes(lanes, b.data(), x.data());
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes));
+  state.SetLabel("96x96 grid, " + std::to_string(lanes) + " lanes, " +
+                 linalg::kern::simd_level());
+}
+BENCHMARK(BM_SkylineSolveLanes)->Arg(1)->Arg(4)->Arg(8);
+
 void BM_PcgIc0Solve(benchmark::State& state) {
   const grid::PowerGrid grid(bench_grid(static_cast<std::size_t>(state.range(0))));
   const auto& a = grid.conductance();

@@ -1,20 +1,15 @@
 #include "core/dataset.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "chip/critical_nodes.hpp"
-#include "grid/recorder.hpp"
 #include "grid/transient.hpp"
 #include "util/assert.hpp"
+#include "util/atomic_file.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -227,85 +222,82 @@ Dataset DataCollector::collect(
   data.x_test = linalg::Matrix(m_count, test_total);
   data.f_test = linalg::Matrix(k_count, test_total);
 
-  // Combined watch list: candidates first, criticals after.
-  std::vector<std::size_t> watch = data.candidate_nodes;
-  watch.insert(watch.end(), data.critical_nodes.begin(),
-               data.critical_nodes.end());
-
   workload::PowerModel model(floorplan_, data.current_scale);
 
   // Benchmarks are mutually independent: each gets its own activity RNG
-  // (derived from the seed and the benchmark index alone), its own reset
-  // simulator state, and writes a disjoint column range of the shared
+  // (derived from the seed and the benchmark index alone), its own
+  // simulator lane, and writes a disjoint column range of the shared
   // matrices at offsets fixed by the canonical suite order. Chunking uses
-  // the shared work-quantum heuristic capped at one chunk per pool thread:
-  // each chunk owns a transient engine (one factorization), so finer
-  // chunks would repeat that setup cost for no scheduling win. At one
-  // thread this is exactly the serial loop, and at any thread count the
-  // dataset is bit-identical to it.
+  // the shared work-quantum heuristic capped at one chunk per pool thread,
+  // and each chunk steps its benchmarks in lockstep as the lanes of one
+  // transient engine: one factorization, and one pass over it per step for
+  // all of them. Every lane is bit-identical to a one-lane simulation, so
+  // at any thread count (any lane grouping) the dataset is bit-identical to
+  // the serial benchmark-by-benchmark loop.
   std::vector<BenchmarkSlice> slices(n_benchmarks);
+  for (std::size_t b = 0; b < n_benchmarks; ++b) {
+    BenchmarkSlice& slice = slices[b];
+    slice.name = suite[b].name;
+    slice.train_begin = b * config_.train_maps_per_benchmark;
+    slice.train_end = slice.train_begin + config_.train_maps_per_benchmark;
+    slice.test_begin = b * config_.test_maps_per_benchmark;
+    slice.test_end = slice.test_begin + config_.test_maps_per_benchmark;
+  }
+  const std::size_t maps_needed =
+      config_.train_maps_per_benchmark + config_.test_maps_per_benchmark;
   const std::size_t steps_per_benchmark =
-      config_.warmup_steps +
-      (config_.train_maps_per_benchmark + config_.test_maps_per_benchmark) *
-          config_.map_stride;
+      config_.warmup_steps + maps_needed * config_.map_stride;
   const double bench_flops = static_cast<double>(steps_per_benchmark) *
                              static_cast<double>(grid_.node_count()) * 100.0;
   const std::size_t chunks =
       recommended_chunks(n_benchmarks, bench_flops, /*max_per_thread=*/1);
   parallel_for(0, chunks, [&](std::size_t chunk) {
-    grid::TransientSim worker_sim(grid_, config_.dt);
-    linalg::Vector currents(grid_.node_count());
+    Timer chunk_timer;
     const std::size_t b_begin = chunk * n_benchmarks / chunks;
-    const std::size_t b_end = (chunk + 1) * n_benchmarks / chunks;
-    for (std::size_t b = b_begin; b < b_end; ++b) {
-      Timer bench_timer;
-      const auto& profile = suite[b];
-      TraceSpan bench_span("collect." + profile.name);
-      workload::ActivityGenerator generator(
-          floorplan_, profile, Rng(config_.seed + 0x9E3779B9 * (b + 1)));
-      worker_sim.reset();
+    const std::size_t lanes = (chunk + 1) * n_benchmarks / chunks - b_begin;
+    TraceSpan chunk_span("dataset.collect_chunk");
+    grid::TransientSim sim(grid_, config_.dt, grid::StepSolver::kDirect,
+                           lanes);
+    std::vector<workload::ActivityGenerator> generators;
+    generators.reserve(lanes);
+    for (std::size_t c = 0; c < lanes; ++c)
+      generators.emplace_back(
+          floorplan_, suite[b_begin + c],
+          Rng(config_.seed + 0x9E3779B9 * (b_begin + c + 1)));
+    std::vector<linalg::Vector> currents(lanes,
+                                         linalg::Vector(grid_.node_count()));
+    const auto advance = [&]() -> const linalg::Vector& {
+      for (std::size_t c = 0; c < lanes; ++c)
+        model.to_node_currents(generators[c].step(), currents[c]);
+      return sim.step(currents);
+    };
 
-      for (std::size_t s = 0; s < config_.warmup_steps; ++s) {
-        model.to_node_currents(generator.step(), currents);
-        worker_sim.step(currents);
-      }
+    for (std::size_t s = 0; s < config_.warmup_steps; ++s) advance();
 
-      const std::size_t maps_needed = config_.train_maps_per_benchmark +
-                                      config_.test_maps_per_benchmark;
-      grid::MapSampler sampler(watch, config_.map_stride);
-      while (sampler.maps() < maps_needed) {
-        model.to_node_currents(generator.step(), currents);
-        sampler.observe(worker_sim.step(currents));
-      }
-      const linalg::Matrix maps = sampler.as_matrix();
-
-      BenchmarkSlice slice;
-      slice.name = profile.name;
-      slice.train_begin = b * config_.train_maps_per_benchmark;
-      slice.train_end = slice.train_begin + config_.train_maps_per_benchmark;
-      slice.test_begin = b * config_.test_maps_per_benchmark;
-      slice.test_end = slice.test_begin + config_.test_maps_per_benchmark;
-
-      // Time-split: earlier maps train, later maps test (no leakage).
-      for (std::size_t c = 0; c < config_.train_maps_per_benchmark; ++c) {
-        const std::size_t dst = slice.train_begin + c;
+    // Keep every map_stride-th step, starting with the first; each kept map
+    // goes straight into its benchmark's column. Time-split: earlier maps
+    // train, later maps test (no leakage).
+    for (std::size_t map = 0; map < maps_needed; ++map) {
+      if (map > 0)
+        for (std::size_t s = 1; s < config_.map_stride; ++s) advance();
+      const linalg::Vector& v = advance();
+      const bool train = map < config_.train_maps_per_benchmark;
+      linalg::Matrix& x = train ? data.x_train : data.x_test;
+      linalg::Matrix& f = train ? data.f_train : data.f_test;
+      for (std::size_t c = 0; c < lanes; ++c) {
+        const BenchmarkSlice& slice = slices[b_begin + c];
+        const std::size_t dst =
+            train ? slice.train_begin + map
+                  : slice.test_begin + map - config_.train_maps_per_benchmark;
         for (std::size_t r = 0; r < m_count; ++r)
-          data.x_train(r, dst) = maps(r, c);
+          x(r, dst) = v[data.candidate_nodes[r] * lanes + c];
         for (std::size_t r = 0; r < k_count; ++r)
-          data.f_train(r, dst) = maps(m_count + r, c);
+          f(r, dst) = v[data.critical_nodes[r] * lanes + c];
       }
-      for (std::size_t c = 0; c < config_.test_maps_per_benchmark; ++c) {
-        const std::size_t src = config_.train_maps_per_benchmark + c;
-        const std::size_t dst = slice.test_begin + c;
-        for (std::size_t r = 0; r < m_count; ++r)
-          data.x_test(r, dst) = maps(r, src);
-        for (std::size_t r = 0; r < k_count; ++r)
-          data.f_test(r, dst) = maps(m_count + r, src);
-      }
-      slices[b] = std::move(slice);
-      VMAP_LOG(kInfo) << profile.name << ": " << maps_needed << " maps in "
-                      << bench_timer.seconds() << " s";
     }
+    VMAP_LOG(kInfo) << suite[b_begin].name << " + " << lanes - 1
+                    << " more: " << maps_needed << " maps each in "
+                    << chunk_timer.seconds() << " s";
   });
   data.benchmarks = std::move(slices);
 
@@ -321,7 +313,7 @@ Dataset DataCollector::collect(
 namespace {
 constexpr std::uint64_t kMagic = 0x564D415044534554ULL;  // "VMAPDSET"
 // v7: sectioned layout with a per-section FNV-1a checksum and atomic
-// (write-temp-then-rename) saves. v6 and older caches fail the version
+// (write_file_atomic) saves. v6 and older caches fail the version
 // check and are transparently recollected.
 constexpr std::uint64_t kVersion = 7;
 
@@ -436,13 +428,33 @@ constexpr std::uint64_t kSecXTest = 0xD5E70006ULL;
 constexpr std::uint64_t kSecFTest = 0xD5E70007ULL;
 constexpr std::uint64_t kSecBenchmarks = 0xD5E70008ULL;
 
-/// [u64 tag][u64 payload bytes][u64 fnv1a64(payload)][payload]
-void write_section(std::ostream& out, std::uint64_t tag,
-                   const std::string& payload) {
+constexpr std::size_t kSectionHeaderBytes = 3 * sizeof(std::uint64_t);
+
+/// Appends one section, [u64 tag][u64 payload bytes][u64 fnv1a64(payload)]
+/// [payload], with the length and checksum left zero for
+/// seal_sections(). Returns the header's offset.
+template <typename WritePayload>
+std::size_t write_section(std::ostringstream& out, std::uint64_t tag,
+                          WritePayload&& write_payload) {
+  const auto header = static_cast<std::size_t>(out.tellp());
   write_u64(out, tag);
-  write_u64(out, payload.size());
-  write_u64(out, fnv1a64(payload.data(), payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  write_u64(out, 0);
+  write_u64(out, 0);
+  write_payload(out);
+  return header;
+}
+
+/// Fills in each section's length and checksum; `headers` are the
+/// write_section() offsets in file order.
+void seal_sections(std::string& image, const std::vector<std::size_t>& headers) {
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    const std::size_t payload = headers[i] + kSectionHeaderBytes;
+    const std::size_t end = i + 1 < headers.size() ? headers[i + 1] : image.size();
+    const std::uint64_t fields[] = {end - payload,
+                                    fnv1a64(image.data() + payload, end - payload)};
+    std::memcpy(image.data() + headers[i] + sizeof(std::uint64_t), fields,
+                sizeof(fields));
+  }
 }
 
 /// Reads and verifies one section. `remaining` bounds the payload length
@@ -451,7 +463,7 @@ void write_section(std::ostream& out, std::uint64_t tag,
 StatusOr<std::string> read_section(std::istream& in, std::uint64_t expected_tag,
                                    std::uint64_t remaining,
                                    const std::string& path) {
-  if (remaining < 3 * sizeof(std::uint64_t))
+  if (remaining < kSectionHeaderBytes)
     return Status::Corruption("dataset cache truncated before section header: " +
                               path);
   const std::uint64_t tag = read_u64(in);
@@ -464,7 +476,7 @@ StatusOr<std::string> read_section(std::istream& in, std::uint64_t expected_tag,
     return Status::Corruption("dataset cache section tag mismatch (got " +
                               std::to_string(tag) + ", want " +
                               std::to_string(expected_tag) + "): " + path);
-  if (bytes > remaining - 3 * sizeof(std::uint64_t))
+  if (bytes > remaining - kSectionHeaderBytes)
     return Status::Corruption(
         "dataset cache section length exceeds file size: " + path);
   std::string payload(bytes, '\0');
@@ -487,74 +499,48 @@ bool payload_consumed(std::istringstream& s) {
 }  // namespace
 
 Status Dataset::try_save(const std::string& path) const {
-  // Serialize every section to memory first: the file is only created once
-  // the full image is known good, and a crash mid-write can at worst leave
-  // a stale .tmp file behind, never a torn cache under the real name.
-  std::ostringstream meta;
-  write_config(meta, config);
-  write_u64(meta, workload_hash);
-  write_u64(meta, platform);
-  write_f64(meta, current_scale);
-
-  std::ostringstream cands;
-  write_indices(cands, candidate_nodes);
-
-  std::ostringstream crits;
-  write_indices(crits, critical_nodes);
-  write_indices(crits, critical_block);
-
-  std::ostringstream xtr, ftr, xte, fte;
-  write_matrix(xtr, x_train);
-  write_matrix(ftr, f_train);
-  write_matrix(xte, x_test);
-  write_matrix(fte, f_test);
-
-  std::ostringstream benches;
-  write_u64(benches, benchmarks.size());
-  for (const auto& b : benchmarks) {
-    write_string(benches, b.name);
-    write_u64(benches, b.train_begin);
-    write_u64(benches, b.train_end);
-    write_u64(benches, b.test_begin);
-    write_u64(benches, b.test_end);
-  }
-
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::Io("cannot write dataset cache: " + tmp_path);
-    write_u64(out, kMagic);
-    write_u64(out, kVersion);
-    write_section(out, kSecMeta, meta.str());
-    write_section(out, kSecCandidates, cands.str());
-    write_section(out, kSecCriticals, crits.str());
-    write_section(out, kSecXTrain, xtr.str());
-    write_section(out, kSecFTrain, ftr.str());
-    write_section(out, kSecXTest, xte.str());
-    write_section(out, kSecFTest, fte.str());
-    write_section(out, kSecBenchmarks, benches.str());
-    out.flush();
-    if (!out) {
-      std::remove(tmp_path.c_str());
-      return Status::Io("dataset cache write failed: " + tmp_path);
+  // Serialize the whole image to memory first, then write it with
+  // write_file_atomic (tmp + fsync + rename + directory fsync): a crash can
+  // at worst leave a stale .tmp file behind, never a torn cache under the
+  // real name, and a completed save survives the crash.
+  std::ostringstream out;
+  write_u64(out, kMagic);
+  write_u64(out, kVersion);
+  std::vector<std::size_t> headers;
+  headers.push_back(write_section(out, kSecMeta, [&](std::ostream& o) {
+    write_config(o, config);
+    write_u64(o, workload_hash);
+    write_u64(o, platform);
+    write_f64(o, current_scale);
+  }));
+  headers.push_back(write_section(out, kSecCandidates, [&](std::ostream& o) {
+    write_indices(o, candidate_nodes);
+  }));
+  headers.push_back(write_section(out, kSecCriticals, [&](std::ostream& o) {
+    write_indices(o, critical_nodes);
+    write_indices(o, critical_block);
+  }));
+  const std::pair<std::uint64_t, const linalg::Matrix*> matrices[] = {
+      {kSecXTrain, &x_train},
+      {kSecFTrain, &f_train},
+      {kSecXTest, &x_test},
+      {kSecFTest, &f_test}};
+  for (const auto& [tag, m] : matrices)
+    headers.push_back(write_section(
+        out, tag, [m = m](std::ostream& o) { write_matrix(o, *m); }));
+  headers.push_back(write_section(out, kSecBenchmarks, [&](std::ostream& o) {
+    write_u64(o, benchmarks.size());
+    for (const auto& b : benchmarks) {
+      write_string(o, b.name);
+      write_u64(o, b.train_begin);
+      write_u64(o, b.train_end);
+      write_u64(o, b.test_begin);
+      write_u64(o, b.test_end);
     }
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // Push the temp file to stable storage before the rename so the
-  // rename-is-atomic guarantee covers the data, not just the directory
-  // entry.
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#endif
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::Io("cannot move dataset cache into place: " + tmp_path +
-                      " -> " + path);
-  }
-  return Status::Ok();
+  }));
+  std::string image = std::move(out).str();
+  seal_sections(image, headers);
+  return write_file_atomic(path, image);
 }
 
 void Dataset::save(const std::string& path) const {

@@ -9,10 +9,15 @@
 // current scale (worst droop = target) and picks each block's worst-noise
 // node as its critical node.
 //
-// Collection is deterministic in the config seed. Benchmarks are simulated
-// concurrently on the thread pool (util/parallel.hpp) — each on its own
-// simulator/RNG, merged in canonical suite order — so the dataset, and
-// therefore its cache hash, is bit-identical at every thread count.
+// Collection is deterministic in the config seed. Benchmarks are split into
+// one chunk per pool thread (util/parallel.hpp); each chunk steps its
+// benchmarks in lockstep as the lanes of one transient simulator (one
+// factorization, one multi-RHS solve per step), each benchmark with its own
+// RNG stream, and every kept map is written straight into the benchmark's
+// column of X / F, at offsets fixed by the canonical suite order. Every
+// lane is bit-identical to a one-lane simulation, so the dataset, and
+// therefore its cache hash, is bit-identical at every thread count (any
+// lane grouping).
 // Because full collection costs minutes of simulation, datasets can be
 // saved/loaded in a versioned binary cache keyed by the configuration.
 
@@ -101,7 +106,8 @@ struct Dataset {
       const chip::Floorplan& floorplan, std::size_t core) const;
 
   /// Versioned binary serialization (cache format v7: checksummed
-  /// sections, crash-safe write-temp-then-rename). The throwing wrappers
+  /// sections, written with write_file_atomic — tmp, fsync, rename,
+  /// directory fsync). The throwing wrappers
   /// raise StatusError; the try_ variants report kIo (filesystem) and
   /// kCorruption (integrity-check) failures as recoverable statuses.
   void save(const std::string& path) const;

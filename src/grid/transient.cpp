@@ -1,6 +1,5 @@
 #include "grid/transient.hpp"
 
-#include "linalg/kernels.hpp"
 #include "sparse/csr.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
@@ -45,14 +44,20 @@ sparse::CsrMatrix build_step_matrix(const PowerGrid& grid, double dt,
 }
 }  // namespace
 
-TransientSim::TransientSim(const PowerGrid& grid, double dt, StepSolver solver)
+TransientSim::TransientSim(const PowerGrid& grid, double dt, StepSolver solver,
+                           std::size_t lanes)
     : grid_(grid),
       dt_(dt),
       solver_kind_(solver),
+      lanes_(lanes),
       c_over_dt_(grid.node_count()),
-      v_(grid.node_count(), grid.config().vdd),
-      pad_currents_(grid.pad_nodes().size()) {
+      rhs_(grid.node_count() * lanes),
+      v_(grid.node_count() * lanes, grid.config().vdd),
+      pad_currents_(grid.pad_nodes().size() * lanes) {
   VMAP_REQUIRE(dt > 0.0, "time step must be positive");
+  VMAP_REQUIRE(lanes >= 1, "a transient simulator needs at least one lane");
+  VMAP_REQUIRE(lanes == 1 || solver == StepSolver::kDirect,
+               "multi-lane stepping needs the direct solver");
 
   const double r_pad = grid_.config().pad_resistance;
   const double l_pad = grid_.config().pad_inductance;
@@ -81,52 +86,63 @@ void TransientSim::reset() {
   steps_ = 0;
 }
 
-void TransientSim::reset(const linalg::Vector& v0) {
-  VMAP_REQUIRE(v0.size() == grid_.node_count(), "state size mismatch");
-  v_ = v0;
-  pad_currents_.fill(0.0);
-  steps_ = 0;
+const linalg::Vector& TransientSim::step(
+    const linalg::Vector& load_currents) {
+  return step(std::span<const linalg::Vector>(&load_currents, 1));
 }
 
 const linalg::Vector& TransientSim::step(
-    const linalg::Vector& load_currents) {
-  VMAP_REQUIRE(load_currents.size() == grid_.node_count() ||
-                   load_currents.size() == grid_.device_node_count(),
-               "load current vector size mismatch");
+    std::span<const linalg::Vector> load_currents) {
+  const std::size_t w = lanes_;
+  VMAP_REQUIRE(load_currents.size() == w, "need one load vector per lane");
+  for (const linalg::Vector& load : load_currents)
+    VMAP_REQUIRE(load.size() == grid_.node_count() ||
+                     load.size() == grid_.device_node_count(),
+                 "load current vector size mismatch");
   TraceSpan span("transient.step");
   static metrics::Counter& steps_total = metrics::counter("transient.steps");
-  steps_total.add();
+  steps_total.add(w);
   const double vdd = grid_.config().vdd;
 
-  linalg::Vector rhs(grid_.node_count());
-  linalg::kern::mul_to(rhs.size(), c_over_dt_.data(), v_.data(), rhs.data());
-  linalg::kern::sub(load_currents.size(), load_currents.data(), rhs.data());
+  // rhs = C/dt·v − I (+ pad terms), element by element in each lane.
+  const std::size_t n = grid_.node_count();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < w; ++c)
+      rhs_[i * w + c] = c_over_dt_[i] * v_[i * w + c];
+  for (std::size_t c = 0; c < w; ++c) {
+    const linalg::Vector& load = load_currents[c];
+    for (std::size_t i = 0; i < load.size(); ++i) rhs_[i * w + c] -= load[i];
+  }
 
   const auto& pads = grid_.pad_nodes();
   if (inductive_) {
     for (std::size_t p = 0; p < pads.size(); ++p)
-      rhs[pads[p]] += g_eff_ * vdd + history_gain_ * pad_currents_[p];
+      for (std::size_t c = 0; c < w; ++c)
+        rhs_[pads[p] * w + c] +=
+            g_eff_ * vdd + history_gain_ * pad_currents_[p * w + c];
   } else {
     const auto& injection = grid_.pad_injection();
-    for (std::size_t pad : pads) rhs[pad] += injection[pad];
+    for (std::size_t pad : pads)
+      for (std::size_t c = 0; c < w; ++c) rhs_[pad * w + c] += injection[pad];
   }
 
   if (solver_kind_ == StepSolver::kDirect || pcg_degraded_) {
-    v_ = direct_->solve(rhs);
+    direct_->solve_lanes(w, rhs_.data(), v_.data());
   } else {
     StatusOr<sparse::CgResult> result = sparse::conjugate_gradient_checked(
-        step_matrix_, rhs, pcg_precond_, cg_options_);
+        step_matrix_, rhs_, pcg_precond_, cg_options_);
     if (result.ok() && result->converged) {
       v_ = std::move(result->x);
     } else {
-      solve_with_fallback(rhs, result);
+      solve_with_fallback(rhs_, result);
     }
   }
 
   if (inductive_) {
     for (std::size_t p = 0; p < pads.size(); ++p)
-      pad_currents_[p] = g_eff_ * (vdd - v_[pads[p]]) +
-                         history_gain_ * pad_currents_[p];
+      for (std::size_t c = 0; c < w; ++c)
+        pad_currents_[p * w + c] = g_eff_ * (vdd - v_[pads[p] * w + c]) +
+                                   history_gain_ * pad_currents_[p * w + c];
   }
   ++steps_;
   return v_;

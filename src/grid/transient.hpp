@@ -16,9 +16,18 @@
 // extra state the simulator carries. This reproduces the L·di/dt first
 // droop (the voltage undershoots below its resistive DC value after a load
 // step) that the voltage-emergency literature targets.
+//
+// A simulator carries a fixed number of lanes: independent simulations of
+// the same grid that advance in lockstep, one load vector each, through the
+// one factorization (SkylineCholesky::solve_lanes). Node voltages and pad
+// currents are stored lane-interleaved (node i of lane c at [i*lanes + c]),
+// so the one-lane simulator is the plain per-node layout. Every lane is
+// bit-identical to a one-lane simulator fed the same loads; dataset
+// collection uses this to step a chunk's benchmarks together.
 
 #include <cstddef>
 #include <memory>
+#include <span>
 
 #include "grid/power_grid.hpp"
 #include "linalg/vector.hpp"
@@ -37,30 +46,39 @@ enum class StepSolver {
 /// Time-stepping engine over a PowerGrid.
 class TransientSim {
  public:
-  /// `dt` is the step in seconds; must be positive.
+  /// `dt` is the step in seconds; must be positive. `lanes` (>= 1) is the
+  /// number of lockstep simulations; more than one needs kDirect.
   TransientSim(const PowerGrid& grid, double dt,
-               StepSolver solver = StepSolver::kDirect);
+               StepSolver solver = StepSolver::kDirect,
+               std::size_t lanes = 1);
 
   double dt() const { return dt_; }
+  std::size_t lanes() const { return lanes_; }
   std::size_t steps_taken() const { return steps_; }
   double time() const { return static_cast<double>(steps_) * dt_; }
 
-  /// Resets to the all-VDD quiescent state (also the initial state).
+  /// Resets every lane to the all-VDD quiescent state (also the initial
+  /// state).
   void reset();
-  /// Resets to an explicit state vector (pad currents reset to zero).
-  void reset(const linalg::Vector& v0);
 
-  /// Advances one step with the given per-node load currents (A) applied
-  /// during the new interval; the vector may cover only the device layer
-  /// (zero-extended) or all nodes. Returns the node voltages after the
-  /// step.
+  /// Advances a one-lane simulator one step with the given per-node load
+  /// currents (A) applied during the new interval; the vector may cover
+  /// only the device layer (zero-extended) or all nodes. Returns the node
+  /// voltages after the step.
   const linalg::Vector& step(const linalg::Vector& load_currents);
 
-  /// Current node voltages.
+  /// Advances every lane one step: `load_currents[c]` drives lane c, sized
+  /// as for step(). Returns the lane-interleaved node voltages. The
+  /// transient.steps counter grows by lanes().
+  const linalg::Vector& step(std::span<const linalg::Vector> load_currents);
+
+  /// Current node voltages, lane-interleaved (node i of lane c at
+  /// [i * lanes() + c]).
   const linalg::Vector& voltages() const { return v_; }
 
-  /// Current per-pad branch currents (A), aligned with
-  /// grid.pad_nodes(); all zeros when the pads have no inductance.
+  /// Current per-pad branch currents (A), aligned with grid.pad_nodes() and
+  /// lane-interleaved like voltages(); all zeros when the pads have no
+  /// inductance.
   const linalg::Vector& pad_currents() const { return pad_currents_; }
 
   /// Attaches a resilience report; solver fallbacks taken during step()
@@ -87,6 +105,7 @@ class TransientSim {
   const PowerGrid& grid_;
   double dt_;
   StepSolver solver_kind_;
+  std::size_t lanes_;
   bool inductive_ = false;
   double g_eff_ = 0.0;       ///< effective pad conductance 1/(R + L/dt)
   double history_gain_ = 0.0;  ///< g_eff * L/dt
@@ -97,6 +116,7 @@ class TransientSim {
   ResilienceReport* report_ = nullptr;  // not owned
   bool pcg_degraded_ = false;  ///< PCG path permanently escalated to direct
   linalg::Vector c_over_dt_;
+  linalg::Vector rhs_;  // lane-interleaved, like v_
   linalg::Vector v_;
   linalg::Vector pad_currents_;
   std::size_t steps_ = 0;

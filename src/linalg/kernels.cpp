@@ -44,10 +44,6 @@ void sub_div(std::size_t n, const double* g, double d, double* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] -= g[i] / d;
 }
 
-void mul_to(std::size_t n, const double* x, const double* y, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * y[i];
-}
-
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel) {
   for (std::size_t k = 0; k < n; ++k) {
@@ -102,6 +98,50 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
   out_b[1] = b1;
   out_b[2] = b2;
   out_b[3] = b3;
+}
+
+namespace {
+// The scalar sweeps, with the stride fixed at compile time when kStride > 0:
+// the one-lane sweep then compiles to the plain unit-stride loop (a runtime
+// stride of 1 costs it a quarter of its speed).
+template <std::size_t kStride>
+void forward_sweep(const Envelope& l, std::size_t stride, double* y) {
+  const std::size_t s = kStride > 0 ? kStride : stride;
+  for (std::size_t i = 0; i < l.n; ++i) {
+    const double* li = l.values + l.start[i];
+    const std::size_t len = i - l.first[i];
+    const double* yf = y + l.first[i] * s;
+    for (std::size_t c = 0; c < s; ++c) {
+      double acc = y[i * s + c];
+      for (std::size_t k = 0; k < len; ++k) acc -= li[k] * yf[k * s + c];
+      y[i * s + c] = acc / l.diag[i];
+    }
+  }
+}
+
+template <std::size_t kStride>
+void backward_sweep(const Envelope& l, std::size_t stride, double* y) {
+  const std::size_t s = kStride > 0 ? kStride : stride;
+  for (std::size_t i = l.n; i-- > 0;) {
+    const double* li = l.values + l.start[i];
+    const std::size_t len = i - l.first[i];
+    double* yf = y + l.first[i] * s;
+    for (std::size_t c = 0; c < s; ++c) {
+      const double yi = (y[i * s + c] /= l.diag[i]);
+      for (std::size_t k = 0; k < len; ++k) yf[k * s + c] -= li[k] * yi;
+    }
+  }
+}
+}  // namespace
+
+void lane_forward(const Envelope& l, std::size_t s, double* y) {
+  if (s == 1) return forward_sweep<1>(l, s, y);
+  forward_sweep<0>(l, s, y);
+}
+
+void lane_backward(const Envelope& l, std::size_t s, double* y) {
+  if (s == 1) return backward_sweep<1>(l, s, y);
+  backward_sweep<0>(l, s, y);
 }
 
 double dot(std::size_t n, const double* x, const double* y) {
@@ -206,16 +246,6 @@ VMAP_AVX2 void sub_div(std::size_t n, const double* g, double d, double* y) {
   for (; i < n; ++i) y[i] -= g[i] / d;
 }
 
-VMAP_AVX2 void mul_to(std::size_t n, const double* x, const double* y,
-                      double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(x + i),
-                                            _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] * y[i];
-}
-
 VMAP_AVX2 void pack_panel(std::size_t n, const double* r0, const double* r1,
                           const double* r2, const double* r3, double* panel) {
   std::size_t k = 0;
@@ -266,6 +296,77 @@ VMAP_AVX2 void dot_panel2(std::size_t n, const double* a, const double* b,
   }
   _mm256_storeu_pd(out_a, acc_a);
   _mm256_storeu_pd(out_b, acc_b);
+}
+
+// Envelope sweeps for s % 4 == 0. Each vector lane is one interleaved
+// right-hand side with its own accumulator and ascending k, so the chain
+// per lane is the scalar reference's; the 8-lane panel runs two
+// independent chains per k to hide the subtraction latency.
+VMAP_AVX2 void lane_forward(const Envelope& l, std::size_t s, double* y) {
+  for (std::size_t i = 0; i < l.n; ++i) {
+    const double* li = l.values + l.start[i];
+    const std::size_t len = i - l.first[i];
+    const __m256d d = _mm256_set1_pd(l.diag[i]);
+    double* yi = y + i * s;
+    std::size_t c = 0;
+    for (; c + 8 <= s; c += 8) {
+      const double* yc = y + l.first[i] * s + c;
+      __m256d a0 = _mm256_loadu_pd(yi + c);
+      __m256d a1 = _mm256_loadu_pd(yi + c + 4);
+      for (std::size_t k = 0; k < len; ++k) {
+        const __m256d lk = _mm256_set1_pd(li[k]);
+        a0 = _mm256_sub_pd(a0, _mm256_mul_pd(lk, _mm256_loadu_pd(yc + k * s)));
+        a1 = _mm256_sub_pd(a1,
+                           _mm256_mul_pd(lk, _mm256_loadu_pd(yc + k * s + 4)));
+      }
+      _mm256_storeu_pd(yi + c, _mm256_div_pd(a0, d));
+      _mm256_storeu_pd(yi + c + 4, _mm256_div_pd(a1, d));
+    }
+    if (c < s) {
+      const double* yc = y + l.first[i] * s + c;
+      __m256d a0 = _mm256_loadu_pd(yi + c);
+      for (std::size_t k = 0; k < len; ++k)
+        a0 = _mm256_sub_pd(a0, _mm256_mul_pd(_mm256_set1_pd(li[k]),
+                                             _mm256_loadu_pd(yc + k * s)));
+      _mm256_storeu_pd(yi + c, _mm256_div_pd(a0, d));
+    }
+  }
+}
+
+VMAP_AVX2 void lane_backward(const Envelope& l, std::size_t s, double* y) {
+  for (std::size_t i = l.n; i-- > 0;) {
+    const double* li = l.values + l.start[i];
+    const std::size_t len = i - l.first[i];
+    const __m256d d = _mm256_set1_pd(l.diag[i]);
+    double* yi = y + i * s;
+    std::size_t c = 0;
+    for (; c + 8 <= s; c += 8) {
+      double* yc = y + l.first[i] * s + c;
+      const __m256d b0 = _mm256_div_pd(_mm256_loadu_pd(yi + c), d);
+      const __m256d b1 = _mm256_div_pd(_mm256_loadu_pd(yi + c + 4), d);
+      _mm256_storeu_pd(yi + c, b0);
+      _mm256_storeu_pd(yi + c + 4, b1);
+      for (std::size_t k = 0; k < len; ++k) {
+        const __m256d lk = _mm256_set1_pd(li[k]);
+        double* p = yc + k * s;
+        _mm256_storeu_pd(
+            p, _mm256_sub_pd(_mm256_loadu_pd(p), _mm256_mul_pd(lk, b0)));
+        _mm256_storeu_pd(
+            p + 4, _mm256_sub_pd(_mm256_loadu_pd(p + 4), _mm256_mul_pd(lk, b1)));
+      }
+    }
+    if (c < s) {
+      double* yc = y + l.first[i] * s + c;
+      const __m256d b0 = _mm256_div_pd(_mm256_loadu_pd(yi + c), d);
+      _mm256_storeu_pd(yi + c, b0);
+      for (std::size_t k = 0; k < len; ++k) {
+        double* p = yc + k * s;
+        _mm256_storeu_pd(p, _mm256_sub_pd(_mm256_loadu_pd(p),
+                                          _mm256_mul_pd(_mm256_set1_pd(li[k]),
+                                                        b0)));
+      }
+    }
+  }
 }
 
 VMAP_AVX2 double dot(std::size_t n, const double* x, const double* y) {
@@ -372,10 +473,6 @@ void sub_div(std::size_t n, const double* g, double d, double* y) {
   VMAP_KERN_DISPATCH(sub_div(n, g, d, y));
 }
 
-void mul_to(std::size_t n, const double* x, const double* y, double* out) {
-  VMAP_KERN_DISPATCH(mul_to(n, x, y, out));
-}
-
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel) {
   VMAP_KERN_DISPATCH(pack_panel(n, r0, r1, r2, r3, panel));
@@ -390,6 +487,24 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b) {
   VMAP_KERN_DISPATCH(dot_panel2(n, a, b, panel, out_a, out_b));
 }
+
+#if VMAP_KERN_X86
+#define VMAP_LANE_DISPATCH(call) \
+  if (s % kPanelWidth == 0 && use_simd()) return avx2::call; \
+  return ref::call
+#else
+#define VMAP_LANE_DISPATCH(call) return ref::call
+#endif
+
+void lane_forward(const Envelope& l, std::size_t s, double* y) {
+  VMAP_LANE_DISPATCH(lane_forward(l, s, y));
+}
+
+void lane_backward(const Envelope& l, std::size_t s, double* y) {
+  VMAP_LANE_DISPATCH(lane_backward(l, s, y));
+}
+
+#undef VMAP_LANE_DISPATCH
 
 double dot(std::size_t n, const double* x, const double* y) {
   VMAP_KERN_DISPATCH(dot(n, x, y));

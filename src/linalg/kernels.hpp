@@ -1,7 +1,8 @@
 #pragma once
 // SIMD microkernel layer: the raw-pointer primitives under the dense
 // kernels (matmul family, Gram products, CG/FISTA vector updates, the
-// serving layer's batched predict).
+// serving layer's batched predict) and the skyline solver's multi-RHS
+// substitution.
 //
 // Dispatch: every kernel has an AVX2 implementation and a scalar fallback,
 // selected once at startup — AVX2 when the CPU supports it and the
@@ -54,8 +55,6 @@ void add(std::size_t n, const double* x, double* y);
 void sub(std::size_t n, const double* x, double* y);
 /// y[i] -= g[i] / d  (FISTA gradient step; IEEE division per element)
 void sub_div(std::size_t n, const double* g, double d, double* y);
-/// out[i] = x[i] * y[i]
-void mul_to(std::size_t n, const double* x, const double* y, double* out);
 
 // --- packed A·Bᵀ microkernel --------------------------------------------
 //
@@ -78,6 +77,36 @@ void dot_panel(std::size_t n, const double* a, const double* panel,
 /// k): out_a[l], out_b[l] as dot_panel of a and b respectively.
 void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b);
+
+// --- lane-interleaved envelope substitution -----------------------------
+//
+// Triangular solves with a lower envelope (skyline) factor over s
+// right-hand sides ("lanes") kept interleaved: entry i of lane c sits at
+// y[i*s + c], so every factor entry is loaded once for s independent
+// chains. Each lane is an independent output element under the contract
+// above — its own accumulator, k ascending, separate mul and sub, one
+// IEEE division by the pivot — so every lane is bit-identical to the
+// one-lane (s == 1) sweep. The AVX2 path runs strides that are a multiple
+// of kPanelWidth in 8- and 4-lane panels; other strides (one lane
+// included) take the scalar sweep.
+
+/// A borrowed lower-triangular envelope factor L of order n: row i holds
+/// L(i, j) for j in [first[i], i) at values[start[i] + j - first[i]], and
+/// its diagonal at diag[i].
+struct Envelope {
+  std::size_t n = 0;
+  const std::size_t* first = nullptr;
+  const std::size_t* start = nullptr;
+  const double* values = nullptr;
+  const double* diag = nullptr;
+};
+
+/// Forward substitution L z = y in place, every lane:
+/// y_i = (y_i - sum_{j<i} L(i,j) y_j) / L(i,i), j ascending.
+void lane_forward(const Envelope& l, std::size_t s, double* y);
+/// Back substitution L^T x = y in place, every lane, column-oriented:
+/// for i descending, y_i /= L(i,i), then y_j -= L(i,j) y_i for j < i.
+void lane_backward(const Envelope& l, std::size_t s, double* y);
 
 // --- strided-order reductions -------------------------------------------
 //
@@ -102,13 +131,14 @@ void scale(std::size_t n, double a, double* x);
 void add(std::size_t n, const double* x, double* y);
 void sub(std::size_t n, const double* x, double* y);
 void sub_div(std::size_t n, const double* g, double d, double* y);
-void mul_to(std::size_t n, const double* x, const double* y, double* out);
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel);
 void dot_panel(std::size_t n, const double* a, const double* panel,
                double* out4);
 void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b);
+void lane_forward(const Envelope& l, std::size_t s, double* y);
+void lane_backward(const Envelope& l, std::size_t s, double* y);
 double dot(std::size_t n, const double* x, const double* y);
 double nrm2sq(std::size_t n, const double* x);
 }  // namespace ref

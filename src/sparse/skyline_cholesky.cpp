@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 
+#include "linalg/kernels.hpp"
 #include "sparse/ordering.hpp"
 #include "util/assert.hpp"
 
@@ -105,32 +107,34 @@ double SkylineCholesky::condition_estimate() const {
 
 linalg::Vector SkylineCholesky::solve(const linalg::Vector& b) const {
   VMAP_REQUIRE(b.size() == n_, "rhs size mismatch in skyline solve");
-  // Permute the right-hand side.
-  linalg::Vector y(n_);
-  for (std::size_t i = 0; i < n_; ++i) y[i] = b[perm_[i]];
-
-  // Forward substitution L z = Pb (in place in y).
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double* li = values_.data() + row_start_[i];
-    const std::size_t fi = first_col_[i];
-    double acc = y[i];
-    for (std::size_t k = fi; k < i; ++k) acc -= li[k - fi] * y[k];
-    y[i] = acc / diag_[i];
-  }
-
-  // Back substitution L^T x = z: column-oriented saxpy updates.
-  for (std::size_t ii = n_; ii-- > 0;) {
-    y[ii] /= diag_[ii];
-    const double* li = values_.data() + row_start_[ii];
-    const std::size_t fi = first_col_[ii];
-    const double yi = y[ii];
-    for (std::size_t k = fi; k < ii; ++k) y[k] -= li[k - fi] * yi;
-  }
-
-  // Un-permute the solution.
   linalg::Vector x(n_);
-  for (std::size_t i = 0; i < n_; ++i) x[perm_[i]] = y[i];
+  solve_lanes(1, b.data(), x.data());
   return x;
+}
+
+void SkylineCholesky::solve_lanes(std::size_t lanes, const double* b,
+                                  double* x) const {
+  VMAP_REQUIRE(lanes >= 1, "skyline solve needs at least one lane");
+  // Permute into the interleaved layout y[i*s + c], lanes padded to the
+  // kernel panel width; padding lanes solve A·0 = 0 and are dropped on the
+  // way out. Lane-outer loops keep the one-lane case a plain gather.
+  const std::size_t s =
+      lanes == 1 ? 1
+                 : (lanes + linalg::kern::kPanelWidth - 1) /
+                       linalg::kern::kPanelWidth * linalg::kern::kPanelWidth;
+  const auto y = std::make_unique<double[]>(n_ * s);
+  for (std::size_t c = 0; c < lanes; ++c)
+    for (std::size_t i = 0; i < n_; ++i) y[i * s + c] = b[perm_[i] * lanes + c];
+
+  // L z = Pb, then L^T x = z, in place.
+  const linalg::kern::Envelope factor{n_, first_col_.data(), row_start_.data(),
+                                      values_.data(), diag_.data()};
+  linalg::kern::lane_forward(factor, s, y.get());
+  linalg::kern::lane_backward(factor, s, y.get());
+
+  // Un-permute the live lanes.
+  for (std::size_t c = 0; c < lanes; ++c)
+    for (std::size_t i = 0; i < n_; ++i) x[perm_[i] * lanes + c] = y[i * s + c];
 }
 
 }  // namespace vmap::sparse

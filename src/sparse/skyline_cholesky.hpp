@@ -9,6 +9,12 @@
 // This is the workhorse behind both DC IR-drop solves and the prefactored
 // backward-Euler transient stepping, and the terminal rung of the
 // solve_spd_resilient escalation ladder.
+//
+// Solves take a lane count: solve_lanes() runs several right-hand sides
+// through one pass over the factor, interleaved so each envelope entry is
+// loaded once for all of them (linalg::kern's lane kernels). A one-lane
+// solve is the same code at stride 1, and every lane of a multi-lane solve
+// is bit-identical to solving that lane alone.
 
 #include <cstddef>
 #include <vector>
@@ -36,8 +42,15 @@ class SkylineCholesky {
 
   std::size_t dim() const { return n_; }
 
-  /// Solves A x = b (the permutation is handled internally).
+  /// Solves A x = b (the permutation is handled internally): the one-lane
+  /// solve_lanes().
   linalg::Vector solve(const linalg::Vector& b) const;
+
+  /// Solves A x_c = b_c for `lanes` right-hand sides at once. `b` and `x`
+  /// hold dim() * lanes values with the lanes interleaved (entry i of lane
+  /// c at [i * lanes + c]) and may alias. More than one lane is padded to
+  /// the kernel panel width internally, with zero right-hand sides.
+  void solve_lanes(std::size_t lanes, const double* b, double* x) const;
 
   /// Number of stored (envelope) entries in L, a measure of fill.
   std::size_t envelope_size() const { return values_.size(); }

@@ -1,15 +1,21 @@
 // Power-grid physics tests: DC operating points, transient behaviour,
-// voltage bounds, and recorders.
+// voltage bounds, lockstep lanes against one-lane simulators, a
+// closed-form backward-Euler oracle, and recorders.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "grid/power_grid.hpp"
 #include "grid/recorder.hpp"
 #include "grid/transient.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels.hpp"
 #include "util/assert.hpp"
+#include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace vmap::grid {
 namespace {
@@ -303,6 +309,220 @@ TEST(Transient, ZeroInductanceKeepsPadCurrentsStateless) {
   TransientSim sim(grid, 1e-11);
   for (int s = 0; s < 10; ++s) sim.step(load);
   EXPECT_DOUBLE_EQ(sim.pad_currents().norm2(), 0.0);
+}
+
+// --- lockstep lanes --------------------------------------------------------
+
+/// Restores the SIMD dispatch choice when a test ends.
+class SimdGuard {
+ public:
+  SimdGuard() : was_(linalg::kern::simd_enabled()) {}
+  ~SimdGuard() { linalg::kern::set_simd_enabled(was_); }
+
+ private:
+  bool was_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Random per-step loads for one lane: sparse device-sized spikes on a
+/// baseline, like block activity.
+linalg::Vector random_load(std::size_t size, Rng& rng, double amps) {
+  linalg::Vector load(size);
+  for (std::size_t i = 0; i < size; ++i)
+    load[i] = amps * (0.2 + (rng.bernoulli(0.3) ? rng.uniform() : 0.0));
+  return load;
+}
+
+/// Steps a `lanes`-wide simulator and one one-lane simulator per lane on
+/// the same random loads; every lane's voltages and pad currents must equal
+/// its one-lane twin byte for byte at every step.
+void expect_lanes_match_one_lane_sims(const PowerGrid& grid,
+                                      std::size_t lanes,
+                                      std::size_t load_size, double amps) {
+  SimdGuard guard;
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_enabled(simd);
+    TransientSim multi(grid, 1e-11, StepSolver::kDirect, lanes);
+    std::vector<TransientSim> singles;
+    singles.reserve(lanes);
+    for (std::size_t c = 0; c < lanes; ++c) singles.emplace_back(grid, 1e-11);
+    Rng rng(7 * lanes + (simd ? 1 : 0));
+    const std::size_t n = grid.node_count();
+    const std::size_t pads = grid.pad_nodes().size();
+    for (int step = 0; step < 60; ++step) {
+      std::vector<linalg::Vector> loads;
+      for (std::size_t c = 0; c < lanes; ++c)
+        loads.push_back(random_load(load_size, rng, amps));
+      const linalg::Vector& v = multi.step(loads);
+      for (std::size_t c = 0; c < lanes; ++c) {
+        const linalg::Vector& want = singles[c].step(loads[c]);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_TRUE(same_bits(v[i * lanes + c], want[i]))
+              << "lanes=" << lanes << " lane " << c << " node " << i
+              << " step " << step << " simd=" << simd;
+        for (std::size_t p = 0; p < pads; ++p)
+          ASSERT_TRUE(same_bits(multi.pad_currents()[p * lanes + c],
+                                singles[c].pad_currents()[p]))
+              << "pad current, lane " << c << " pad " << p;
+      }
+    }
+    EXPECT_EQ(multi.steps_taken(), 60u);
+  }
+}
+
+TEST(TransientLanes, LanesMatchOneLaneSimulators) {
+  const PowerGrid grid(small_config());
+  for (std::size_t lanes : {2, 4, 5})
+    expect_lanes_match_one_lane_sims(grid, lanes, grid.node_count(), 0.05);
+}
+
+TEST(TransientLanes, InductivePadLanesMatchOneLaneSimulators) {
+  GridConfig c = small_config();
+  c.pad_inductance = 5e-10;
+  const PowerGrid grid(c);
+  expect_lanes_match_one_lane_sims(grid, 3, grid.node_count(), 0.05);
+  expect_lanes_match_one_lane_sims(grid, 8, grid.node_count(), 0.05);
+}
+
+TEST(TransientLanes, TwoLayerLanesWithDeviceSizedLoadsMatch) {
+  // Device-sized load vectors (zero-extended over the top layer) at the
+  // magnitude the power model feeds a device node.
+  GridConfig c = small_config();
+  c.nx = 16;
+  c.ny = 12;
+  c.two_layer = true;
+  c.pad_inductance = 2e-10;
+  const PowerGrid grid(c);
+  expect_lanes_match_one_lane_sims(grid, 6, grid.device_node_count(), 0.02);
+}
+
+TEST(TransientLanes, DroopIsLinearInTheLoad) {
+  // Metamorphic: starting from the quiescent state, a lane driven by α·I
+  // droops exactly α times as much as a lane driven by I (to rounding).
+  const PowerGrid grid(small_config());
+  const double alpha = 2.7;
+  TransientSim sim(grid, 1e-11, StepSolver::kDirect, 2);
+  Rng rng(31);
+  for (int step = 0; step < 50; ++step) {
+    std::vector<linalg::Vector> loads(2);
+    loads[0] = random_load(grid.node_count(), rng, 0.05);
+    loads[1] = loads[0] * alpha;
+    const linalg::Vector& v = sim.step(loads);
+    for (std::size_t i = 0; i < grid.node_count(); ++i) {
+      const double droop = 1.0 - v[i * 2];
+      const double scaled = 1.0 - v[i * 2 + 1];
+      ASSERT_GT(droop, 0.0);
+      EXPECT_NEAR(scaled, alpha * droop, 1e-12 * alpha * droop)
+          << "node " << i << " step " << step;
+    }
+  }
+}
+
+TEST(TransientLanes, StepCounterCountsLiveLanes) {
+  const PowerGrid grid(small_config());
+  TransientSim sim(grid, 1e-11, StepSolver::kDirect, 5);
+  const bool metrics_were_on = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Counter& steps = metrics::counter("transient.steps");
+  const std::uint64_t before = steps.value();
+  const std::vector<linalg::Vector> loads(5,
+                                          linalg::Vector(grid.node_count()));
+  for (int s = 0; s < 3; ++s) sim.step(loads);
+  // Five live lanes per step; the three padding lanes of the 8-wide
+  // solve add nothing.
+  EXPECT_EQ(steps.value() - before, 15u);
+  metrics::set_enabled(metrics_were_on);
+}
+
+TEST(TransientLanes, RejectsWrongLaneCountAndMultiLanePcg) {
+  const PowerGrid grid(small_config());
+  EXPECT_THROW(TransientSim(grid, 1e-11, StepSolver::kDirect, 0),
+               vmap::ContractError);
+  EXPECT_THROW(TransientSim(grid, 1e-11, StepSolver::kPcgIc0, 2),
+               vmap::ContractError);
+  TransientSim sim(grid, 1e-11, StepSolver::kDirect, 2);
+  EXPECT_THROW(sim.step(linalg::Vector(grid.node_count())),
+               vmap::ContractError);
+}
+
+// --- closed-form transient oracle -----------------------------------------
+//
+// With a pad at every node (square lattice, pad_spacing = 1) and the same
+// load I at every node, every node sits at the same voltage, no mesh
+// segment carries current, and each node is an isolated RC: C dv/dt =
+// (VDD − v)/R − I. Backward Euler then gives, at every node,
+//   v_{n+1} = (C/dt·v_n + VDD/R − I) / (C/dt + 1/R)
+//   ⇒ v_n = V∞ + (VDD − V∞)·rⁿ,  V∞ = VDD − I·R,  r = (C/dt)/(C/dt + 1/R),
+// while the exact solution is VDD − I·R·(1 − e^(−t/RC)).
+
+GridConfig every_node_a_pad() {
+  GridConfig c;
+  c.nx = 7;
+  c.ny = 5;
+  c.segment_resistance = 0.5;
+  c.pad_resistance = 0.05;
+  c.node_capacitance = 1e-9;
+  c.vdd = 1.0;
+  c.pad_spacing = 1;
+  return c;
+}
+
+TEST(TransientOracle, EveryNodeFollowsTheBackwardEulerRecurrence) {
+  const GridConfig c = every_node_a_pad();
+  const PowerGrid grid(c);
+  ASSERT_EQ(grid.pad_nodes().size(), grid.node_count());
+  const double dt = 5e-12;
+  const double r_pad = c.pad_resistance, cap = c.node_capacitance;
+  const double ratio = (cap / dt) / (cap / dt + 1.0 / r_pad);
+  const double loads[] = {2.0, 0.5, 1.3};  // A per node, one per lane
+
+  TransientSim one(grid, dt);
+  TransientSim three(grid, dt, StepSolver::kDirect, 3);
+  std::vector<linalg::Vector> lane_loads;
+  for (double amps : loads)
+    lane_loads.push_back(linalg::Vector(grid.node_count(), amps));
+  for (int n = 1; n <= 120; ++n) {
+    const linalg::Vector& v1 = one.step(lane_loads[0]);
+    const linalg::Vector& v3 = three.step(lane_loads);
+    for (std::size_t lane = 0; lane < 3; ++lane) {
+      const double v_inf = c.vdd - loads[lane] * r_pad;
+      const double want = v_inf + (c.vdd - v_inf) * std::pow(ratio, n);
+      for (std::size_t i = 0; i < grid.node_count(); ++i) {
+        EXPECT_NEAR(v3[i * 3 + lane], want, 1e-12 * want)
+            << "lane " << lane << " node " << i << " step " << n;
+        if (lane == 0) {
+          EXPECT_NEAR(v1[i], want, 1e-12 * want)
+              << "one lane, node " << i << " step " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(TransientOracle, ErrorAgainstTheExponentialIsFirstOrderInDt) {
+  const GridConfig c = every_node_a_pad();
+  const PowerGrid grid(c);
+  const double amps = 2.0;
+  const double tau = c.pad_resistance * c.node_capacitance;  // 50 ps
+  const double exact =
+      c.vdd - amps * c.pad_resistance * (1.0 - std::exp(-1.0));  // t = tau
+  const linalg::Vector load(grid.node_count(), amps);
+  double previous = 0.0;
+  for (int steps : {20, 40, 80, 160}) {
+    TransientSim sim(grid, tau / steps);
+    for (int s = 0; s < steps; ++s) sim.step(load);
+    double error = 0.0;
+    for (std::size_t i = 0; i < grid.node_count(); ++i)
+      error = std::max(error, std::abs(sim.voltages()[i] - exact));
+    if (previous > 0.0) {
+      EXPECT_GT(previous / error, 1.8) << steps << " steps";
+      EXPECT_LT(previous / error, 2.2) << steps << " steps";
+    }
+    previous = error;
+  }
 }
 
 TEST(TwoLayer, TopLayerNodesAppendAfterDeviceNodes) {

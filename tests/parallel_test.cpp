@@ -176,9 +176,11 @@ TEST(ParallelMatmul, TransposedProductsMatchSerialBitwise) {
 }
 
 bool matrices_identical(const linalg::Matrix& x, const linalg::Matrix& y) {
+  // Empty matrices have null data(), which memcmp must not be given.
   return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.data(), y.data(),
-                     x.rows() * x.cols() * sizeof(double)) == 0;
+         (x.rows() * x.cols() == 0 ||
+          std::memcmp(x.data(), y.data(),
+                      x.rows() * x.cols() * sizeof(double)) == 0);
 }
 
 // --- SIMD microkernel bit-identity ---------------------------------------
@@ -251,11 +253,6 @@ TEST(SimdKernels, ElementwiseBitIdenticalToScalarOracle) {
       linalg::kern::sub_div(n, x.data(), 3.14159, got.data());
       linalg::kern::ref::sub_div(n, x.data(), 3.14159, want.data());
       EXPECT_TRUE(bytes_equal(got, want)) << "sub_div n=" << n;
-
-      std::vector<double> out_got(n, -1.0), out_want(n, -1.0);
-      linalg::kern::mul_to(n, x.data(), y0.data(), out_got.data());
-      linalg::kern::ref::mul_to(n, x.data(), y0.data(), out_want.data());
-      EXPECT_TRUE(bytes_equal(out_got, out_want)) << "mul_to n=" << n;
     }
   }
 }
@@ -294,6 +291,41 @@ TEST(SimdKernels, PanelKernelsBitIdenticalToScalarOracle) {
                                     da_want.data(), db_want.data());
       EXPECT_TRUE(bytes_equal(da_got, da_want)) << "dot_panel2 a n=" << n;
       EXPECT_TRUE(bytes_equal(db_got, db_want)) << "dot_panel2 b n=" << n;
+    }
+  }
+}
+
+TEST(SimdKernels, LaneSubstitutionBitIdenticalToScalarOracle) {
+  // Random envelopes (row widths 0..12, so rows shorter and longer than a
+  // panel) against interleaved right-hand sides at strides that take the
+  // scalar sweep (1, 2, 3, 5) and the 8-/4-lane AVX2 panels (4, 8, 12, 20).
+  SimdGuard guard;
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_enabled(simd);
+    for (std::size_t n : kKernelSizes) {
+      Rng rng(90 + n);
+      std::vector<std::size_t> first(n), start(n + 1, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        first[i] = i - std::min<std::size_t>(i, rng.uniform_index(13));
+        start[i + 1] = start[i] + (i - first[i]);
+      }
+      const std::vector<double> values = random_doubles(start[n], 91 + n);
+      std::vector<double> diag = random_doubles(n, 92 + n);
+      for (double& d : diag) d = 2.0 + std::abs(d);
+      const linalg::kern::Envelope l{n, first.data(), start.data(),
+                                     values.data(), diag.data()};
+      for (std::size_t s : {1, 2, 3, 4, 5, 8, 12, 20}) {
+        const std::vector<double> y0 = random_doubles(n * s, 93 + n + s);
+        std::vector<double> got = y0, want = y0;
+        linalg::kern::lane_forward(l, s, got.data());
+        linalg::kern::ref::lane_forward(l, s, want.data());
+        EXPECT_TRUE(bytes_equal(got, want))
+            << "lane_forward n=" << n << " s=" << s << " simd=" << simd;
+        linalg::kern::lane_backward(l, s, got.data());
+        linalg::kern::ref::lane_backward(l, s, want.data());
+        EXPECT_TRUE(bytes_equal(got, want))
+            << "lane_backward n=" << n << " s=" << s << " simd=" << simd;
+      }
     }
   }
 }
@@ -439,25 +471,32 @@ class ParallelDeterminismTest : public ::testing::Test {
 };
 
 TEST_F(ParallelDeterminismTest, CollectionBitIdenticalAcrossThreadCounts) {
+  // Each chunk steps its benchmarks in lockstep as lanes of one simulator,
+  // so the thread count sets the lane grouping: 1 thread runs all three
+  // benchmarks as three lanes, 2 threads run chunks of 1 and 2 lanes, and
+  // 3 or 4 threads run every benchmark alone in a one-lane simulator.
   const core::Dataset serial = collect_with(1);
-  const core::Dataset parallel = collect_with(4);
-
-  EXPECT_EQ(serial.platform, parallel.platform);
-  EXPECT_EQ(serial.workload_hash, parallel.workload_hash);
-  EXPECT_EQ(serial.current_scale, parallel.current_scale);
-  EXPECT_EQ(serial.candidate_nodes, parallel.candidate_nodes);
-  EXPECT_EQ(serial.critical_nodes, parallel.critical_nodes);
-  EXPECT_EQ(serial.critical_block, parallel.critical_block);
-  EXPECT_TRUE(matrices_identical(serial.x_train, parallel.x_train));
-  EXPECT_TRUE(matrices_identical(serial.f_train, parallel.f_train));
-  EXPECT_TRUE(matrices_identical(serial.x_test, parallel.x_test));
-  EXPECT_TRUE(matrices_identical(serial.f_test, parallel.f_test));
-  ASSERT_EQ(serial.benchmarks.size(), parallel.benchmarks.size());
-  for (std::size_t b = 0; b < serial.benchmarks.size(); ++b) {
-    EXPECT_EQ(serial.benchmarks[b].name, parallel.benchmarks[b].name);
-    EXPECT_EQ(serial.benchmarks[b].train_begin,
-              parallel.benchmarks[b].train_begin);
-    EXPECT_EQ(serial.benchmarks[b].test_end, parallel.benchmarks[b].test_end);
+  for (std::size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const core::Dataset parallel = collect_with(threads);
+    EXPECT_EQ(serial.platform, parallel.platform);
+    EXPECT_EQ(serial.workload_hash, parallel.workload_hash);
+    EXPECT_EQ(serial.current_scale, parallel.current_scale);
+    EXPECT_EQ(serial.candidate_nodes, parallel.candidate_nodes);
+    EXPECT_EQ(serial.critical_nodes, parallel.critical_nodes);
+    EXPECT_EQ(serial.critical_block, parallel.critical_block);
+    EXPECT_TRUE(matrices_identical(serial.x_train, parallel.x_train));
+    EXPECT_TRUE(matrices_identical(serial.f_train, parallel.f_train));
+    EXPECT_TRUE(matrices_identical(serial.x_test, parallel.x_test));
+    EXPECT_TRUE(matrices_identical(serial.f_test, parallel.f_test));
+    ASSERT_EQ(serial.benchmarks.size(), parallel.benchmarks.size());
+    for (std::size_t b = 0; b < serial.benchmarks.size(); ++b) {
+      EXPECT_EQ(serial.benchmarks[b].name, parallel.benchmarks[b].name);
+      EXPECT_EQ(serial.benchmarks[b].train_begin,
+                parallel.benchmarks[b].train_begin);
+      EXPECT_EQ(serial.benchmarks[b].test_end,
+                parallel.benchmarks[b].test_end);
+    }
   }
 }
 

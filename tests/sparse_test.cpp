@@ -1,11 +1,15 @@
 // Sparse layer tests: CSR assembly semantics, SpMV, RCM ordering, skyline
-// Cholesky vs dense reference, and preconditioned CG.
+// Cholesky vs dense reference (and its multi-lane solves vs one-lane
+// solves), and preconditioned CG.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels.hpp"
 #include "sparse/cg.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ordering.hpp"
@@ -190,6 +194,50 @@ TEST(Skyline, ResidualIsTiny) {
   linalg::Vector r = m.multiply(x);
   r -= b;
   EXPECT_LT(r.norm2() / b.norm2(), 1e-10);
+}
+
+TEST(Skyline, LaneSolvesAreBitIdenticalToOneLaneSolves) {
+  // Every lane of a multi-lane solve must equal solve() of that column
+  // byte for byte, for lane counts covering one lane, padding to the panel
+  // width (2, 3, 5-7, 9) and whole 4- and 8-lane panels, on both SIMD
+  // dispatch paths.
+  const bool simd_was = linalg::kern::simd_enabled();
+  const SkylineCholesky sky(mesh_spd(11, 9));
+  const std::size_t n = sky.dim();
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_enabled(simd);
+    for (std::size_t lanes = 1; lanes <= 9; ++lanes) {
+      vmap::Rng rng(100 + lanes);
+      std::vector<linalg::Vector> columns(lanes, linalg::Vector(n));
+      std::vector<double> b(n * lanes);
+      for (std::size_t c = 0; c < lanes; ++c)
+        for (std::size_t i = 0; i < n; ++i)
+          b[i * lanes + c] = columns[c][i] = rng.normal();
+      std::vector<double> x(n * lanes, -1.0);
+      sky.solve_lanes(lanes, b.data(), x.data());
+      for (std::size_t c = 0; c < lanes; ++c) {
+        const linalg::Vector want = sky.solve(columns[c]);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(std::memcmp(&x[i * lanes + c], want.data() + i,
+                                sizeof(double)),
+                    0)
+              << "lanes=" << lanes << " lane " << c << " row " << i
+              << " simd=" << simd;
+      }
+    }
+  }
+  linalg::kern::set_simd_enabled(simd_was);
+}
+
+TEST(Skyline, LaneSolveMayRunInPlace) {
+  const SkylineCholesky sky(mesh_spd(5, 4));
+  vmap::Rng rng(17);
+  std::vector<double> b(sky.dim() * 3);
+  for (double& v : b) v = rng.normal();
+  std::vector<double> x(b.size());
+  sky.solve_lanes(3, b.data(), x.data());
+  sky.solve_lanes(3, b.data(), b.data());
+  EXPECT_EQ(std::memcmp(b.data(), x.data(), b.size() * sizeof(double)), 0);
 }
 
 TEST(Skyline, RejectsIndefinite) {
