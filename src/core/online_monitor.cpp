@@ -32,16 +32,15 @@ OnlineMonitor::Decision OnlineMonitor::observe(
   return observe_impl(sensor_readings, nullptr);
 }
 
-OnlineMonitor::Decision OnlineMonitor::observe_with_prediction(
-    const linalg::Vector& sensor_readings, const linalg::Vector& predicted) {
-  VMAP_REQUIRE(predicted.size() == model_.num_blocks(),
-               "precomputed prediction must cover every monitored block");
-  return observe_impl(sensor_readings, &predicted);
+OnlineMonitor::Decision OnlineMonitor::observe_with_worst(
+    const linalg::Vector& sensor_readings, const WorstBlock& worst) {
+  VMAP_REQUIRE(worst.row < model_.num_blocks(),
+               "precomputed worst block must be a monitored row");
+  return observe_impl(sensor_readings, &worst);
 }
 
 OnlineMonitor::Decision OnlineMonitor::observe_impl(
-    const linalg::Vector& sensor_readings,
-    const linalg::Vector* precomputed) {
+    const linalg::Vector& sensor_readings, const WorstBlock* precomputed) {
   VMAP_REQUIRE(sensor_readings.size() == model_.sensor_rows().size(),
                "readings must align with the model's placed sensors");
   Decision decision;
@@ -71,24 +70,27 @@ OnlineMonitor::Decision OnlineMonitor::observe_impl(
       decision.predicted = bank_->predict(sensor_readings, usable);
     }
   }
-  if (!decision.degraded)
-    decision.predicted =
-        precomputed ? *precomputed
-                    : model_.predict_from_sensor_readings(sensor_readings);
-
-  if (decision.predicted.size() == 0) {
-    decision.rejected = true;
-    decision.status =
-        Status::Numerical("model produced an empty prediction vector");
-    ++rejected_samples_;
-    return decision;
-  }
-
-  decision.worst_voltage = decision.predicted[0];
-  for (std::size_t k = 0; k < decision.predicted.size(); ++k) {
-    if (decision.predicted[k] < decision.worst_voltage) {
-      decision.worst_voltage = decision.predicted[k];
-      decision.worst_row = k;
+  if (!decision.degraded && precomputed) {
+    decision.worst_voltage = precomputed->voltage;
+    decision.worst_row = precomputed->row;
+  } else {
+    if (!decision.degraded)
+      decision.predicted = model_.predict_from_sensor_readings(sensor_readings);
+    if (decision.predicted.size() == 0) {
+      decision.rejected = true;
+      decision.status =
+          Status::Numerical("model produced an empty prediction vector");
+      ++rejected_samples_;
+      return decision;
+    }
+    // First strict minimum in row order; `<` is false on NaN, so a NaN
+    // never replaces the running minimum (kern::affine_min's scan).
+    decision.worst_voltage = decision.predicted[0];
+    for (std::size_t k = 1; k < decision.predicted.size(); ++k) {
+      if (decision.predicted[k] < decision.worst_voltage) {
+        decision.worst_voltage = decision.predicted[k];
+        decision.worst_row = k;
+      }
     }
   }
   decision.crossing = decision.worst_voltage < config_.emergency_threshold;

@@ -17,7 +17,11 @@
 //    verbatim, so the fault-tolerant monitor is bit-identical to the plain
 //    one until a fault is actually flagged;
 //  * accounting — alarm/crossing and degraded-mode statistics for post-hoc
-//    evaluation.
+//    evaluation;
+//  * a batched entry (observe_with_worst) — a decision needs only the
+//    lowest predicted voltage and its row, so a serving layer can compute
+//    those for many samples in one fused kernel call and hand each monitor
+//    its sample's worst block instead of a full prediction vector.
 
 #include <cstddef>
 #include <cstdint>
@@ -57,7 +61,9 @@ class OnlineMonitor {
     bool crossing = false;       ///< any predicted voltage below threshold
     std::size_t worst_row = 0;   ///< monitored row with the lowest prediction
     double worst_voltage = 0.0;  ///< that prediction (V)
-    linalg::Vector predicted;    ///< all monitored rows' predictions
+    /// All monitored rows' predictions. Empty when observe_with_worst
+    /// decided the sample from its precomputed worst block.
+    linalg::Vector predicted;
     bool degraded = false;       ///< prediction came from a fallback model
     std::size_t faulty_sensors = 0;  ///< sensors flagged at this sample
     std::size_t invalid_readings = 0;  ///< non-finite entries in this sample
@@ -76,15 +82,17 @@ class OnlineMonitor {
   /// the bad feed degrades or is refused, it cannot kill the process.
   Decision observe(const linalg::Vector& sensor_readings);
 
-  /// Micro-batching entry point: identical to observe() except that on the
-  /// all-healthy, all-finite path the supplied `predicted` vector is used
-  /// instead of re-evaluating the model. The caller must pass exactly
-  /// model().predict_from_sensor_readings(sensor_readings) (the serving
-  /// layer computes it for many chips at once through the blocked matmul
-  /// kernels); on any degraded/invalid sample the precomputed vector is
-  /// ignored and the fallback path recomputes.
-  Decision observe_with_prediction(const linalg::Vector& sensor_readings,
-                                   const linalg::Vector& predicted);
+  /// Batched entry point: identical to observe() except that on the
+  /// all-healthy, all-finite path the sample is decided on `worst` instead
+  /// of evaluating the model, and Decision::predicted stays empty. The
+  /// caller must pass exactly this sample's entry of
+  /// model().worst_from_sensor_readings_batch (the serving layer computes
+  /// it for a micro-batch of chips in one fused kernel call). A
+  /// fault-tolerant monitor still consults its detector on every sample; on
+  /// any degraded or non-finite sample `worst` is ignored and the fallback
+  /// bank recomputes, filling `predicted` as observe() does.
+  Decision observe_with_worst(const linalg::Vector& sensor_readings,
+                              const WorstBlock& worst);
 
   /// Snapshot of all mutable monitor state (debounce streaks + accounting),
   /// for crash-safe checkpointing of a serving fleet.
@@ -139,7 +147,7 @@ class OnlineMonitor {
 
  private:
   Decision observe_impl(const linalg::Vector& sensor_readings,
-                        const linalg::Vector* precomputed);
+                        const WorstBlock* precomputed);
 
   PlacementModel model_;
   OnlineMonitorConfig config_;

@@ -64,6 +64,13 @@ struct CoreModel {
   linalg::Vector intercept;    ///< K_core
 };
 
+/// The lowest predicted block voltage of one sample and its block row: the
+/// first strict minimum in block-row order, which OnlineMonitor decides on.
+struct WorstBlock {
+  double voltage = 0.0;  ///< V
+  std::size_t row = 0;
+};
+
 /// Chip-wide sensor placement + voltage prediction model.
 class PlacementModel {
  public:
@@ -90,13 +97,25 @@ class PlacementModel {
   /// hardware would evaluate.
   linalg::Vector predict_from_sensor_readings(
       const linalg::Vector& readings) const;
-  /// Micro-batched runtime variant for the serving layer: `readings` is
-  /// Q x B (one column per sample, rows aligned with sensor_rows()); returns
-  /// K x B through the blocked matmul kernels. Column b is bit-identical to
+  /// Micro-batched runtime variant: `readings` is Q x B (one column per
+  /// sample, rows aligned with sensor_rows()); returns K x B through the
+  /// blocked matmul kernels. Column b is bit-identical to
   /// predict_from_sensor_readings(readings.col(b)) — both paths accumulate
-  /// each output in the same ascending-k order — so batching a fleet of
-  /// chips cannot change any single chip's alarm decision.
+  /// each output in the same ascending-k order. The serving layer needs
+  /// only each sample's worst block and decides on
+  /// worst_from_sensor_readings_batch instead.
   linalg::Matrix predict_from_sensor_readings_batch(
+      const linalg::Matrix& readings) const;
+  /// The serving layer's decision path: the WorstBlock of every column of
+  /// `readings` (Q x B, laid out as for predict_from_sensor_readings_batch)
+  /// from one fused kern::affine_min call, with no prediction vector or
+  /// K x B matrix built. Entry b equals, bit for bit, the first strict
+  /// minimum (`<` in block-row order, so a NaN never wins) of
+  /// predict_from_sensor_readings(readings.col(b)) and its row, for any
+  /// layout of the cores' block_rows: a row no core covers predicts 0.0 and
+  /// a row two cores cover takes the later core's value. Requires
+  /// num_blocks() > 0.
+  std::vector<WorstBlock> worst_from_sensor_readings_batch(
       const linalg::Matrix& readings) const;
 
  private:

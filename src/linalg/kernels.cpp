@@ -144,6 +144,46 @@ void lane_backward(const Envelope& l, std::size_t s, double* y) {
   backward_sweep<0>(l, s, y);
 }
 
+void affine_min(std::size_t n_rows, const AffineBlock* blocks,
+                std::size_t n_blocks, std::size_t n, const double* x,
+                std::size_t ldx, double* tile, double* worst,
+                std::size_t* worst_row) {
+  // Per reading: the prediction vector predict_from_sensor_readings
+  // builds, held in one tile column, then OnlineMonitor's scan. Readings
+  // go kAffinePanel at a time only so that the scalar fallback keeps one
+  // accumulator chain per reading in flight, not one in total.
+  constexpr std::size_t P = kAffinePanel;
+  for (std::size_t i = 0; i < n_rows * P; ++i) tile[i] = 0.0;
+  for (std::size_t j0 = 0; j0 < n; j0 += P) {
+    const std::size_t live = n - j0 < P ? n - j0 : P;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      const AffineBlock& blk = blocks[b];
+      for (std::size_t k = 0; k < blk.rows; ++k) {
+        const double* ck = blk.coef + k * blk.cols;
+        double acc[P] = {};
+        for (std::size_t q = 0; q < blk.cols; ++q) {
+          const double* xq = x + blk.in_col[q] * ldx + j0;
+          for (std::size_t l = 0; l < live; ++l) acc[l] += ck[q] * xq[l];
+        }
+        double* t = tile + blk.out_row[k] * P;
+        for (std::size_t l = 0; l < live; ++l) t[l] = acc[l] + blk.offset[k];
+      }
+    }
+    for (std::size_t l = 0; l < live; ++l) {
+      double w = tile[l];
+      std::size_t row = 0;
+      for (std::size_t r = 1; r < n_rows; ++r) {
+        if (tile[r * P + l] < w) {
+          w = tile[r * P + l];
+          row = r;
+        }
+      }
+      worst[j0 + l] = w;
+      worst_row[j0 + l] = row;
+    }
+  }
+}
+
 double dot(std::size_t n, const double* x, const double* y) {
   // Fixed 4-lane strided order: lane l owns i ≡ l (mod 4); lanes combine
   // as (l0+l2)+(l1+l3); tail folds in sequentially. Matches the AVX2
@@ -369,6 +409,115 @@ VMAP_AVX2 void lane_backward(const Envelope& l, std::size_t s, double* y) {
   }
 }
 
+/// One predicted row of a panel: accumulators plus the row's offset.
+VMAP_AVX2 inline void store_tile_row(double* t, __m256d lo, __m256d hi,
+                                     double offset) {
+  const __m256d off = _mm256_set1_pd(offset);
+  _mm256_storeu_pd(t, _mm256_add_pd(lo, off));
+  _mm256_storeu_pd(t + 4, _mm256_add_pd(hi, off));
+}
+
+// Fused predict-and-min over panels of kAffinePanel = 8 readings (two
+// vectors of 4). A partial last panel reads its live lanes through a mask,
+// so x is never read past column n; the dead lanes compute from zeros and
+// are never reported.
+VMAP_AVX2 void affine_min(std::size_t n_rows, const AffineBlock* blocks,
+                          std::size_t n_blocks, std::size_t n, const double* x,
+                          std::size_t ldx, double* tile, double* worst,
+                          std::size_t* worst_row) {
+  constexpr std::size_t P = kAffinePanel;
+  if (n == 0) return;
+  // Rows no block writes predict 0.0; every other row is rewritten by
+  // every panel, in block order.
+  for (std::size_t i = 0; i < n_rows * P; ++i) tile[i] = 0.0;
+  const __m256i lane_lo = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i lane_hi = _mm256_setr_epi64x(4, 5, 6, 7);
+  for (std::size_t j0 = 0; j0 < n; j0 += P) {
+    const std::size_t live = n - j0 < P ? n - j0 : P;
+    const __m256i count = _mm256_set1_epi64x(static_cast<long long>(live));
+    const __m256i m0 = _mm256_cmpgt_epi64(count, lane_lo);
+    const __m256i m1 = _mm256_cmpgt_epi64(count, lane_hi);
+    const double* xp = x + j0;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      const AffineBlock& blk = blocks[b];
+      const std::size_t cols = blk.cols;
+      std::size_t k = 0;
+      // 4 rows x 8 readings: eight independent accumulators per q step.
+      for (; k + 4 <= blk.rows; k += 4) {
+        const double* c0 = blk.coef + k * cols;
+        const double* c1 = c0 + cols;
+        const double* c2 = c1 + cols;
+        const double* c3 = c2 + cols;
+        __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+        __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+        __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
+        __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
+        for (std::size_t q = 0; q < cols; ++q) {
+          const double* xq = xp + blk.in_col[q] * ldx;
+          const __m256d x0 = _mm256_maskload_pd(xq, m0);
+          const __m256d x1 = _mm256_maskload_pd(xq + 4, m1);
+          __m256d c = _mm256_set1_pd(c0[q]);
+          a00 = _mm256_add_pd(a00, _mm256_mul_pd(c, x0));
+          a01 = _mm256_add_pd(a01, _mm256_mul_pd(c, x1));
+          c = _mm256_set1_pd(c1[q]);
+          a10 = _mm256_add_pd(a10, _mm256_mul_pd(c, x0));
+          a11 = _mm256_add_pd(a11, _mm256_mul_pd(c, x1));
+          c = _mm256_set1_pd(c2[q]);
+          a20 = _mm256_add_pd(a20, _mm256_mul_pd(c, x0));
+          a21 = _mm256_add_pd(a21, _mm256_mul_pd(c, x1));
+          c = _mm256_set1_pd(c3[q]);
+          a30 = _mm256_add_pd(a30, _mm256_mul_pd(c, x0));
+          a31 = _mm256_add_pd(a31, _mm256_mul_pd(c, x1));
+        }
+        store_tile_row(tile + blk.out_row[k] * P, a00, a01, blk.offset[k]);
+        store_tile_row(tile + blk.out_row[k + 1] * P, a10, a11,
+                       blk.offset[k + 1]);
+        store_tile_row(tile + blk.out_row[k + 2] * P, a20, a21,
+                       blk.offset[k + 2]);
+        store_tile_row(tile + blk.out_row[k + 3] * P, a30, a31,
+                       blk.offset[k + 3]);
+      }
+      for (; k < blk.rows; ++k) {
+        const double* ck = blk.coef + k * cols;
+        __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+        for (std::size_t q = 0; q < cols; ++q) {
+          const double* xq = xp + blk.in_col[q] * ldx;
+          const __m256d c = _mm256_set1_pd(ck[q]);
+          a0 = _mm256_add_pd(a0,
+                             _mm256_mul_pd(c, _mm256_maskload_pd(xq, m0)));
+          a1 = _mm256_add_pd(a1,
+                             _mm256_mul_pd(c, _mm256_maskload_pd(xq + 4, m1)));
+        }
+        store_tile_row(tile + blk.out_row[k] * P, a0, a1, blk.offset[k]);
+      }
+    }
+    // Ordered scan: a lane takes row r only when its value compares
+    // strictly below (_CMP_LT_OQ: false on NaN) — the scalar `<`.
+    __m256d w0 = _mm256_loadu_pd(tile), w1 = _mm256_loadu_pd(tile + 4);
+    __m256d r0 = _mm256_setzero_pd(), r1 = _mm256_setzero_pd();
+    for (std::size_t r = 1; r < n_rows; ++r) {
+      const __m256d v0 = _mm256_loadu_pd(tile + r * P);
+      const __m256d v1 = _mm256_loadu_pd(tile + r * P + 4);
+      const __m256d row = _mm256_set1_pd(static_cast<double>(r));
+      const __m256d lt0 = _mm256_cmp_pd(v0, w0, _CMP_LT_OQ);
+      const __m256d lt1 = _mm256_cmp_pd(v1, w1, _CMP_LT_OQ);
+      w0 = _mm256_blendv_pd(w0, v0, lt0);
+      w1 = _mm256_blendv_pd(w1, v1, lt1);
+      r0 = _mm256_blendv_pd(r0, row, lt0);
+      r1 = _mm256_blendv_pd(r1, row, lt1);
+    }
+    double wv[P], rv[P];
+    _mm256_storeu_pd(wv, w0);
+    _mm256_storeu_pd(wv + 4, w1);
+    _mm256_storeu_pd(rv, r0);
+    _mm256_storeu_pd(rv + 4, r1);
+    for (std::size_t l = 0; l < live; ++l) {
+      worst[j0 + l] = wv[l];
+      worst_row[j0 + l] = static_cast<std::size_t>(rv[l]);
+    }
+  }
+}
+
 VMAP_AVX2 double dot(std::size_t n, const double* x, const double* y) {
   __m256d acc = _mm256_setzero_pd();
   const std::size_t n4 = n & ~std::size_t{3};
@@ -505,6 +654,14 @@ void lane_backward(const Envelope& l, std::size_t s, double* y) {
 }
 
 #undef VMAP_LANE_DISPATCH
+
+void affine_min(std::size_t n_rows, const AffineBlock* blocks,
+                std::size_t n_blocks, std::size_t n, const double* x,
+                std::size_t ldx, double* tile, double* worst,
+                std::size_t* worst_row) {
+  VMAP_KERN_DISPATCH(affine_min(n_rows, blocks, n_blocks, n, x, ldx, tile,
+                                worst, worst_row));
+}
 
 double dot(std::size_t n, const double* x, const double* y) {
   VMAP_KERN_DISPATCH(dot(n, x, y));

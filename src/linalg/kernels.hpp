@@ -1,8 +1,8 @@
 #pragma once
 // SIMD microkernel layer: the raw-pointer primitives under the dense
-// kernels (matmul family, Gram products, CG/FISTA vector updates, the
-// serving layer's batched predict) and the skyline solver's multi-RHS
-// substitution.
+// kernels (matmul family, Gram products, CG/FISTA vector updates), the
+// skyline solver's multi-RHS substitution, and the serving layer's fused
+// predict-and-min decision kernel.
 //
 // Dispatch: every kernel has an AVX2 implementation and a scalar fallback,
 // selected once at startup — AVX2 when the CPU supports it and the
@@ -108,6 +108,44 @@ void lane_forward(const Envelope& l, std::size_t s, double* y);
 /// for i descending, y_i /= L(i,i), then y_j -= L(i,j) y_i for j < i.
 void lane_backward(const Envelope& l, std::size_t s, double* y);
 
+// --- fused affine predict + ordered minimum -----------------------------
+//
+// The serving layer's decision kernel. A model is a list of affine blocks
+// (one per core): block b reads the reading entries in_col[0..cols), and
+// its output row k lands on row out_row[k] as
+// (sum_q coef[k*cols + q] * x_q) + offset[k] — one accumulator from 0.0,
+// q ascending, separate mul and add, which is linalg::matvec's order plus
+// the intercept. A later block's write to a row replaces an earlier one,
+// and a row no block writes predicts 0.0. Per reading, the kernel returns
+// the first strict minimum over rows 0..n_rows in row order (`<`, which is
+// false on NaN, so a NaN never replaces the running minimum) and its row,
+// without materializing a prediction vector per reading.
+//
+// The AVX2 path takes kAffinePanel readings at a time: it register-blocks
+// 4 rows x 8 readings (8 independent add chains), stores the rows into an
+// n_rows x kAffinePanel tile in row order, then scans the tile with
+// ordered compares. Each (row, reading) keeps its own accumulator, so
+// every prediction, and with it every minimum and row, is the scalar one.
+
+inline constexpr std::size_t kAffinePanel = 8;
+
+struct AffineBlock {
+  std::size_t rows = 0;                  ///< output rows
+  std::size_t cols = 0;                  ///< inputs per output row
+  const double* coef = nullptr;          ///< rows x cols, row-major
+  const double* offset = nullptr;        ///< rows
+  const std::size_t* out_row = nullptr;  ///< rows entries, each < n_rows
+  const std::size_t* in_col = nullptr;   ///< cols reading entries
+};
+
+/// Reading j (j < n <= ldx) is column j of x: its entry c sits at
+/// x[c * ldx + j]. Writes worst[j] and worst_row[j] for every reading.
+/// `tile` is scratch of n_rows * kAffinePanel doubles; n_rows >= 1.
+void affine_min(std::size_t n_rows, const AffineBlock* blocks,
+                std::size_t n_blocks, std::size_t n, const double* x,
+                std::size_t ldx, double* tile, double* worst,
+                std::size_t* worst_row);
+
 // --- strided-order reductions -------------------------------------------
 //
 // Fixed 4-lane strided accumulation: lane l sums elements l, l+4, l+8, …;
@@ -139,6 +177,10 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b);
 void lane_forward(const Envelope& l, std::size_t s, double* y);
 void lane_backward(const Envelope& l, std::size_t s, double* y);
+void affine_min(std::size_t n_rows, const AffineBlock* blocks,
+                std::size_t n_blocks, std::size_t n, const double* x,
+                std::size_t ldx, double* tile, double* worst,
+                std::size_t* worst_row);
 double dot(std::size_t n, const double* x, const double* y);
 double nrm2sq(std::size_t n, const double* x);
 }  // namespace ref

@@ -67,7 +67,7 @@ void ChipDomain::mirror_monitor_counters() {
 }
 
 ChipDomain::Outcome ChipDomain::process(const Reading& reading,
-                                        const linalg::Vector* precomputed) {
+                                        const core::WorstBlock* precomputed) {
   Outcome out;
   const ChipMode entry_mode = mode();
   if (entry_mode == ChipMode::kSuspended) {
@@ -125,8 +125,7 @@ ChipDomain::Outcome ChipDomain::process(const Reading& reading,
 
   consecutive_rejects_.store(0, kRelaxed);
   core::OnlineMonitor::Decision decision =
-      precomputed ? monitor_.observe_with_prediction(reading.values,
-                                                     *precomputed)
+      precomputed ? monitor_.observe_with_worst(reading.values, *precomputed)
                   : monitor_.observe(reading.values);
   if (decision.rejected) {
     // Defensive: admission above should have caught everything the monitor

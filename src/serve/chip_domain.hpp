@@ -40,8 +40,9 @@ class ChipDomain {
   };
 
   /// `shared_model`, when supplied, must be the exact model `monitor` was
-  /// built from; it lets the fleet group this chip with same-model peers
-  /// into blocked-matmul micro-batches. Null opts the chip out of batching.
+  /// built from; it lets the fleet decide this chip's healthy readings in
+  /// one fused predict-and-min kernel call with same-model peers. Null opts
+  /// the chip out: every reading then takes the monitor's per-sample path.
   ChipDomain(ChipId id, core::OnlineMonitor monitor,
              std::shared_ptr<const core::PlacementModel> shared_model,
              const Config& config);
@@ -56,11 +57,13 @@ class ChipDomain {
   }
 
   /// True when the next sample would take the plain healthy-model path —
-  /// the batching heuristic. Wrong guesses cost only a wasted matmul
-  /// column: observe_with_prediction ignores the precomputed vector on any
-  /// degraded/invalid sample, so decisions never depend on this.
+  /// the batching heuristic. A wrong guess costs only one reading's share
+  /// of the fused kernel: observe_with_worst ignores the precomputed worst
+  /// block on any degraded or non-finite sample, so decisions never depend
+  /// on this.
   bool batchable() const {
-    return shared_model_ != nullptr && mode() == ChipMode::kHealthy;
+    return shared_model_ != nullptr && shared_model_->num_blocks() > 0 &&
+           mode() == ChipMode::kHealthy;
   }
 
   struct Outcome {
@@ -70,9 +73,13 @@ class ChipDomain {
     bool alarm_transition = false;  ///< debounced alarm flipped this sample
   };
   /// Admits or rejects one reading and, if admitted, runs the monitor.
-  /// `precomputed` is the chip's column of a micro-batched prediction, or
-  /// null. Must only be called by the chip's owning shard worker.
-  Outcome process(const Reading& reading, const linalg::Vector* precomputed);
+  /// `precomputed` is the reading's entry of the shared model's
+  /// worst_from_sensor_readings_batch, or null for the per-sample path. On
+  /// the precomputed path Outcome::decision.predicted stays empty; nothing
+  /// in the serving layer reads it. Must only be called by the chip's
+  /// owning shard worker.
+  Outcome process(const Reading& reading,
+                  const core::WorstBlock* precomputed);
 
   /// Seals the domain (watchdog poison pill / operator action).
   void suspend();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -26,11 +27,11 @@ void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// One same-model group of batch readings staged for a blocked-matmul
-/// prediction. The values are copied out up front so the (potentially
-/// slow) matmul can run *after* the batch is published to the shard's
-/// inflight slot — i.e. while the watchdog can already steal it — without
-/// ever reading shared state.
+/// One same-model group of batch readings staged for the fused
+/// predict-and-min kernel. The values are copied out up front so the kernel
+/// can run *after* the batch is published to the shard's inflight slot —
+/// i.e. while the watchdog can already steal it — without ever reading
+/// shared state.
 struct PredictionGroup {
   const core::PlacementModel* model = nullptr;
   std::vector<std::size_t> indices;  ///< batch positions, column order
@@ -40,11 +41,11 @@ struct PredictionGroup {
 std::vector<PredictionGroup> build_prediction_plan(
     const std::vector<std::unique_ptr<ChipDomain>>& chips,
     const std::vector<Reading>& batch) {
-  // Group eligible readings by shared model: one Q x B blocked matmul per
-  // model instead of B matvecs. Eligible = chip opted into batching, is on
-  // the healthy fast path, and the reading is well-formed — anything else
-  // falls back to the per-sample path inside the monitor, so a wrong
-  // grouping guess can cost a wasted column but never change a decision.
+  // Group eligible readings by shared model: one kernel call per model.
+  // Eligible = chip opted into batching, is on the healthy fast path, and
+  // the reading is well-formed — anything else takes the per-sample path
+  // inside the monitor, so a wrong grouping guess can cost a wasted column
+  // but never change a decision.
   std::map<const core::PlacementModel*, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Reading& r = batch[i];
@@ -59,7 +60,6 @@ std::vector<PredictionGroup> build_prediction_plan(
   }
   std::vector<PredictionGroup> plan;
   for (auto& [model, indices] : groups) {
-    if (indices.size() < 2) continue;  // matvec already optimal for one
     PredictionGroup group;
     group.model = model;
     const std::size_t q_count = model->sensor_rows().size();
@@ -75,13 +75,15 @@ std::vector<PredictionGroup> build_prediction_plan(
   return plan;
 }
 
+/// Decides every planned reading's worst block; unplanned entries stay
+/// empty and take the per-sample path.
 void run_prediction_plan(const std::vector<PredictionGroup>& plan,
-                         std::vector<linalg::Vector>& precomputed) {
+                         std::vector<std::optional<core::WorstBlock>>& worst) {
   for (const PredictionGroup& group : plan) {
-    const linalg::Matrix predictions =
-        group.model->predict_from_sensor_readings_batch(group.readings);
+    const std::vector<core::WorstBlock> decided =
+        group.model->worst_from_sensor_readings_batch(group.readings);
     for (std::size_t j = 0; j < group.indices.size(); ++j)
-      precomputed[group.indices[j]] = predictions.col(j);
+      worst[group.indices[j]] = decided[j];
   }
 }
 
@@ -327,17 +329,16 @@ void MonitorFleet::worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
 
 bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
                                  bool publish, std::uint64_t my_gen) {
-  std::vector<linalg::Vector> precomputed(batch.size());
-  std::vector<PredictionGroup> plan;
-  if (config_.batch_predictions) plan = build_prediction_plan(chips_, batch);
+  std::vector<std::optional<core::WorstBlock>> worst(batch.size());
+  const std::vector<PredictionGroup> plan =
+      build_prediction_plan(chips_, batch);
 
   if (!publish) {
-    run_prediction_plan(plan, precomputed);
+    run_prediction_plan(plan, worst);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const double delay = chaos_delay_ms_[batch[i].chip]->load(kRelaxed);
       if (delay > 0) sleep_ms(delay);
-      decide_one(batch[i],
-                 precomputed[i].size() ? &precomputed[i] : nullptr);
+      decide_one(batch[i], worst[i] ? &*worst[i] : nullptr);
       shard.handled.fetch_add(1, kRelaxed);
     }
     return true;
@@ -345,9 +346,9 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
 
   // Threaded mode: share the batch through the inflight slot so the
   // watchdog can steal the un-decided remainder if this worker stalls.
-  // Publishing happens *before* the prediction matmuls run (the plan
-  // already copied everything they need), so even a stall inside the
-  // prediction kernels leaves the whole batch stealable.
+  // Publishing happens *before* the fused kernel runs (the plan already
+  // copied everything it needs), so even a stall inside the kernel leaves
+  // the whole batch stealable.
   {
     std::unique_lock<std::mutex> lock(shard.inflight_mutex);
     if (shard.generation != my_gen) {
@@ -368,7 +369,7 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
     shard.inflight_stolen = false;
     shard.inflight_since_ms.store(now_ms(), kRelaxed);
   }
-  run_prediction_plan(plan, precomputed);
+  run_prediction_plan(plan, worst);
   for (;;) {
     Reading reading;
     std::size_t index = 0;
@@ -387,8 +388,7 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
     }
     const double delay = chaos_delay_ms_[reading.chip]->load(kRelaxed);
     if (delay > 0) sleep_ms(delay);
-    decide_one(reading,
-               precomputed[index].size() ? &precomputed[index] : nullptr);
+    decide_one(reading, worst[index] ? &*worst[index] : nullptr);
     // Clear only if still ours: a replacement worker may have published
     // its own current chip while this (now stalled-and-woken) worker was
     // finishing its claimed reading.
@@ -409,7 +409,7 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
 }
 
 void MonitorFleet::decide_one(const Reading& reading,
-                              const linalg::Vector* precomputed) {
+                              const core::WorstBlock* precomputed) {
   ChipDomain& domain = *chips_[reading.chip];
   ChipDomain::Outcome outcome = domain.process(reading, precomputed);
   processed_.fetch_add(1, kRelaxed);

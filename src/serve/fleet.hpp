@@ -3,10 +3,11 @@
 //
 // Registers N chips (each its own ChipDomain fault domain), ingests sensor
 // readings through bounded per-shard queues, and decides them in
-// micro-batches — same-model healthy chips are grouped so their OLS
-// predictions run through the blocked matmul kernels in one call
-// (bit-identical to the per-sample path; see
-// PlacementModel::predict_from_sensor_readings_batch). Alarm transitions are
+// micro-batches. A decision needs only the lowest predicted block voltage
+// and its row, so the healthy readings of same-model chips in a batch are
+// decided by one fused predict-and-min kernel call that never builds a
+// prediction vector (bit-identical to the per-sample path; see
+// PlacementModel::worst_from_sensor_readings_batch). Alarm transitions are
 // appended to an in-process sink with their ingest-to-decision latency.
 //
 // Two execution modes share the same decision path:
@@ -64,9 +65,11 @@ class MonitorFleet {
   MonitorFleet& operator=(const MonitorFleet&) = delete;
 
   /// Registers a chip; returns its dense id. Pass the PlacementModel the
-  /// monitor was built from as `shared_model` to let the fleet micro-batch
-  /// this chip's healthy-path predictions with same-model peers (typical
-  /// fleets monitor many dies of one design). Only valid while not running.
+  /// monitor was built from as `shared_model` to let the fleet decide this
+  /// chip's healthy readings in the fused kernel call of its same-model
+  /// peers (typical fleets monitor many dies of one design); null sends
+  /// every reading down the monitor's per-sample path. Only valid while not
+  /// running.
   ChipId add_chip(core::OnlineMonitor monitor,
                   std::shared_ptr<const core::PlacementModel> shared_model =
                       nullptr);
@@ -191,7 +194,8 @@ class MonitorFleet {
   /// Racy any-thread check used to pick the queue wait: false negatives
   /// just cost one short queue timeout.
   bool rings_look_empty(const Shard& shard) const;
-  void decide_one(const Reading& reading, const linalg::Vector* precomputed);
+  void decide_one(const Reading& reading,
+                  const core::WorstBlock* precomputed);
   void watchdog_loop();
   void fail_over(std::size_t shard_index);
   std::size_t shard_of(ChipId chip) const {

@@ -86,7 +86,10 @@ struct AlarmEvent {
 struct FleetConfig {
   std::size_t shards = 4;            ///< independent fault/throughput lanes
   std::size_t queue_capacity = 1024; ///< bounded per-shard backlog
-  std::size_t max_batch = 64;        ///< readings per micro-batch drain
+  /// Readings popped from the shard queue per micro-batch. A threaded
+  /// worker then tops the batch up from its producer rings to at most
+  /// 2 x max_batch readings; pump() tops it up to max_batch.
+  std::size_t max_batch = 64;
   /// Alarm events are appended to the sink as each micro-batch item is
   /// decided; this is the service-level objective the chaos scenarios
   /// report against (p99 ingest-to-alarm latency).
@@ -101,8 +104,6 @@ struct FleetConfig {
   std::size_t probation = 16;
   /// Bad readings observed while quarantined before the chip is suspended.
   std::size_t suspend_after = 3;
-  /// Group same-model healthy chips into blocked-matmul micro-batches.
-  bool batch_predictions = true;
   /// Capacity of each producer→shard SPSC ingestion ring (rounded up to a
   /// power of two). Full ring = overload shed, same policy as the queues.
   std::size_t producer_ring_capacity = 4096;

@@ -1,12 +1,17 @@
-// OLS model, sensor selection, and Eagle-Eye baseline tests.
+// OLS model, sensor selection, the placement model's batched worst-block
+// decision, and Eagle-Eye baseline tests.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/group_lasso.hpp"
 #include "core/ols_model.hpp"
+#include "core/online_monitor.hpp"
+#include "core/pipeline.hpp"
 #include "core/sensor_selection.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -165,6 +170,75 @@ TEST(SensorSelection, TopKBoundsChecked) {
   GroupLassoResult result;
   result.group_norms = linalg::Vector{0.5};
   EXPECT_THROW(select_top_k(result, 2), vmap::ContractError);
+}
+
+TEST(PlacementModel, BatchedWorstMatchesPredictionAndMonitorScan) {
+  // Two cores over interleaved block rows; row 4 belongs to neither, so it
+  // predicts 0.0. Intercepts are positive and every other reading is small,
+  // so that row is the minimum of some readings and a covered row of
+  // others.
+  vmap::Rng rng(31);
+  auto random_core = [&rng](std::size_t index,
+                            std::vector<std::size_t> selected,
+                            std::vector<std::size_t> blocks) {
+    CoreModel core;
+    core.core = index;
+    core.candidate_rows = selected;
+    core.selected_rows = std::move(selected);
+    core.block_rows = std::move(blocks);
+    core.group_norms = linalg::Vector(core.selected_rows.size(), 1.0);
+    core.alpha = linalg::Matrix(core.block_rows.size(),
+                                core.selected_rows.size());
+    core.intercept = linalg::Vector(core.block_rows.size());
+    for (std::size_t k = 0; k < core.block_rows.size(); ++k) {
+      for (std::size_t q = 0; q < core.selected_rows.size(); ++q)
+        core.alpha(k, q) = rng.normal();
+      core.intercept[k] = rng.uniform(0.5, 1.5);
+    }
+    return core;
+  };
+  std::vector<CoreModel> cores;
+  cores.push_back(random_core(0, {2, 7, 11}, {0, 3, 6, 8}));
+  cores.push_back(random_core(1, {4, 7}, {1, 5, 2, 7}));
+  const PlacementModel model(std::move(cores), {20, 40, 70, 110}, 9);
+  ASSERT_EQ(model.sensor_rows(), (std::vector<std::size_t>{2, 4, 7, 11}));
+
+  const bool was_simd = linalg::kern::simd_enabled();
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_enabled(simd);
+    for (std::size_t n : {1, 8, 13}) {
+      linalg::Matrix readings(4, n);
+      for (std::size_t q = 0; q < 4; ++q)
+        for (std::size_t b = 0; b < n; ++b)
+          readings(q, b) = rng.normal(0.0, b % 2 == 0 ? 1.0 : 0.05);
+      const std::vector<WorstBlock> worst =
+          model.worst_from_sensor_readings_batch(readings);
+      ASSERT_EQ(worst.size(), n);
+      bool uncovered_won = false, covered_won = false;
+      for (std::size_t b = 0; b < n; ++b) {
+        OnlineMonitor monitor(model, OnlineMonitorConfig{});
+        const OnlineMonitor::Decision want = monitor.observe(readings.col(b));
+        ASSERT_FALSE(want.rejected);
+        EXPECT_EQ(std::memcmp(&worst[b].voltage, &want.worst_voltage,
+                              sizeof(double)),
+                  0)
+            << "b=" << b << " simd=" << simd;
+        EXPECT_EQ(worst[b].row, want.worst_row) << "b=" << b;
+        (worst[b].row == 4 ? uncovered_won : covered_won) = true;
+      }
+      if (n == 13) {
+        EXPECT_TRUE(uncovered_won) << "simd=" << simd;
+        EXPECT_TRUE(covered_won) << "simd=" << simd;
+      }
+    }
+  }
+  linalg::kern::set_simd_enabled(was_simd);
+}
+
+TEST(PlacementModel, BatchedWorstNeedsAtLeastOneBlock) {
+  const PlacementModel model({}, {}, 0);
+  EXPECT_THROW(model.worst_from_sensor_readings_batch(linalg::Matrix(0, 3)),
+               vmap::ContractError);
 }
 
 }  // namespace

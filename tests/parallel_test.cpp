@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -346,6 +348,180 @@ TEST(SimdKernels, StridedReductionsBitIdenticalToScalarOracle) {
       EXPECT_EQ(std::memcmp(&nrm_got, &nrm_want, sizeof(double)), 0)
           << "nrm2sq n=" << n << " simd=" << simd;
     }
+  }
+}
+
+/// Runs kern::affine_min and kern::ref::affine_min on the same inputs and
+/// expects byte-equal worst values and rows. The scratch tile starts out
+/// holding a value below any prediction, so a kernel that leaves an
+/// unwritten row unzeroed reports it.
+void expect_affine_min_matches_oracle(
+    std::size_t n_rows, const std::vector<linalg::kern::AffineBlock>& blocks,
+    std::size_t n, const std::vector<double>& x, std::size_t ldx,
+    const std::string& tag) {
+  std::vector<double> tile(n_rows * linalg::kern::kAffinePanel, -1e300);
+  std::vector<double> worst_got(n, -1.0), worst_want(n, -2.0);
+  std::vector<std::size_t> row_got(n, 7777), row_want(n, 8888);
+  linalg::kern::affine_min(n_rows, blocks.data(), blocks.size(), n, x.data(),
+                           ldx, tile.data(), worst_got.data(), row_got.data());
+  linalg::kern::ref::affine_min(n_rows, blocks.data(), blocks.size(), n,
+                                x.data(), ldx, tile.data(), worst_want.data(),
+                                row_want.data());
+  EXPECT_TRUE(bytes_equal(worst_got, worst_want)) << "values " << tag;
+  EXPECT_EQ(row_got, row_want) << "rows " << tag;
+}
+
+TEST(SimdKernels, AffineMinBitIdenticalToScalarOracle) {
+  // Row counts around the 4-row register block, sensor counts around the
+  // vector width, and reading counts around the 8-reading panel (0, one
+  // partial panel, exactly one, one plus a tail, many). Readings are wider
+  // than the block and read through a shuffled in_col, with ldx > n.
+  SimdGuard guard;
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_enabled(simd);
+    for (std::size_t rows : {1, 3, 4, 5, 240}) {
+      for (std::size_t cols : {1, 2, 16, 17}) {
+        const std::size_t width = cols + 2;
+        Rng rng(500 + rows * 31 + cols);
+        std::vector<std::size_t> in_col(width);
+        for (std::size_t c = 0; c < width; ++c) in_col[c] = width - 1 - c;
+        for (std::size_t c = width; c-- > 1;)
+          std::swap(in_col[c], in_col[rng.uniform_index(c + 1)]);
+        in_col.resize(cols);
+        std::vector<std::size_t> out_row(rows);
+        for (std::size_t k = 0; k < rows; ++k) out_row[k] = k;
+        const std::vector<double> coef =
+            random_doubles(rows * cols, 600 + rows + cols);
+        const std::vector<double> offset = random_doubles(rows, 700 + rows);
+        const std::vector<linalg::kern::AffineBlock> blocks = {
+            {rows, cols, coef.data(), offset.data(), out_row.data(),
+             in_col.data()}};
+        for (std::size_t n : {0, 1, 7, 8, 9, 513}) {
+          const std::size_t ldx = n + 3;
+          const std::vector<double> x =
+              random_doubles(width * ldx, 800 + n + cols);
+          expect_affine_min_matches_oracle(
+              rows, blocks, n, x, ldx,
+              "rows=" + std::to_string(rows) + " cols=" +
+                  std::to_string(cols) + " n=" + std::to_string(n) +
+                  " simd=" + std::to_string(simd));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, AffineMinTiesOverflowAndLayouts) {
+  SimdGuard guard;
+  constexpr std::size_t kCols = 3;
+  const std::vector<std::size_t> in_col = {0, 1, 2};
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_enabled(simd);
+    const std::string tag = " simd=" + std::to_string(simd);
+    bool saw_negative_inf = false;
+    for (std::size_t n : {1, 9, 17}) {
+      const std::vector<double> x = random_doubles(kCols * n, 950 + n);
+
+      // Tied rows: rows 2, 5 and 6 share their coefficients and a deep
+      // offset, so they tie for the minimum of every reading and the first
+      // of them must win.
+      constexpr std::size_t kRows = 7;
+      std::vector<double> coef = random_doubles(kRows * kCols, 960);
+      std::vector<double> offset(kRows, 0.0);
+      for (std::size_t k : {5, 6})
+        for (std::size_t q = 0; q < kCols; ++q)
+          coef[k * kCols + q] = coef[2 * kCols + q];
+      for (std::size_t k : {2, 5, 6}) offset[k] = -100.0;
+      std::vector<std::size_t> out_row(kRows);
+      for (std::size_t k = 0; k < kRows; ++k) out_row[k] = k;
+      const std::vector<linalg::kern::AffineBlock> tied = {
+          {kRows, kCols, coef.data(), offset.data(), out_row.data(),
+           in_col.data()}};
+      std::vector<double> tile(kRows * linalg::kern::kAffinePanel);
+      std::vector<double> worst(n);
+      std::vector<std::size_t> row(n);
+      linalg::kern::affine_min(kRows, tied.data(), 1, n, x.data(), n,
+                               tile.data(), worst.data(), row.data());
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(row[j], 2u) << "tie j=" << j << tag;
+      expect_affine_min_matches_oracle(kRows, tied, n, x, n, "tie" + tag);
+
+      // Overflow: rows 0 and 4 sum terms of ±1e308 scale, so their
+      // predictions overflow to ±inf for some readings, and -inf must win.
+      std::vector<double> big = coef;
+      for (std::size_t q = 0; q < kCols; ++q)
+        big[q] = (q % 2 == 0 ? 1.0 : -1.0) * 1e308;
+      big[4 * kCols] = -1e308;
+      const std::vector<linalg::kern::AffineBlock> overflow = {
+          {kRows, kCols, big.data(), offset.data(), out_row.data(),
+           in_col.data()}};
+      expect_affine_min_matches_oracle(kRows, overflow, n, x, n,
+                                       "overflow" + tag);
+      linalg::kern::affine_min(kRows, overflow.data(), 1, n, x.data(), n,
+                               tile.data(), worst.data(), row.data());
+      for (double w : worst) saw_negative_inf |= std::isinf(w) && w < 0;
+
+      // NaN: a NaN row 3 never replaces the running minimum, and a NaN
+      // row 0 stands against every later row.
+      constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+      std::vector<double> nan3 = coef, nan0 = coef;
+      nan3[3 * kCols] = kNaN;
+      nan0[0] = kNaN;
+      const std::vector<linalg::kern::AffineBlock> nan_later = {
+          {kRows, kCols, nan3.data(), offset.data(), out_row.data(),
+           in_col.data()}};
+      const std::vector<linalg::kern::AffineBlock> nan_first = {
+          {kRows, kCols, nan0.data(), offset.data(), out_row.data(),
+           in_col.data()}};
+      expect_affine_min_matches_oracle(kRows, nan_later, n, x, n,
+                                       "nan row 3" + tag);
+      expect_affine_min_matches_oracle(kRows, nan_first, n, x, n,
+                                       "nan row 0" + tag);
+      linalg::kern::affine_min(kRows, nan_later.data(), 1, n, x.data(), n,
+                               tile.data(), worst.data(), row.data());
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(row[j], 2u) << "nan row 3, j=" << j << tag;
+      linalg::kern::affine_min(kRows, nan_first.data(), 1, n, x.data(), n,
+                               tile.data(), worst.data(), row.data());
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(row[j], 0u) << "nan row 0, j=" << j << tag;
+        EXPECT_TRUE(std::isnan(worst[j])) << "nan row 0, j=" << j << tag;
+      }
+
+      // Multi-block layout: interleaved rows, one row (5) no block writes
+      // — it predicts 0.0 — and one (3) both write, where the later block
+      // wins. Offsets are positive and odd readings are small, so row 5
+      // is the minimum of those readings.
+      const std::vector<std::size_t> rows_a = {0, 3, 6, 9};
+      const std::vector<std::size_t> rows_b = {8, 1, 4, 7, 3, 2};
+      const std::vector<std::size_t> cols_b = {2, 0};
+      const std::vector<double> coef_a = random_doubles(4 * kCols, 970);
+      const std::vector<double> coef_b = random_doubles(6 * 2, 972);
+      std::vector<double> off_a = random_doubles(4, 971);
+      std::vector<double> off_b = random_doubles(6, 973);
+      for (double& o : off_a) o = 0.5 + std::abs(o);
+      for (double& o : off_b) o = 0.5 + std::abs(o);
+      std::vector<double> x_mixed = x;
+      for (std::size_t q = 0; q < kCols; ++q)
+        for (std::size_t j = 1; j < n; j += 2) x_mixed[q * n + j] *= 0.01;
+      const std::vector<linalg::kern::AffineBlock> layout = {
+          {4, kCols, coef_a.data(), off_a.data(), rows_a.data(),
+           in_col.data()},
+          {6, 2, coef_b.data(), off_b.data(), rows_b.data(), cols_b.data()}};
+      expect_affine_min_matches_oracle(10, layout, n, x_mixed, n,
+                                       "layout" + tag);
+      std::vector<double> layout_worst(n);
+      std::vector<std::size_t> layout_row(n);
+      std::vector<double> layout_tile(10 * linalg::kern::kAffinePanel);
+      linalg::kern::affine_min(10, layout.data(), layout.size(), n,
+                               x_mixed.data(), n, layout_tile.data(),
+                               layout_worst.data(), layout_row.data());
+      if (n > 1) {
+        EXPECT_EQ(layout_row[1], 5u) << "uncovered row" << tag;
+        EXPECT_EQ(layout_worst[1], 0.0) << "uncovered row" << tag;
+      }
+    }
+    EXPECT_TRUE(saw_negative_inf) << "no reading overflowed to -inf" << tag;
   }
 }
 

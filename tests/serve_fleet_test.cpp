@@ -1,13 +1,17 @@
-// MonitorFleet integration tests: healthy-path decisions bit-identical to a
-// standalone OnlineMonitor (including the micro-batched matmul path),
-// overload shed accounting, clean-shutdown drain, and watchdog stall
-// failover in threaded mode.
+// MonitorFleet integration tests: decisions bit-identical to standalone
+// OnlineMonitors (the fused predict-and-min path, the per-sample path, and
+// fault-tolerant monitors losing a sensor mid-stream), overload shed
+// accounting, clean-shutdown drain, and watchdog stall failover in threaded
+// mode.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -83,13 +87,12 @@ TEST(MonitorFleet, PumpModeDecisionsAreBitIdenticalToStandaloneMonitor) {
   constexpr std::size_t kChips = 5;
   constexpr std::uint64_t kSamples = 400;
 
-  // batch_predictions on: same-model healthy chips go through the blocked
-  // matmul micro-batch path. Bit-identity with the standalone monitor is
-  // exactly the claim predict_from_sensor_readings_batch documents.
+  // Shared models: same-model healthy chips are decided by the fused
+  // predict-and-min kernel. Bit-identity with the standalone monitor is
+  // exactly the claim worst_from_sensor_readings_batch documents.
   FleetConfig fc;
   fc.shards = 3;
   fc.max_batch = 16;
-  fc.batch_predictions = true;
   MonitorFleet fleet(fc);
   auto model = make_synthetic_model(spec);
   for (std::size_t c = 0; c < kChips; ++c)
@@ -117,18 +120,176 @@ TEST(MonitorFleet, UnbatchedPathMatchesToo) {
   SyntheticFleetSpec spec;
   constexpr std::size_t kChips = 3;
   constexpr std::uint64_t kSamples = 200;
-  FleetConfig fc;
-  fc.batch_predictions = false;
-  MonitorFleet fleet(fc);
+  MonitorFleet fleet;
   auto model = make_synthetic_model(spec);
+  // No shared model: every reading takes the monitor's per-sample path.
   for (std::size_t c = 0; c < kChips; ++c)
-    fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+    fleet.add_chip(make_synthetic_monitor(spec, model, false), nullptr);
   for (std::uint64_t t = 1; t <= kSamples; ++t)
     for (ChipId chip = 0; chip < kChips; ++chip)
       fleet.ingest(make_reading(chip, t, synthetic_reading(spec, chip, t)));
   fleet.pump();
   expect_matches_reference(fleet, run_reference(spec, kChips, kSamples),
                            kChips);
+}
+
+// ---- Fault-tolerant fleet ------------------------------------------------
+
+/// Chip 1's sensor 2 dies to a 0 V rail at kDeadRailAt (finite, so its
+/// readings still enter the fused kernel until the detector flags the
+/// sensor), and chip 2's sensor 4 reads NaN from kNanAt (non-finite, so
+/// those readings take the per-sample path from the start).
+constexpr std::uint64_t kDeadRailAt = 120;
+constexpr std::uint64_t kNanAt = 180;
+
+linalg::Vector faulty_reading(const SyntheticFleetSpec& spec, ChipId chip,
+                              std::uint64_t t) {
+  linalg::Vector r = synthetic_reading(spec, chip, t);
+  if (chip == 1 && t >= kDeadRailAt) r[2] = 0.0;
+  if (chip == 2 && t >= kNanAt) r[4] = std::numeric_limits<double>::quiet_NaN();
+  return r;
+}
+
+/// Standalone fault-tolerant monitors fed the same readings: their alarm
+/// events (latency aside) and the ChipStats a fleet must report for them.
+struct FaultTolerantReference {
+  std::vector<std::vector<AlarmEvent>> events;
+  std::vector<ChipStats> stats;
+};
+
+FaultTolerantReference run_fault_tolerant_reference(
+    const SyntheticFleetSpec& spec,
+    const std::shared_ptr<const core::PlacementModel>& model,
+    std::size_t num_chips, std::uint64_t samples) {
+  FaultTolerantReference ref;
+  for (ChipId chip = 0; chip < num_chips; ++chip) {
+    core::OnlineMonitor monitor = make_synthetic_monitor(spec, model, true);
+    std::vector<AlarmEvent> events;
+    bool prev = false;
+    for (std::uint64_t t = 1; t <= samples; ++t) {
+      const auto d = monitor.observe(faulty_reading(spec, chip, t));
+      EXPECT_FALSE(d.rejected) << "chip " << chip << " t " << t;
+      if (d.alarm != prev) {
+        AlarmEvent e;
+        e.chip = chip;
+        e.sequence = t;
+        e.asserted = d.alarm;
+        e.worst_voltage = d.worst_voltage;
+        e.worst_row = d.worst_row;
+        events.push_back(e);
+      }
+      prev = d.alarm;
+    }
+    ref.events.push_back(std::move(events));
+    const core::OnlineMonitor::Counters c = monitor.counters();
+    ChipStats want;
+    want.chip = chip;
+    want.mode = c.degraded ? ChipMode::kDegraded : ChipMode::kHealthy;
+    want.accepted = samples;
+    want.last_sequence = samples;
+    want.samples = c.samples;
+    want.alarm_samples = c.alarm_samples;
+    want.alarm_episodes = c.alarm_episodes;
+    want.degraded_samples = c.degraded_samples;
+    want.degraded_episodes = c.degraded_episodes;
+    want.alarm_active = c.alarm;
+    ref.stats.push_back(want);
+  }
+  return ref;
+}
+
+void expect_same_stats(const ChipStats& got, const ChipStats& want) {
+  const std::string tag = "chip " + std::to_string(want.chip);
+  EXPECT_EQ(got.chip, want.chip) << tag;
+  EXPECT_EQ(got.mode, want.mode) << tag;
+  EXPECT_EQ(got.accepted, want.accepted) << tag;
+  EXPECT_EQ(got.rejected_malformed, want.rejected_malformed) << tag;
+  EXPECT_EQ(got.rejected_nonfinite, want.rejected_nonfinite) << tag;
+  EXPECT_EQ(got.rejected_stale, want.rejected_stale) << tag;
+  EXPECT_EQ(got.dropped_quarantined, want.dropped_quarantined) << tag;
+  EXPECT_EQ(got.dropped_suspended, want.dropped_suspended) << tag;
+  EXPECT_EQ(got.shed, want.shed) << tag;
+  EXPECT_EQ(got.quarantine_episodes, want.quarantine_episodes) << tag;
+  EXPECT_EQ(got.last_sequence, want.last_sequence) << tag;
+  EXPECT_EQ(got.samples, want.samples) << tag;
+  EXPECT_EQ(got.alarm_samples, want.alarm_samples) << tag;
+  EXPECT_EQ(got.alarm_episodes, want.alarm_episodes) << tag;
+  EXPECT_EQ(got.degraded_samples, want.degraded_samples) << tag;
+  EXPECT_EQ(got.degraded_episodes, want.degraded_episodes) << tag;
+  EXPECT_EQ(got.alarm_active, want.alarm_active) << tag;
+}
+
+/// Feeds the faulty streams through a fault-tolerant fleet (pump mode, or
+/// threaded with one producer lane) and checks every chip's alarm events
+/// and ChipStats against the standalone monitors.
+void check_fault_tolerant_fleet(bool threaded) {
+  SyntheticFleetSpec spec;
+  constexpr std::size_t kChips = 4;
+  constexpr std::uint64_t kSamples = 300;
+  FleetConfig fc;
+  fc.shards = 2;
+  fc.max_batch = 16;
+  fc.queue_capacity = 4096;
+  MonitorFleet fleet(fc);
+  auto model = make_synthetic_model(spec);
+  for (std::size_t c = 0; c < kChips; ++c)
+    fleet.add_chip(make_synthetic_monitor(spec, model, true), model);
+
+  if (threaded) {
+    const ProducerId producer = fleet.register_producer();
+    fleet.start();
+    for (std::uint64_t t = 1; t <= kSamples; ++t)
+      for (ChipId chip = 0; chip < kChips; ++chip)
+        ASSERT_TRUE(fleet
+                        .ingest(producer,
+                                make_reading(chip, t,
+                                             faulty_reading(spec, chip, t)))
+                        .accepted);
+    fleet.stop();
+  } else {
+    for (std::uint64_t t = 1; t <= kSamples; ++t) {
+      for (ChipId chip = 0; chip < kChips; ++chip)
+        ASSERT_TRUE(
+            fleet.ingest(make_reading(chip, t, faulty_reading(spec, chip, t)))
+                .accepted);
+      if (t % 50 == 0) fleet.pump();
+    }
+    fleet.pump();
+  }
+
+  const FaultTolerantReference ref =
+      run_fault_tolerant_reference(spec, model, kChips, kSamples);
+  std::vector<std::vector<AlarmEvent>> got(kChips);
+  for (const AlarmEvent& e : fleet.drain_alarms()) got[e.chip].push_back(e);
+  for (ChipId chip = 0; chip < kChips; ++chip) {
+    ASSERT_EQ(got[chip].size(), ref.events[chip].size()) << "chip " << chip;
+    for (std::size_t i = 0; i < got[chip].size(); ++i) {
+      const AlarmEvent& g = got[chip][i];
+      const AlarmEvent& w = ref.events[chip][i];
+      EXPECT_EQ(g.sequence, w.sequence) << "chip " << chip << " event " << i;
+      EXPECT_EQ(g.asserted, w.asserted) << "chip " << chip << " event " << i;
+      EXPECT_EQ(std::memcmp(&g.worst_voltage, &w.worst_voltage,
+                            sizeof(double)),
+                0)
+          << "chip " << chip << " event " << i;
+      EXPECT_EQ(g.worst_row, w.worst_row) << "chip " << chip << " event " << i;
+    }
+    expect_same_stats(fleet.chip_stats(chip), ref.stats[chip]);
+  }
+  // The faults did bite: the dead rail and the NaN feed each put their
+  // chip into degraded operation, and the fleet still raised alarms.
+  EXPECT_GT(ref.stats[1].degraded_samples, 0u);
+  EXPECT_GT(ref.stats[2].degraded_samples, 0u);
+  EXPECT_EQ(ref.stats[0].degraded_samples, 0u);
+  EXPECT_GT(fleet.stats().alarm_events, 0u);
+}
+
+TEST(MonitorFleet, FaultTolerantFleetMatchesStandaloneMonitorsInPumpMode) {
+  check_fault_tolerant_fleet(/*threaded=*/false);
+}
+
+TEST(MonitorFleet, FaultTolerantFleetMatchesStandaloneMonitorsThreaded) {
+  check_fault_tolerant_fleet(/*threaded=*/true);
 }
 
 // ---- Admission / overload -----------------------------------------------
