@@ -203,7 +203,7 @@ void BM_GramMatrix(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(1));
   const auto z = random_matrix(m, 4000, 10);
   set_thread_count(threads);
-  for (auto _ : state) benchmark::DoNotOptimize(linalg::matmul_a_bt(z, z));
+  for (auto _ : state) benchmark::DoNotOptimize(linalg::matmul_a_at(z));
   set_thread_count(1);
   state.SetLabel("M=" + std::to_string(m) +
                  " N=4000 threads=" + std::to_string(threads));

@@ -153,7 +153,7 @@ std::vector<std::size_t> greedy_r2_select(
     double* dst = fc.row_data(r);
     for (std::size_t c = 0; c < n; ++c) dst[c] = row[c] - mu;
   }
-  linalg::Matrix a = linalg::matmul_a_bt(xc, xc);  // m x m
+  linalg::Matrix a = linalg::matmul_a_at(xc);      // m x m
   linalg::Matrix b = linalg::matmul_a_bt(fc, xc);  // k x m
 
   std::vector<std::size_t> selected;

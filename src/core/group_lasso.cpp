@@ -28,7 +28,7 @@ GroupLassoProblem GroupLassoProblem::from_data(const linalg::Matrix& z,
   // Scale by 1/N so the Gram entries are O(1) correlations; the constrained
   // solution path is invariant to this uniform objective scaling.
   const double inv_n = 1.0 / static_cast<double>(p.samples);
-  p.gram = linalg::matmul_a_bt(z, z);
+  p.gram = linalg::matmul_a_at(z);
   p.gram *= inv_n;
   p.cross = linalg::matmul_a_bt(g, z);
   p.cross *= inv_n;

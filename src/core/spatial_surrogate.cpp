@@ -130,7 +130,7 @@ PredictionFit SpatialSurrogate::fit_core(
 
     // Ridge normal equations in standardized space:
     //   (Z Zᵀ + ridge·N·I) w_std = Z y.
-    const linalg::Matrix gram = linalg::matmul_a_bt(z, z);
+    const linalg::Matrix gram = linalg::matmul_a_at(z);
     const linalg::Vector rhs = linalg::matvec(z, y);
     const double base = opts.ridge * static_cast<double>(n);
     linalg::Vector w_std(d);

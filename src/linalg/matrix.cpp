@@ -211,17 +211,20 @@ void matmul_at_b_rows(const Matrix& a, const Matrix& b, Matrix& c,
 /// time) sweeps the panel with one running accumulator per output element,
 /// k strictly ascending — the same per-element chain as a plain sequential
 /// dot, so results are bit-identical to the naive kernel at any SIMD
-/// setting.
+/// setting. With `lower` set, row i only meets the panels and tail columns
+/// j ≤ i (a diagonal panel also fills its 4×4 block's upper corner): the
+/// lower triangle of a symmetric A·Aᵀ.
 void matmul_a_bt_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                      std::size_t i0, std::size_t i1) {
+                      std::size_t i0, std::size_t i1, bool lower = false) {
   const std::size_t nk = a.cols();
   const std::size_t nj = b.rows();
   std::vector<double> panel(kern::kPanelWidth * nk);
   std::size_t jb = 0;
   for (; jb + kern::kPanelWidth <= nj; jb += kern::kPanelWidth) {
+    std::size_t i = lower ? std::max(i0, jb) : i0;
+    if (i >= i1) return;  // so is every later panel and tail column
     kern::pack_panel(nk, b.row_data(jb), b.row_data(jb + 1),
                      b.row_data(jb + 2), b.row_data(jb + 3), panel.data());
-    std::size_t i = i0;
     for (; i + 2 <= i1; i += 2) {
       kern::dot_panel2(nk, a.row_data(i), a.row_data(i + 1), panel.data(),
                        c.row_data(i) + jb, c.row_data(i + 1) + jb);
@@ -232,7 +235,7 @@ void matmul_a_bt_rows(const Matrix& a, const Matrix& b, Matrix& c,
   // Ragged tail columns (nj % 4): plain sequential dots.
   for (; jb < nj; ++jb) {
     const double* brow = b.row_data(jb);
-    for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t i = lower ? std::max(i0, jb) : i0; i < i1; ++i) {
       const double* arow = a.row_data(i);
       double s = 0.0;
       for (std::size_t k = 0; k < nk; ++k) s += arow[k] * brow[k];
@@ -311,6 +314,20 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   dispatch_rows(a.rows(), flops, [&](std::size_t i0, std::size_t i1) {
     matmul_a_bt_rows(a, b, c, i0, i1);
   });
+  return c;
+}
+
+Matrix matmul_a_at(const Matrix& a) {
+  const std::size_t m = a.rows();
+  Matrix c(m, m);
+  const double flops = 0.5 * static_cast<double>(m) *
+                       static_cast<double>(m + 1) *
+                       static_cast<double>(a.cols());
+  dispatch_rows(m, flops, [&](std::size_t i0, std::size_t i1) {
+    matmul_a_bt_rows(a, a, c, i0, i1, /*lower=*/true);
+  });
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = i + 1; j < m; ++j) c(i, j) = c(j, i);
   return c;
 }
 

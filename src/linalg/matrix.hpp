@@ -95,6 +95,10 @@ Matrix matmul_reference(const Matrix& a, const Matrix& b);
 Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 /// C = A * B^T without materializing B^T.
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
+/// The symmetric Gram C = A * A^T at half the work: the lower triangle by
+/// matmul_a_bt's kernel, mirrored. Bit-identical to matmul_a_bt(a, a),
+/// and exactly symmetric.
+Matrix matmul_a_at(const Matrix& a);
 /// y = A * x.
 Vector matvec(const Matrix& a, const Vector& x);
 /// y = A^T * x.

@@ -46,7 +46,7 @@ Matrix covariance(const Matrix& data) {
     double* dst = centered.row_data(r);
     for (std::size_t c = 0; c < n; ++c) dst[c] = src[c] - mu[r];
   }
-  Matrix cov = matmul_a_bt(centered, centered);
+  Matrix cov = matmul_a_at(centered);
   cov *= 1.0 / static_cast<double>(n - 1);
   return cov;
 }

@@ -529,12 +529,17 @@ TEST(SimdKernels, MatmulFamilyBitIdenticalAcrossSimdAndThreads) {
   ThreadCountGuard tguard;
   SimdGuard sguard;
   // Odd/prime/empty shapes, plus one large enough (160·131·97 ≈ 4 Mflop)
-  // that dispatch_rows actually fans out at 2+ threads.
+  // that dispatch_rows actually fans out at 2+ threads. The Gram rows
+  // r ∈ {1, 3, 4, 5, 9, 30} with k not a multiple of 4 cover every
+  // panel/tail split of matmul_a_at; 30·31/2·16383 ≈ 7.6 Mflop fans its
+  // triangle out too.
   struct Shape {
     std::size_t r, k, c;
   };
-  const Shape shapes[] = {{1, 1, 1}, {3, 5, 2},  {7, 13, 5},   {17, 31, 8},
-                          {0, 4, 2}, {3, 0, 2},  {3, 5, 0},    {160, 131, 97}};
+  const Shape shapes[] = {{1, 1, 1},  {3, 5, 2},     {7, 13, 5},
+                          {17, 31, 8}, {0, 4, 2},     {3, 0, 2},
+                          {3, 5, 0},  {160, 131, 97}, {4, 7, 3},
+                          {5, 9, 2},  {9, 11, 4},     {30, 16383, 2}};
   for (const Shape& s : shapes) {
     Rng rng(900 + s.r + s.k + s.c);
     linalg::Matrix a(s.r, s.k), b(s.k, s.c);
@@ -563,6 +568,13 @@ TEST(SimdKernels, MatmulFamilyBitIdenticalAcrossSimdAndThreads) {
         EXPECT_TRUE(matrices_identical(c2, want)) << "matmul_at_b" << tag;
         const linalg::Matrix c3 = linalg::matmul_a_bt(a, bt);
         EXPECT_TRUE(matrices_identical(c3, want)) << "matmul_a_bt" << tag;
+        // The symmetric Gram computes each lower entry by the same chain
+        // and mirrors it: equal to A·Aᵀ bytewise, and exactly symmetric.
+        const linalg::Matrix gram = linalg::matmul_a_at(a);
+        EXPECT_TRUE(matrices_identical(gram, linalg::matmul_a_bt(a, a)))
+            << "matmul_a_at" << tag;
+        EXPECT_TRUE(matrices_identical(gram, gram.transposed()))
+            << "matmul_a_at symmetry" << tag;
       }
     }
   }
