@@ -68,6 +68,14 @@ namespace {
 /// AISTATS 2021): every kAndersonDepth + 1 working-set sweeps are combined.
 constexpr std::size_t kAndersonDepth = 5;
 
+/// A working-set solve stops once its restricted gap is within this
+/// fraction of the full problem's gap at the start of the outer iteration
+/// (Massias, Gramfort & Salmon, "Celer: a fast solver for the Lasso with
+/// dual extrapolation", ICML 2018): solving a working set the next full
+/// sweep still changes to the final tolerance is wasted work. 0.3 took the
+/// fewest sweeps of 0.1, 0.2, 0.3, 0.5 and 0.7 on the Table-2 fit.
+constexpr double kInnerGapFraction = 0.3;
+
 /// Primal value and relative duality gap of the penalized problem at β,
 /// computed from the maintained product P = βA (Ndiaye et al., JMLR 2017).
 /// The dual point is the residual G − βZ scaled into the dual feasible set,
@@ -246,6 +254,8 @@ GroupLassoResult GroupLasso::solve_penalized(
   static metrics::Counter& sweeps = metrics::counter("gl.sweeps");
   static metrics::Counter& breakdowns = metrics::counter("gl.breakdowns");
   static metrics::Counter& cap_hits = metrics::counter("gl.cap_hits");
+  static metrics::Counter& working_sets =
+      metrics::counter("gl.working_sets");
   static metrics::Histogram& sweeps_per_solve = metrics::histogram(
       "gl.sweeps_per_solve", metrics::default_iteration_buckets());
   static metrics::Histogram& gaps = metrics::histogram("gl.duality_gap", [] {
@@ -255,9 +265,11 @@ GroupLassoResult GroupLasso::solve_penalized(
   }());
   solves.add();
   sweeps.add(result.iterations);
+  working_sets.add(result.working_sets);
   sweeps_per_solve.observe(static_cast<double>(result.iterations));
   span.arg("mu", mu);
   span.arg("sweeps", static_cast<double>(result.iterations));
+  span.arg("working_sets", static_cast<double>(result.working_sets));
   // On numerical breakdown the coefficients are garbage; leave the summary
   // fields zeroed rather than propagating NaN through them.
   if (!result.status.ok()) {
@@ -298,7 +310,8 @@ GroupLassoResult GroupLasso::solve_bcd(
   // working set S (the nonzero groups); A_SS, B_S, β_S and P_S are gathered
   // into contiguous blocks, so an inner group update costs K·|S| instead of
   // K·M; the inner sweeps, Anderson-extrapolated, run until the restricted
-  // problem's gap is within tolerance; then β_S is scattered back.
+  // problem's gap is within max(tolerance, kInnerGapFraction × the full
+  // gap); then β_S is scattered back. Only the full gap certifies.
   std::vector<std::size_t> active;
   std::vector<linalg::Matrix> xs(kAndersonDepth + 1), ps(kAndersonDepth + 1);
   linalg::Matrix beta_x, p_x;
@@ -325,6 +338,9 @@ GroupLassoResult GroupLasso::solve_bcd(
       }
     }
     if (active.empty()) continue;
+    ++result.working_sets;
+    const double inner_tolerance =
+        std::max(options_.tolerance, kInnerGapFraction * full.gap);
     const linalg::Matrix a_s = a.select_rows(active).select_cols(active);
     const linalg::Matrix b_s = b.select_cols(active);
     linalg::Matrix beta_s = beta.select_cols(active);
@@ -353,7 +369,7 @@ GroupLassoResult GroupLasso::solve_bcd(
         }
       }
       if (!std::isfinite(cert.gap)) return breakdown();
-      if (cert.gap <= options_.tolerance) break;
+      if (cert.gap <= inner_tolerance) break;
     }
     for (std::size_t j = 0; j < active.size(); ++j)
       for (std::size_t k = 0; k < k_count; ++k)

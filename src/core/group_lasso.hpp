@@ -16,7 +16,13 @@
 // computed from the maintained product P = βA. Its inner sweeps run on the
 // working set of nonzero groups, gathered into contiguous blocks, with
 // Anderson extrapolation of the iterates (Bertrand & Massias, "Anderson
-// acceleration of coordinate descent", AISTATS 2021).
+// acceleration of coordinate descent", AISTATS 2021). Each working-set
+// solve is inexact: it stops once the restricted problem's relative gap is
+// at most max(tolerance, 0.3 × the full problem's gap at the start of that
+// outer iteration) (Massias, Gramfort & Salmon, "Celer: a fast solver for
+// the Lasso with dual extrapolation", ICML 2018), or at the sweep cap. The
+// restricted gap never certifies a solve; only the full gap, from a freshly
+// rebuilt P, does.
 //
 // Everything works on Gram matrices A = Z Zᵀ (M×M) and B = G Zᵀ (K×M), so
 // the per-iteration cost is independent of the sample count N.
@@ -69,6 +75,9 @@ struct GroupLassoResult {
   /// Final relative duality gap (primal − dual) / primal at penalty_weight.
   double duality_gap = 0.0;
   std::size_t iterations = 0;
+  /// BCD working sets gathered: one per outer iteration whose full sweep
+  /// left a nonzero group. Always 0 for FISTA.
+  std::size_t working_sets = 0;
   /// The stop rule was met (BCD: duality_gap ≤ tolerance); false means the
   /// sweep cap stopped the solve first.
   bool converged = false;

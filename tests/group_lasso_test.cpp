@@ -386,6 +386,39 @@ TEST(GroupLasso, BcdCertifiesStronglyCorrelatedDesign) {
   EXPECT_LT(kkt_violation(problem, result, mu), 1e-5);
 }
 
+TEST(GroupLasso, WrongFirstWorkingSetStillCertifies) {
+  // Working-set solves stop at a fraction of the outer gap, so a wrong
+  // working set is never solved to the end. Warm starts whose nonzero
+  // groups are too few (the solution at 10μ) or all of them (a dense
+  // random β) must still end certified on the tightly solved selection.
+  const Planted p = make_field(40, 20, 400, 8, 8.0, 0.02, 2);
+  const auto problem = GroupLassoProblem::from_data(p.z, p.g);
+  GroupLasso solver(problem);
+  const double mu = solver.mu_max() * 0.02;
+  GroupLassoOptions tight;
+  tight.tolerance = 1e-13;
+  const auto reference = GroupLasso(problem, tight).solve_penalized(mu);
+  ASSERT_TRUE(reference.converged);
+
+  const auto sparse = solver.solve_penalized(10.0 * mu);
+  ASSERT_LT(sparse.active_groups(1e-3).size(),
+            reference.active_groups(1e-3).size());
+  linalg::Matrix dense(problem.num_responses(), problem.num_groups());
+  vmap::Rng rng(3);
+  for (std::size_t k = 0; k < dense.rows(); ++k)
+    for (std::size_t m = 0; m < dense.cols(); ++m) dense(k, m) = rng.normal();
+  const std::pair<const char*, linalg::Matrix> starts[] = {
+      {"10x mu", sparse.beta}, {"dense random", dense}};
+  for (const auto& [name, warm] : starts) {
+    const auto result = solver.solve_penalized(mu, warm);
+    EXPECT_TRUE(result.converged) << name;
+    EXPECT_LE(result.duality_gap, solver.options().tolerance) << name;
+    EXPECT_LT(kkt_violation(problem, result, mu), 1e-5) << name;
+    EXPECT_EQ(result.active_groups(1e-3), reference.active_groups(1e-3))
+        << name;
+  }
+}
+
 TEST(GroupLasso, CandidateOrderDoesNotChangeTheSelection) {
   // Metamorphic: permuting the candidates permutes the group norms and
   // leaves the selected set unchanged.

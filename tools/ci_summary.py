@@ -20,8 +20,9 @@ Three sections, each emitted only when its input is present:
   comparison columns. Report tags (backend names etc.) are shown next
   to the bench name so ablation rows are self-describing. Reports whose
   metrics snapshot holds group-lasso solves also get one line with the
-  `gl.cap_hits` count and the largest final `gl.duality_gap` (the upper
-  edge of its highest non-empty bucket); any cap hit is flagged.
+  `gl.cap_hits` count, the `gl.sweeps` and `gl.working_sets` totals and
+  the largest final `gl.duality_gap` (the upper edge of its highest
+  non-empty bucket); any cap hit is flagged.
 
 Always exits 0 — the summary must never fail a job; gating is
 perf_gate's business. Unreadable inputs degrade to a note in the output.
@@ -117,6 +118,12 @@ def gl_section(report):
     icon = ":white_check_mark:" if cap_hits == 0 else ":x:"
     line = (f"**Group lasso:** {icon} {cap_hits} cap hit(s) in {solves} "
             f"penalized solves")
+    effort = [f"{int(counters[name] or 0)} {label}"
+              for name, label in (("gl.sweeps", "sweeps"),
+                                  ("gl.working_sets", "working sets"))
+              if name in counters]
+    if effort:
+        line += f" ({', '.join(effort)})"
     if gap:
         line += f"; largest final duality gap {gap}"
     print(line)
