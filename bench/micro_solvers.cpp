@@ -132,7 +132,15 @@ void BM_SkylineSolveLanes(benchmark::State& state) {
   state.SetLabel("96x96 grid, " + std::to_string(lanes) + " lanes, " +
                  linalg::kern::simd_level());
 }
-BENCHMARK(BM_SkylineSolveLanes)->Arg(1)->Arg(4)->Arg(8);
+// 5 is a set-up collect chunk's width, 20 perf_suite's one-thread width,
+// 16 a wider reference point.
+BENCHMARK(BM_SkylineSolveLanes)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(20);
 
 void BM_PcgIc0Solve(benchmark::State& state) {
   const grid::PowerGrid grid(bench_grid(static_cast<std::size_t>(state.range(0))));
@@ -150,18 +158,30 @@ void BM_PcgIc0Solve(benchmark::State& state) {
 }
 BENCHMARK(BM_PcgIc0Solve)->Arg(32)->Arg(64)->Arg(96);
 
+// One step of a `lanes`-wide simulator: rhs assembly, both sweeps and the
+// scatter back to node order. items/s counts lane-steps.
 void BM_TransientStep(benchmark::State& state) {
-  const grid::PowerGrid grid(bench_grid(static_cast<std::size_t>(state.range(0))));
-  grid::TransientSim sim(grid, 100e-12);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  const grid::PowerGrid grid(bench_grid(n));
+  grid::TransientSim sim(grid, 100e-12, grid::StepSolver::kDirect, lanes);
   Rng rng(5);
-  linalg::Vector load(grid.node_count());
-  for (std::size_t i = 0; i < load.size(); ++i)
-    load[i] = rng.bernoulli(0.3) ? 1e-3 : 0.0;
-  for (auto _ : state) benchmark::DoNotOptimize(sim.step(load));
-  state.SetLabel(std::to_string(state.range(0)) + "x" +
-                 std::to_string(state.range(0)) + " grid");
+  std::vector<linalg::Vector> loads(lanes, linalg::Vector(grid.node_count()));
+  for (linalg::Vector& load : loads)
+    for (std::size_t i = 0; i < load.size(); ++i)
+      load[i] = rng.bernoulli(0.3) ? 1e-3 : 0.0;
+  for (auto _ : state) benchmark::DoNotOptimize(sim.step(loads).data());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes));
+  state.SetLabel(std::to_string(n) + "x" + std::to_string(n) + " grid, " +
+                 std::to_string(lanes) + " lanes, " +
+                 linalg::kern::simd_level());
 }
-BENCHMARK(BM_TransientStep)->Arg(32)->Arg(64)->Arg(96);
+BENCHMARK(BM_TransientStep)
+    ->Args({32, 1})
+    ->Args({64, 1})
+    ->Args({96, 1})
+    ->Args({96, 5});
 
 // --- dense matmul: naive reference vs the cache-blocked kernel, and the
 // blocked kernel's thread scaling (labels carry a threads= column). The

@@ -1,6 +1,7 @@
 #include "grid/transient.hpp"
 
 #include "sparse/csr.hpp"
+#include "sparse/ordering.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -50,8 +51,9 @@ TransientSim::TransientSim(const PowerGrid& grid, double dt, StepSolver solver,
       dt_(dt),
       solver_kind_(solver),
       lanes_(lanes),
+      stride_(sparse::SkylineCholesky::panel_stride(lanes)),
       c_over_dt_(grid.node_count()),
-      rhs_(grid.node_count() * lanes),
+      rhs_(grid.node_count() * stride_),
       v_(grid.node_count() * lanes, grid.config().vdd),
       pad_currents_(grid.pad_nodes().size() * lanes) {
   VMAP_REQUIRE(dt > 0.0, "time step must be positive");
@@ -75,8 +77,45 @@ TransientSim::TransientSim(const PowerGrid& grid, double dt, StepSolver solver,
 
   if (solver_kind_ == StepSolver::kDirect) {
     direct_ = std::make_unique<sparse::SkylineCholesky>(step_matrix_);
+    use_order(direct_->permutation());
   } else {
     pcg_precond_ = sparse::ic0_preconditioner(step_matrix_);
+    use_order(sparse::identity_permutation(grid_.node_count()));
+  }
+}
+
+void TransientSim::use_order(std::vector<std::size_t> order) {
+  order_ = std::move(order);
+  const std::vector<std::size_t> slot = sparse::invert_permutation(order_);
+  pad_slot_.clear();
+  for (std::size_t pad : grid_.pad_nodes()) pad_slot_.push_back(slot[pad]);
+}
+
+void TransientSim::assemble_rhs(std::span<const linalg::Vector> loads) {
+  // C/dt·v − I (+ the pad term), in the reference's operation order
+  // ((C/dt·v) − I) + pad, for node order_[r] at row r. Padding lanes are
+  // never written: they hold zeros, which the sweeps keep at zero.
+  const std::size_t w = lanes_;
+  const std::size_t s = stride_;
+  for (std::size_t r = 0; r < order_.size(); ++r) {
+    const std::size_t node = order_[r];
+    const double g = c_over_dt_[node];
+    const double* v = v_.data() + node * w;
+    double* y = rhs_.data() + r * s;
+    for (std::size_t c = 0; c < w; ++c) {
+      const linalg::Vector& load = loads[c];
+      y[c] = node < load.size() ? g * v[c] - load[node] : g * v[c];
+    }
+  }
+  const double vdd = grid_.config().vdd;
+  const auto& pads = grid_.pad_nodes();
+  const auto& injection = grid_.pad_injection();
+  for (std::size_t p = 0; p < pads.size(); ++p) {
+    double* y = rhs_.data() + pad_slot_[p] * s;
+    for (std::size_t c = 0; c < w; ++c)
+      y[c] += inductive_
+                  ? g_eff_ * vdd + history_gain_ * pad_currents_[p * w + c]
+                  : injection[pads[p]];
   }
 }
 
@@ -102,32 +141,15 @@ const linalg::Vector& TransientSim::step(
   TraceSpan span("transient.step");
   static metrics::Counter& steps_total = metrics::counter("transient.steps");
   steps_total.add(w);
-  const double vdd = grid_.config().vdd;
 
-  // rhs = C/dt·v − I (+ pad terms), element by element in each lane.
-  const std::size_t n = grid_.node_count();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t c = 0; c < w; ++c)
-      rhs_[i * w + c] = c_over_dt_[i] * v_[i * w + c];
-  for (std::size_t c = 0; c < w; ++c) {
-    const linalg::Vector& load = load_currents[c];
-    for (std::size_t i = 0; i < load.size(); ++i) rhs_[i * w + c] -= load[i];
-  }
-
-  const auto& pads = grid_.pad_nodes();
-  if (inductive_) {
-    for (std::size_t p = 0; p < pads.size(); ++p)
-      for (std::size_t c = 0; c < w; ++c)
-        rhs_[pads[p] * w + c] +=
-            g_eff_ * vdd + history_gain_ * pad_currents_[p * w + c];
-  } else {
-    const auto& injection = grid_.pad_injection();
-    for (std::size_t pad : pads)
-      for (std::size_t c = 0; c < w; ++c) rhs_[pad * w + c] += injection[pad];
-  }
-
+  assemble_rhs(load_currents);
   if (solver_kind_ == StepSolver::kDirect || pcg_degraded_) {
-    direct_->solve_lanes(w, rhs_.data(), v_.data());
+    // The sweeps turn the factor-order rhs into the new voltages in place;
+    // scatter them back to node order once.
+    direct_->solve_in_factor_order(stride_, rhs_.data());
+    for (std::size_t r = 0; r < order_.size(); ++r)
+      for (std::size_t c = 0; c < w; ++c)
+        v_[order_[r] * w + c] = rhs_[r * stride_ + c];
   } else {
     StatusOr<sparse::CgResult> result = sparse::conjugate_gradient_checked(
         step_matrix_, rhs_, pcg_precond_, cg_options_);
@@ -138,6 +160,8 @@ const linalg::Vector& TransientSim::step(
     }
   }
 
+  const double vdd = grid_.config().vdd;
+  const auto& pads = grid_.pad_nodes();
   if (inductive_) {
     for (std::size_t p = 0; p < pads.size(); ++p)
       for (std::size_t c = 0; c < w; ++c)
@@ -190,6 +214,7 @@ void TransientSim::solve_with_fallback(
   if (!direct_) direct_ = std::make_unique<sparse::SkylineCholesky>(step_matrix_);
   v_ = direct_->solve(rhs);
   pcg_degraded_ = true;
+  use_order(direct_->permutation());
   if (report_)
     report_->record("transient_step", ResilienceAction::kFallback,
                     "PCG unrecoverable; permanently degraded to skyline "

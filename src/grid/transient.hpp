@@ -19,15 +19,23 @@
 //
 // A simulator carries a fixed number of lanes: independent simulations of
 // the same grid that advance in lockstep, one load vector each, through the
-// one factorization (SkylineCholesky::solve_lanes). Node voltages and pad
-// currents are stored lane-interleaved (node i of lane c at [i*lanes + c]),
-// so the one-lane simulator is the plain per-node layout. Every lane is
-// bit-identical to a one-lane simulator fed the same loads; dataset
-// collection uses this to step a chunk's benchmarks together.
+// one factorization. Node voltages and pad currents are stored
+// lane-interleaved (node i of lane c at [i*lanes + c]), so the one-lane
+// simulator is the plain per-node layout. Every lane is bit-identical to a
+// one-lane simulator fed the same loads; dataset collection uses this to
+// step a chunk's benchmarks together.
+//
+// A step assembles C/dt·v − I + pad terms in one pass straight into a
+// buffer the simulator owns, already in the factor's permuted row order
+// and padded to the solve's lane panel width
+// (SkylineCholesky::solve_in_factor_order); the sweeps run in place on it
+// and the new voltages are scattered back to node order once. The PCG
+// path assembles through the same routine with the identity order.
 
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "grid/power_grid.hpp"
 #include "linalg/vector.hpp"
@@ -101,11 +109,16 @@ class TransientSim {
   /// lazily built direct factorization (permanent degradation).
   void solve_with_fallback(const linalg::Vector& rhs,
                            const StatusOr<sparse::CgResult>& failed);
+  /// Sets the rhs row order (row r is node order[r]) and the pad rows.
+  void use_order(std::vector<std::size_t> order);
+  /// Writes every lane's step right-hand side into rhs_, in order_.
+  void assemble_rhs(std::span<const linalg::Vector> loads);
 
   const PowerGrid& grid_;
   double dt_;
   StepSolver solver_kind_;
   std::size_t lanes_;
+  std::size_t stride_;  ///< rhs_ row stride: lanes padded to the panel width
   bool inductive_ = false;
   double g_eff_ = 0.0;       ///< effective pad conductance 1/(R + L/dt)
   double history_gain_ = 0.0;  ///< g_eff * L/dt
@@ -116,7 +129,9 @@ class TransientSim {
   ResilienceReport* report_ = nullptr;  // not owned
   bool pcg_degraded_ = false;  ///< PCG path permanently escalated to direct
   linalg::Vector c_over_dt_;
-  linalg::Vector rhs_;  // lane-interleaved, like v_
+  std::vector<std::size_t> order_;     ///< rhs_ row -> node
+  std::vector<std::size_t> pad_slot_;  ///< pad index -> rhs_ row
+  linalg::Vector rhs_;  ///< row r of lane c at [r * stride_ + c], in order_
   linalg::Vector v_;
   linalg::Vector pad_currents_;
   std::size_t steps_ = 0;

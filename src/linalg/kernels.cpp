@@ -1,5 +1,6 @@
 #include "linalg/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -338,73 +339,216 @@ VMAP_AVX2 void dot_panel2(std::size_t n, const double* a, const double* b,
   _mm256_storeu_pd(out_b, acc_b);
 }
 
-// Envelope sweeps for s % 4 == 0. Each vector lane is one interleaved
-// right-hand side with its own accumulator and ascending k, so the chain
-// per lane is the scalar reference's; the 8-lane panel runs two
-// independent chains per k to hide the subtraction latency.
-VMAP_AVX2 void lane_forward(const Envelope& l, std::size_t s, double* y) {
-  for (std::size_t i = 0; i < l.n; ++i) {
-    const double* li = l.values + l.start[i];
-    const std::size_t len = i - l.first[i];
-    const __m256d d = _mm256_set1_pd(l.diag[i]);
-    double* yi = y + i * s;
-    std::size_t c = 0;
-    for (; c + 8 <= s; c += 8) {
-      const double* yc = y + l.first[i] * s + c;
-      __m256d a0 = _mm256_loadu_pd(yi + c);
-      __m256d a1 = _mm256_loadu_pd(yi + c + 4);
-      for (std::size_t k = 0; k < len; ++k) {
-        const __m256d lk = _mm256_set1_pd(li[k]);
-        a0 = _mm256_sub_pd(a0, _mm256_mul_pd(lk, _mm256_loadu_pd(yc + k * s)));
-        a1 = _mm256_sub_pd(a1,
-                           _mm256_mul_pd(lk, _mm256_loadu_pd(yc + k * s + 4)));
-      }
-      _mm256_storeu_pd(yi + c, _mm256_div_pd(a0, d));
-      _mm256_storeu_pd(yi + c + 4, _mm256_div_pd(a1, d));
-    }
-    if (c < s) {
-      const double* yc = y + l.first[i] * s + c;
-      __m256d a0 = _mm256_loadu_pd(yi + c);
-      for (std::size_t k = 0; k < len; ++k)
-        a0 = _mm256_sub_pd(a0, _mm256_mul_pd(_mm256_set1_pd(li[k]),
-                                             _mm256_loadu_pd(yc + k * s)));
-      _mm256_storeu_pd(yi + c, _mm256_div_pd(a0, d));
-    }
+// Envelope sweeps. Every (row, lane) pair keeps the scalar reference's
+// chain — its own accumulator, k ascending in the forward sweep and rows
+// descending in the backward sweep, separate mul and sub, one division —
+// so the blocking below only changes how many chains share each load.
+//
+// Panel<W> is W interleaved lanes of one row: a double (W = 1), one vector
+// (4) or two (8). sub_mul(l, y) is `this -= l * y`, lane by lane.
+template <std::size_t W>
+struct Panel;
+
+template <>
+struct Panel<1> {
+  double v;
+  VMAP_AVX2 static Panel load(const double* p) { return {*p}; }
+  VMAP_AVX2 void store(double* p) const { *p = v; }
+  VMAP_AVX2 void sub_mul(double l, const Panel& y) { v -= l * y.v; }
+  VMAP_AVX2 void div(double d) { v /= d; }
+};
+
+template <>
+struct Panel<4> {
+  __m256d v;
+  VMAP_AVX2 static Panel load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  VMAP_AVX2 void store(double* p) const { _mm256_storeu_pd(p, v); }
+  VMAP_AVX2 void sub_mul(double l, const Panel& y) {
+    v = _mm256_sub_pd(v, _mm256_mul_pd(_mm256_set1_pd(l), y.v));
+  }
+  VMAP_AVX2 void div(double d) { v = _mm256_div_pd(v, _mm256_set1_pd(d)); }
+};
+
+template <>
+struct Panel<8> {
+  Panel<4> lo, hi;
+  VMAP_AVX2 static Panel load(const double* p) {
+    return {Panel<4>::load(p), Panel<4>::load(p + 4)};
+  }
+  VMAP_AVX2 void store(double* p) const {
+    lo.store(p);
+    hi.store(p + 4);
+  }
+  VMAP_AVX2 void sub_mul(double l, const Panel& y) {
+    lo.sub_mul(l, y.lo);
+    hi.sub_mul(l, y.hi);
+  }
+  VMAP_AVX2 void div(double d) {
+    lo.div(d);
+    hi.div(d);
+  }
+};
+
+// Forward substitution of rows i0 .. i0+R-1 for the W-lane panel at y.
+// Row j's columns split into a private prefix [first_j, f), the range
+// [f, i0) that all R rows share — where each y_k load feeds R accumulator
+// chains — and the block's own earlier rows, taken in row order. With
+// f = min(max_j first_j, i0) this holds for any envelope, sorted or not.
+template <std::size_t W, std::size_t R>
+VMAP_AVX2 inline void forward_rows(const Envelope& l, std::size_t s,
+                                   std::size_t i0, double* y) {
+  Panel<W> acc[R];
+  const double* row[R];
+  std::size_t first[R];
+  std::size_t f = 0;
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < R; ++j) {
+    first[j] = l.first[i0 + j];
+    row[j] = l.values + l.start[i0 + j];  // L(i0+j, k) at row[j][k - first[j]]
+    acc[j] = Panel<W>::load(y + (i0 + j) * s);
+    f = std::max(f, first[j]);
+  }
+  f = std::min(f, i0);
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < R; ++j)
+    for (std::size_t k = first[j]; k < f; ++k)
+      acc[j].sub_mul(row[j][k - first[j]], Panel<W>::load(y + k * s));
+  for (std::size_t k = f; k < i0; ++k) {
+    const Panel<W> yk = Panel<W>::load(y + k * s);
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < R; ++j)
+      acc[j].sub_mul(row[j][k - first[j]], yk);
+  }
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < R; ++j) {
+    for (std::size_t k = std::max(first[j], i0); k < i0 + j; ++k)
+      acc[j].sub_mul(row[j][k - first[j]], Panel<W>::load(y + k * s));
+    acc[j].div(l.diag[i0 + j]);
+    acc[j].store(y + (i0 + j) * s);
   }
 }
 
-VMAP_AVX2 void lane_backward(const Envelope& l, std::size_t s, double* y) {
-  for (std::size_t i = l.n; i-- > 0;) {
-    const double* li = l.values + l.start[i];
-    const std::size_t len = i - l.first[i];
-    const __m256d d = _mm256_set1_pd(l.diag[i]);
-    double* yi = y + i * s;
-    std::size_t c = 0;
-    for (; c + 8 <= s; c += 8) {
-      double* yc = y + l.first[i] * s + c;
-      const __m256d b0 = _mm256_div_pd(_mm256_loadu_pd(yi + c), d);
-      const __m256d b1 = _mm256_div_pd(_mm256_loadu_pd(yi + c + 4), d);
-      _mm256_storeu_pd(yi + c, b0);
-      _mm256_storeu_pd(yi + c + 4, b1);
-      for (std::size_t k = 0; k < len; ++k) {
-        const __m256d lk = _mm256_set1_pd(li[k]);
-        double* p = yc + k * s;
-        _mm256_storeu_pd(
-            p, _mm256_sub_pd(_mm256_loadu_pd(p), _mm256_mul_pd(lk, b0)));
-        _mm256_storeu_pd(
-            p + 4, _mm256_sub_pd(_mm256_loadu_pd(p + 4), _mm256_mul_pd(lk, b1)));
-      }
+/// forward_rows over every lane panel of a stride: 8-lane panels, then a
+/// 4-lane one; stride 1 is the one-lane sweep.
+template <std::size_t R>
+VMAP_AVX2 inline void forward_lanes(const Envelope& l, std::size_t s,
+                                    std::size_t i0, double* y) {
+  if (s == 1) return forward_rows<1, R>(l, 1, i0, y);
+  std::size_t c = 0;
+  for (; c + 8 <= s; c += 8) forward_rows<8, R>(l, s, i0, y + c);
+  if (c < s) forward_rows<4, R>(l, s, i0, y + c);
+}
+
+VMAP_AVX2 void lane_forward(const Envelope& l, std::size_t s, double* y) {
+  std::size_t i = 0;
+  for (; i + 4 <= l.n; i += 4) forward_lanes<4>(l, s, i, y);
+  for (; i < l.n; ++i) forward_lanes<1>(l, s, i, y);
+}
+
+// Back substitution of rows i and h = i-1 for the W-lane panel at y: x_i,
+// row i's update of y_h, x_h; then every y_k both rows reach gets one
+// load, (y_k - L(i,k)·x_i) - L(h,k)·x_h and one store, k walking down, and
+// the longer row finishes alone. Any pair of envelopes fuses this way.
+template <std::size_t W>
+VMAP_AVX2 inline void backward_pair(const Envelope& l, std::size_t s,
+                                    std::size_t i, double* y) {
+  const std::size_t h = i - 1;
+  const std::size_t fa = l.first[i], fb = l.first[h];
+  const double* la = l.values + l.start[i];  // L(i, k) at la[k - fa]
+  const double* lb = l.values + l.start[h];  // L(h, k) at lb[k - fb]
+  Panel<W> xa = Panel<W>::load(y + i * s);
+  xa.div(l.diag[i]);
+  xa.store(y + i * s);
+  Panel<W> xb = Panel<W>::load(y + h * s);
+  if (fa < i) xb.sub_mul(la[h - fa], xa);
+  xb.div(l.diag[h]);
+  xb.store(y + h * s);
+  const std::size_t ea = std::min(fa, h);  // row i still owes [ea, h)
+  const std::size_t mid = std::max(ea, fb);
+  for (std::size_t k = h; k-- > mid;) {
+    Panel<W> yk = Panel<W>::load(y + k * s);
+    yk.sub_mul(la[k - fa], xa);
+    yk.sub_mul(lb[k - fb], xb);
+    yk.store(y + k * s);
+  }
+  const bool a_lower = ea < fb;  // which row finishes alone
+  const double* lr = a_lower ? la : lb;
+  const std::size_t fr = a_lower ? fa : fb;
+  const Panel<W> xr = a_lower ? xa : xb;
+  for (std::size_t k = mid; k-- > std::min(ea, fb);) {
+    Panel<W> yk = Panel<W>::load(y + k * s);
+    yk.sub_mul(lr[k - fr], xr);
+    yk.store(y + k * s);
+  }
+}
+
+// One-lane back substitution: each y_k receives exactly one update per
+// row, so the row pairs above vectorize across k instead of lanes.
+// y[t] = (y[t] - a[t]·xa) - b[t]·xb for t < len, t walking down.
+VMAP_AVX2 inline void sub2_down(std::size_t len, const double* a, double xa,
+                                const double* b, double xb, double* y) {
+  const __m256d va = _mm256_set1_pd(xa), vb = _mm256_set1_pd(xb);
+  std::size_t t = len;
+  for (; t >= 4; t -= 4) {
+    __m256d v = _mm256_loadu_pd(y + t - 4);
+    v = _mm256_sub_pd(v, _mm256_mul_pd(_mm256_loadu_pd(a + t - 4), va));
+    v = _mm256_sub_pd(v, _mm256_mul_pd(_mm256_loadu_pd(b + t - 4), vb));
+    _mm256_storeu_pd(y + t - 4, v);
+  }
+  while (t-- > 0) y[t] = (y[t] - a[t] * xa) - b[t] * xb;
+}
+
+/// y[t] -= a[t]·x for t < len, t walking down.
+VMAP_AVX2 inline void sub1_down(std::size_t len, const double* a, double x,
+                                double* y) {
+  const __m256d vx = _mm256_set1_pd(x);
+  std::size_t t = len;
+  for (; t >= 4; t -= 4) {
+    const __m256d v = _mm256_loadu_pd(y + t - 4);
+    _mm256_storeu_pd(
+        y + t - 4,
+        _mm256_sub_pd(v, _mm256_mul_pd(_mm256_loadu_pd(a + t - 4), vx)));
+  }
+  while (t-- > 0) y[t] -= a[t] * x;
+}
+
+VMAP_AVX2 void backward_one(const Envelope& l, double* y) {
+  std::size_t i = l.n;
+  for (; i >= 2; i -= 2) {
+    const std::size_t a = i - 1, h = i - 2;
+    const std::size_t fa = l.first[a], fb = l.first[h];
+    const double* la = l.values + l.start[a];
+    const double* lb = l.values + l.start[h];
+    const double xa = (y[a] /= l.diag[a]);
+    if (fa < a) y[h] -= la[h - fa] * xa;
+    const double xb = (y[h] /= l.diag[h]);
+    const std::size_t ea = std::min(fa, h);
+    const std::size_t mid = std::max(ea, fb);
+    if (mid < h)  // then row a reaches mid too: fa <= mid
+      sub2_down(h - mid, la + (mid - fa), xa, lb + (mid - fb), xb, y + mid);
+    if (ea < fb) {  // row a reaches lower, and ea == fa
+      sub1_down(mid - ea, la, xa, y + ea);
+    } else {
+      sub1_down(mid - fb, lb, xb, y + fb);
     }
-    if (c < s) {
-      double* yc = y + l.first[i] * s + c;
-      const __m256d b0 = _mm256_div_pd(_mm256_loadu_pd(yi + c), d);
-      _mm256_storeu_pd(yi + c, b0);
-      for (std::size_t k = 0; k < len; ++k) {
-        double* p = yc + k * s;
-        _mm256_storeu_pd(p, _mm256_sub_pd(_mm256_loadu_pd(p),
-                                          _mm256_mul_pd(_mm256_set1_pd(li[k]),
-                                                        b0)));
-      }
+  }
+  if (i == 1) y[0] /= l.diag[0];  // row 0's envelope is empty
+}
+
+VMAP_AVX2 void lane_backward(const Envelope& l, std::size_t s, double* y) {
+  if (s == 1) return backward_one(l, y);
+  std::size_t i = l.n;
+  for (; i >= 2; i -= 2) {
+    std::size_t c = 0;
+    for (; c + 8 <= s; c += 8) backward_pair<8>(l, s, i - 1, y + c);
+    if (c < s) backward_pair<4>(l, s, i - 1, y + c);
+  }
+  if (i == 1) {
+    std::size_t c = 0;
+    for (; c + 4 <= s; c += 4) {
+      Panel<4> x = Panel<4>::load(y + c);
+      x.div(l.diag[0]);
+      x.store(y + c);
     }
   }
 }
@@ -638,8 +782,8 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
 }
 
 #if VMAP_KERN_X86
-#define VMAP_LANE_DISPATCH(call) \
-  if (s % kPanelWidth == 0 && use_simd()) return avx2::call; \
+#define VMAP_LANE_DISPATCH(call)                                         \
+  if ((s == 1 || s % kPanelWidth == 0) && use_simd()) return avx2::call; \
   return ref::call
 #else
 #define VMAP_LANE_DISPATCH(call) return ref::call

@@ -83,12 +83,28 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
 // Triangular solves with a lower envelope (skyline) factor over s
 // right-hand sides ("lanes") kept interleaved: entry i of lane c sits at
 // y[i*s + c], so every factor entry is loaded once for s independent
-// chains. Each lane is an independent output element under the contract
-// above — its own accumulator, k ascending, separate mul and sub, one
-// IEEE division by the pivot — so every lane is bit-identical to the
-// one-lane (s == 1) sweep. The AVX2 path runs strides that are a multiple
-// of kPanelWidth in 8- and 4-lane panels; other strides (one lane
-// included) take the scalar sweep.
+// chains. Each (row, lane) pair is an independent output element under
+// the contract above — its own accumulator, k ascending in the forward
+// sweep and rows descending in the backward sweep, separate mul and sub,
+// one IEEE division by the pivot — so every lane is bit-identical to the
+// one-lane (s == 1) sweep and to kern::ref.
+//
+// The AVX2 sweeps are register-blocked over rows as well as lanes:
+//  - lane_forward takes rows four at a time. Each row's columns split into
+//    a private prefix, the range all four rows share (each y_k load there
+//    feeds four accumulator chains), and the block's own earlier rows.
+//    The shared range starts at the largest `first` of the block, so a
+//    block whose `first` columns are not nondecreasing still takes the
+//    blocked path, with longer private prefixes; no RCM layout is assumed.
+//  - lane_backward fuses rows i and i-1: each y_k both reach gets one
+//    load, (y_k - L(i,k)·x_i) - L(i-1,k)·x_{i-1} and one store, k walking
+//    down; the longer row finishes alone.
+// Strides that are a multiple of kPanelWidth run in 8- and 4-lane panels
+// (a 5-lane solve is padded to one 8-lane panel by its caller). One lane
+// has AVX2 paths too: the forward sweep keeps four rows' scalar chains in
+// flight, and the backward sweep vectorizes across k, since each y_k
+// receives exactly one update per row. Other strides take the scalar
+// sweep.
 
 /// A borrowed lower-triangular envelope factor L of order n: row i holds
 /// L(i, j) for j in [first[i], i) at values[start[i] + j - first[i]], and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "linalg/kernels.hpp"
@@ -112,27 +111,30 @@ linalg::Vector SkylineCholesky::solve(const linalg::Vector& b) const {
   return x;
 }
 
-void SkylineCholesky::solve_lanes(std::size_t lanes, const double* b,
-                                  double* x) const {
-  VMAP_REQUIRE(lanes >= 1, "skyline solve needs at least one lane");
-  // Permute into the interleaved layout y[i*s + c], lanes padded to the
-  // kernel panel width; padding lanes solve A·0 = 0 and are dropped on the
-  // way out. Lane-outer loops keep the one-lane case a plain gather.
-  const std::size_t s =
-      lanes == 1 ? 1
-                 : (lanes + linalg::kern::kPanelWidth - 1) /
-                       linalg::kern::kPanelWidth * linalg::kern::kPanelWidth;
-  const auto y = std::make_unique<double[]>(n_ * s);
-  for (std::size_t c = 0; c < lanes; ++c)
-    for (std::size_t i = 0; i < n_; ++i) y[i * s + c] = b[perm_[i] * lanes + c];
+std::size_t SkylineCholesky::panel_stride(std::size_t lanes) {
+  constexpr std::size_t w = linalg::kern::kPanelWidth;
+  return lanes == 1 ? 1 : (lanes + w - 1) / w * w;
+}
 
+void SkylineCholesky::solve_in_factor_order(std::size_t stride,
+                                            double* y) const {
   // L z = Pb, then L^T x = z, in place.
   const linalg::kern::Envelope factor{n_, first_col_.data(), row_start_.data(),
                                       values_.data(), diag_.data()};
-  linalg::kern::lane_forward(factor, s, y.get());
-  linalg::kern::lane_backward(factor, s, y.get());
+  linalg::kern::lane_forward(factor, stride, y);
+  linalg::kern::lane_backward(factor, stride, y);
+}
 
-  // Un-permute the live lanes.
+void SkylineCholesky::solve_lanes(std::size_t lanes, const double* b,
+                                  double* x) const {
+  VMAP_REQUIRE(lanes >= 1, "skyline solve needs at least one lane");
+  // Padding lanes solve A·0 = 0 and are dropped on the way out. Lane-outer
+  // loops keep the one-lane case a plain gather.
+  const std::size_t s = panel_stride(lanes);
+  std::vector<double> y(n_ * s);
+  for (std::size_t c = 0; c < lanes; ++c)
+    for (std::size_t i = 0; i < n_; ++i) y[i * s + c] = b[perm_[i] * lanes + c];
+  solve_in_factor_order(s, y.data());
   for (std::size_t c = 0; c < lanes; ++c)
     for (std::size_t i = 0; i < n_; ++i) x[perm_[i] * lanes + c] = y[i * s + c];
 }

@@ -12,9 +12,12 @@
 //
 // Solves take a lane count: solve_lanes() runs several right-hand sides
 // through one pass over the factor, interleaved so each envelope entry is
-// loaded once for all of them (linalg::kern's lane kernels). A one-lane
-// solve is the same code at stride 1, and every lane of a multi-lane solve
-// is bit-identical to solving that lane alone.
+// loaded once for all of them (linalg::kern's lane kernels, register-
+// blocked over rows and lanes). A one-lane solve is the same code at
+// stride 1, and every lane of a multi-lane solve is bit-identical to
+// solving that lane alone. solve_in_factor_order() is the solve without
+// the permutation, for callers that keep their right-hand sides in factor
+// order.
 
 #include <cstddef>
 #include <vector>
@@ -48,9 +51,21 @@ class SkylineCholesky {
 
   /// Solves A x_c = b_c for `lanes` right-hand sides at once. `b` and `x`
   /// hold dim() * lanes values with the lanes interleaved (entry i of lane
-  /// c at [i * lanes + c]) and may alias. More than one lane is padded to
-  /// the kernel panel width internally, with zero right-hand sides.
+  /// c at [i * lanes + c]) and may alias. The lanes are gathered into
+  /// factor order, padded to panel_stride(lanes) with zero right-hand
+  /// sides, solved by solve_in_factor_order() and scattered back.
   void solve_lanes(std::size_t lanes, const double* b, double* x) const;
+
+  /// The row stride a `lanes`-lane solve runs at: one lane stays at stride
+  /// 1, more are padded to a multiple of the kernel panel width.
+  static std::size_t panel_stride(std::size_t lanes);
+
+  /// The solve itself, in place on right-hand sides already in factor
+  /// order: row i of lane c at y[i * stride + c] is entry permutation()[i]
+  /// of that lane. Callers that step many solves (TransientSim) assemble
+  /// straight into this layout and skip solve_lanes()' gather, scatter and
+  /// allocation.
+  void solve_in_factor_order(std::size_t stride, double* y) const;
 
   /// Number of stored (envelope) entries in L, a measure of fill.
   std::size_t envelope_size() const { return values_.size(); }

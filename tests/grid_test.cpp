@@ -448,6 +448,57 @@ TEST(TransientLanes, RejectsWrongLaneCountAndMultiLanePcg) {
                vmap::ContractError);
 }
 
+/// Steps the same random loads through a `lanes`-wide simulator with the
+/// SIMD kernels on and through one with them off (the kern::ref sweeps);
+/// voltages and pad currents must agree byte for byte at every step.
+void expect_simd_matches_scalar(const PowerGrid& grid, std::size_t lanes,
+                                std::size_t load_size, double amps) {
+  SimdGuard guard;
+  TransientSim simd(grid, 1e-11, StepSolver::kDirect, lanes);
+  TransientSim scalar(grid, 1e-11, StepSolver::kDirect, lanes);
+  Rng rng(11 * lanes);
+  for (int step = 0; step < 50; ++step) {
+    std::vector<linalg::Vector> loads;
+    for (std::size_t c = 0; c < lanes; ++c)
+      loads.push_back(random_load(load_size, rng, amps));
+    linalg::kern::set_simd_enabled(true);
+    const linalg::Vector& got = simd.step(loads);
+    linalg::kern::set_simd_enabled(false);
+    const linalg::Vector& want = scalar.step(loads);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << "voltages, lanes=" << lanes << " step " << step;
+    ASSERT_EQ(std::memcmp(simd.pad_currents().data(),
+                          scalar.pad_currents().data(),
+                          simd.pad_currents().size() * sizeof(double)),
+              0)
+        << "pad currents, lanes=" << lanes << " step " << step;
+  }
+}
+
+TEST(TransientLanes, SimdStepsMatchScalarSteps) {
+  // Resistive pads, inductive pads, and a two-layer grid with device-sized
+  // loads, at one lane, a collect chunk's five and a wide twenty. The
+  // single-layer grids are 20x16, so factor rows run past a row block.
+  GridConfig resistive = small_config();
+  resistive.nx = 20;
+  resistive.ny = 16;
+  GridConfig inductive = resistive;
+  inductive.pad_inductance = 5e-10;
+  GridConfig two_layer = small_config();
+  two_layer.nx = 16;
+  two_layer.ny = 12;
+  two_layer.two_layer = true;
+  two_layer.pad_inductance = 2e-10;
+  const PowerGrid grids[] = {PowerGrid(resistive), PowerGrid(inductive),
+                             PowerGrid(two_layer)};
+  for (const PowerGrid& grid : grids)
+    for (std::size_t lanes : {1, 5, 20})
+      expect_simd_matches_scalar(grid, lanes, grid.device_node_count(),
+                                 0.05);
+}
+
 // --- closed-form transient oracle -----------------------------------------
 //
 // With a pad at every node (square lattice, pad_spacing = 1) and the same

@@ -21,6 +21,8 @@
 #include "grid/power_grid.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
+#include "sparse/csr.hpp"
+#include "sparse/skyline_cholesky.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/benchmark_suite.hpp"
@@ -297,37 +299,123 @@ TEST(SimdKernels, PanelKernelsBitIdenticalToScalarOracle) {
   }
 }
 
+/// A lower envelope factor with the given first columns: random entries
+/// scaled by 1/(row width + 1) and pivots of at least 2, so both sweeps
+/// stay bounded however wide the rows are.
+struct TestEnvelope {
+  std::vector<std::size_t> first, start;
+  std::vector<double> values, diag;
+
+  TestEnvelope(std::vector<std::size_t> first_cols, std::uint64_t seed)
+      : first(std::move(first_cols)), start(first.size() + 1, 0) {
+    const std::size_t n = first.size();
+    for (std::size_t i = 0; i < n; ++i)
+      start[i + 1] = start[i] + (i - first[i]);
+    values = random_doubles(start[n], seed);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t k = start[i]; k < start[i + 1]; ++k)
+        values[k] /= static_cast<double>(i - first[i] + 1);
+    diag = random_doubles(n, seed + 1);
+    for (double& d : diag) d = 2.0 + std::abs(d);
+  }
+
+  linalg::kern::Envelope view() const {
+    return {first.size(), first.data(), start.data(), values.data(),
+            diag.data()};
+  }
+};
+
+/// Runs both sweeps through the dispatcher and through kern::ref at every
+/// stride: 1 (the one-lane AVX2 paths), 2 and 3 (the scalar sweep), and
+/// the 8-/4-lane panels alone and mixed (4, 5 padded, 8, 12, 16, 20).
+void expect_sweeps_match_oracle(const TestEnvelope& e, const char* kind) {
+  const std::size_t n = e.first.size();
+  for (std::size_t s : {1, 2, 3, 4, 5, 8, 12, 16, 20}) {
+    const std::vector<double> y0 = random_doubles(n * s, 93 + n + s);
+    std::vector<double> got = y0, want = y0;
+    linalg::kern::lane_forward(e.view(), s, got.data());
+    linalg::kern::ref::lane_forward(e.view(), s, want.data());
+    EXPECT_TRUE(bytes_equal(got, want))
+        << kind << " lane_forward n=" << n << " s=" << s
+        << " simd=" << linalg::kern::simd_enabled();
+    linalg::kern::lane_backward(e.view(), s, got.data());
+    linalg::kern::ref::lane_backward(e.view(), s, want.data());
+    EXPECT_TRUE(bytes_equal(got, want))
+        << kind << " lane_backward n=" << n << " s=" << s
+        << " simd=" << linalg::kern::simd_enabled();
+  }
+}
+
 TEST(SimdKernels, LaneSubstitutionBitIdenticalToScalarOracle) {
-  // Random envelopes (row widths 0..12, so rows shorter and longer than a
-  // panel) against interleaved right-hand sides at strides that take the
-  // scalar sweep (1, 2, 3, 5) and the 8-/4-lane AVX2 panels (4, 8, 12, 20).
+  // Three envelope families, each at sizes of every residue mod 4 (the
+  // forward sweep's row-block tails, the backward sweep's odd last row):
+  //  - random: rows 0..12 wide, `first` unsorted;
+  //  - RCM-like: `first` nondecreasing, rows up to 130 wide, so every
+  //    four-row block shares a long range;
+  //  - mixed: sorted runs of six rows alternating with six rows of random
+  //    width, so blocks straddle both and private prefixes are long.
   SimdGuard guard;
+  const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 9, 17, 200, 301, 402, 503};
   for (bool simd : {false, true}) {
     linalg::kern::set_simd_enabled(simd);
-    for (std::size_t n : kKernelSizes) {
+    for (std::size_t n : sizes) {
       Rng rng(90 + n);
-      std::vector<std::size_t> first(n), start(n + 1, 0);
+      std::vector<std::size_t> random(n), rcm(n), mixed(n);
+      std::size_t sorted = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        first[i] = i - std::min<std::size_t>(i, rng.uniform_index(13));
-        start[i + 1] = start[i] + (i - first[i]);
+        random[i] = i - std::min<std::size_t>(i, rng.uniform_index(13));
+        rcm[i] = std::max(i > 0 ? rcm[i - 1] : 0,
+                          i - std::min<std::size_t>(
+                                  i, 100 + rng.uniform_index(31)));
+        if ((i / 6) % 2 == 0) {
+          sorted = std::max(sorted, i - std::min<std::size_t>(
+                                            i, 60 + rng.uniform_index(71)));
+          mixed[i] = sorted;
+        } else {
+          mixed[i] = i - std::min<std::size_t>(i, rng.uniform_index(131));
+        }
       }
-      const std::vector<double> values = random_doubles(start[n], 91 + n);
-      std::vector<double> diag = random_doubles(n, 92 + n);
-      for (double& d : diag) d = 2.0 + std::abs(d);
-      const linalg::kern::Envelope l{n, first.data(), start.data(),
-                                     values.data(), diag.data()};
-      for (std::size_t s : {1, 2, 3, 4, 5, 8, 12, 20}) {
-        const std::vector<double> y0 = random_doubles(n * s, 93 + n + s);
-        std::vector<double> got = y0, want = y0;
-        linalg::kern::lane_forward(l, s, got.data());
-        linalg::kern::ref::lane_forward(l, s, want.data());
-        EXPECT_TRUE(bytes_equal(got, want))
-            << "lane_forward n=" << n << " s=" << s << " simd=" << simd;
-        linalg::kern::lane_backward(l, s, got.data());
-        linalg::kern::ref::lane_backward(l, s, want.data());
-        EXPECT_TRUE(bytes_equal(got, want))
-            << "lane_backward n=" << n << " s=" << s << " simd=" << simd;
-      }
+      expect_sweeps_match_oracle(TestEnvelope(random, 91 + n), "random");
+      expect_sweeps_match_oracle(TestEnvelope(rcm, 191 + n), "rcm");
+      expect_sweeps_match_oracle(TestEnvelope(mixed, 291 + n), "mixed");
+    }
+  }
+}
+
+/// G + C/dt of `grid`: the transient step matrix with resistive pads.
+sparse::CsrMatrix step_matrix(const grid::PowerGrid& grid, double dt) {
+  const sparse::CsrMatrix& g = grid.conductance();
+  std::vector<double> values = g.values();
+  for (std::size_t r = 0; r < g.rows(); ++r)
+    for (std::size_t k = g.row_ptr()[r]; k < g.row_ptr()[r + 1]; ++k)
+      if (g.col_idx()[k] == r) values[k] += grid.capacitance()[r] / dt;
+  return sparse::CsrMatrix(g.rows(), g.cols(), g.row_ptr(), g.col_idx(),
+                           std::move(values));
+}
+
+TEST(SimdKernels, StepMatrixLaneSolvesBitIdenticalToScalarOracle) {
+  // solve_lanes on the real 96x96 step matrix (RCM: every four-row block
+  // sorted) and on a two-layer one (many unsorted blocks), SIMD against
+  // the scalar oracle kernels.
+  SimdGuard guard;
+  grid::GridConfig two_layer = core::default_setup().grid;
+  two_layer.nx = two_layer.ny = 48;
+  two_layer.two_layer = true;
+  for (const grid::GridConfig& config :
+       {core::default_setup().grid, two_layer}) {
+    const grid::PowerGrid grid(config);
+    const sparse::SkylineCholesky factor(step_matrix(grid, 100e-12));
+    const std::size_t n = factor.dim();
+    for (std::size_t lanes : {1, 5, 8, 20}) {
+      const std::vector<double> b = random_doubles(n * lanes, 7 + lanes);
+      std::vector<double> got(n * lanes), want(n * lanes);
+      linalg::kern::set_simd_enabled(true);
+      factor.solve_lanes(lanes, b.data(), got.data());
+      linalg::kern::set_simd_enabled(false);
+      factor.solve_lanes(lanes, b.data(), want.data());
+      EXPECT_TRUE(bytes_equal(got, want))
+          << "n=" << n << " two_layer=" << config.two_layer
+          << " lanes=" << lanes;
     }
   }
 }
