@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -45,8 +44,9 @@ std::vector<PredictionGroup> build_prediction_plan(
   // Eligible = chip opted into batching, is on the healthy fast path, and
   // the reading is well-formed — anything else takes the per-sample path
   // inside the monitor, so a wrong grouping guess can cost a wasted column
-  // but never change a decision.
-  std::map<const core::PlacementModel*, std::vector<std::size_t>> groups;
+  // but never change a decision. A fleet serves one model or a few, so a
+  // linear scan of the plan finds a reading's group.
+  std::vector<PredictionGroup> plan;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Reading& r = batch[i];
     const ChipDomain& domain = *chips[r.chip];
@@ -56,21 +56,24 @@ std::vector<PredictionGroup> build_prediction_plan(
     for (std::size_t q = 0; q < r.values.size() && finite; ++q)
       finite = std::isfinite(r.values[q]);
     if (!finite) continue;
-    groups[domain.shared_model()].push_back(i);
+    const core::PlacementModel* model = domain.shared_model();
+    auto group = std::find_if(
+        plan.begin(), plan.end(),
+        [model](const PredictionGroup& g) { return g.model == model; });
+    if (group == plan.end()) {
+      group = plan.emplace(plan.end());
+      group->model = model;
+    }
+    group->indices.push_back(i);
   }
-  std::vector<PredictionGroup> plan;
-  for (auto& [model, indices] : groups) {
-    PredictionGroup group;
-    group.model = model;
-    const std::size_t q_count = model->sensor_rows().size();
-    group.readings = linalg::Matrix(q_count, indices.size());
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      const linalg::Vector& values = batch[indices[j]].values;
+  for (PredictionGroup& group : plan) {
+    const std::size_t q_count = group.model->sensor_rows().size();
+    group.readings = linalg::Matrix(q_count, group.indices.size());
+    for (std::size_t j = 0; j < group.indices.size(); ++j) {
+      const linalg::Vector& values = batch[group.indices[j]].values;
       for (std::size_t q = 0; q < q_count; ++q)
         group.readings(q, j) = values[q];
     }
-    group.indices = std::move(indices);
-    plan.push_back(std::move(group));
   }
   return plan;
 }
@@ -162,7 +165,9 @@ IngestResult MonitorFleet::ingest(ProducerId producer, Reading reading) {
   reading.ingest_ms = now_ms();
   ingested_.fetch_add(1, kRelaxed);
   Shard& shard = *shards_[shard_of(chip)];
-  if (shard.rings[producer]->push(std::move(reading))) {
+  // The ring copies the reading into its slot's own storage; `reading` and
+  // its value buffer die here, on the producer's thread.
+  if (shard.rings[producer]->push(reading)) {
     enqueued_.fetch_add(1, kRelaxed);
     return {true, RejectReason::kNone};
   }
@@ -176,17 +181,31 @@ IngestResult MonitorFleet::ingest(ProducerId producer, Reading reading) {
 }
 
 bool MonitorFleet::drain_rings(Shard& shard, std::vector<Reading>& batch,
+                               std::vector<Reading>& spare,
                                std::uint64_t my_gen, std::size_t limit) {
   if (shard.rings.empty()) return true;
   std::lock_guard<std::mutex> lock(shard.inflight_mutex);
   if (shard.generation != my_gen) return false;
-  Reading reading;
   for (auto& ring : shard.rings) {
-    while (batch.size() < limit && ring->pop(reading))
-      batch.push_back(std::move(reading));
+    while (batch.size() < limit) {
+      // Pop into a recycled reading, so the values land in a buffer this
+      // consumer already owns.
+      if (spare.empty()) spare.emplace_back();
+      if (!ring->pop(spare.back())) break;
+      batch.push_back(std::move(spare.back()));
+      spare.pop_back();
+    }
     if (batch.size() >= limit) break;
   }
   return true;
+}
+
+void MonitorFleet::recycle(Reading&& reading,
+                           std::vector<Reading>& spare) const {
+  // One drain's worth at most: plain-ingest traffic hands the worker
+  // readings the rings never ask back for.
+  if (spare.size() < 2 * config_.max_batch)
+    spare.push_back(std::move(reading));
 }
 
 bool MonitorFleet::rings_look_empty(const Shard& shard) const {
@@ -203,18 +222,16 @@ std::size_t MonitorFleet::pump() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     tasks.push_back([this, i, &handled] {
       Shard& shard = *shards_[i];
-      std::vector<Reading> batch;
+      std::vector<Reading> batch, spare;
       for (;;) {
-        batch.clear();
         shard.queue->pop_batch(batch, config_.max_batch,
                                std::chrono::milliseconds(0));
         // Not running, so the generation is quiescent and this task is the
         // shard's only ring consumer.
-        drain_rings(shard, batch, shard.generation, config_.max_batch);
+        drain_rings(shard, batch, spare, shard.generation, config_.max_batch);
         if (batch.empty()) break;
         handled[i] += batch.size();
-        execute_batch(shard, std::move(batch), /*publish=*/false, 0);
-        batch = std::vector<Reading>();
+        execute_batch(shard, batch, spare, /*publish=*/false, 0);
       }
     });
   }
@@ -274,11 +291,11 @@ void MonitorFleet::stop() {
   // shard's worker checked the rings for the last time. Decide the
   // stragglers here — stop() never discards an admitted reading.
   for (auto& shard : shards_) {
-    std::vector<Reading> residue;
-    drain_rings(*shard, residue, shard->generation,
+    std::vector<Reading> residue, spare;
+    drain_rings(*shard, residue, spare, shard->generation,
                 std::numeric_limits<std::size_t>::max());
     if (!residue.empty())
-      execute_batch(*shard, std::move(residue), /*publish=*/false, 0);
+      execute_batch(*shard, residue, spare, /*publish=*/false, 0);
   }
   // Fresh queues so the stopped fleet can still be ingested into and
   // pump()ed (tests, checkpoint-then-inspect flows).
@@ -292,9 +309,9 @@ void MonitorFleet::stop() {
 
 void MonitorFleet::worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
                                std::uint64_t my_gen) {
-  std::vector<Reading> batch;
+  // Both keep their capacity and buffers from batch to batch.
+  std::vector<Reading> batch, spare;
   for (;;) {
-    batch.clear();
     // Busy rings: poll the queue instead of sleeping on it, so ring
     // traffic is never throttled by the queue's empty-wait. (Ring pushes
     // do not signal the queue's condvar; sleeping here would cap ring
@@ -302,7 +319,7 @@ void MonitorFleet::worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
     const auto wait = rings_look_empty(shard) ? std::chrono::milliseconds(2)
                                               : std::chrono::milliseconds(0);
     queue->pop_batch(batch, config_.max_batch, wait);
-    if (!drain_rings(shard, batch, my_gen, 2 * config_.max_batch)) {
+    if (!drain_rings(shard, batch, spare, my_gen, 2 * config_.max_batch)) {
       // Failed over between popping and draining: hand the queue items
       // back to the front of the live queue (they predate its contents)
       // and retire; the rings now belong to the replacement.
@@ -321,14 +338,14 @@ void MonitorFleet::worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
         return;
       continue;
     }
-    if (!execute_batch(shard, std::move(batch), /*publish=*/true, my_gen))
+    if (!execute_batch(shard, batch, spare, /*publish=*/true, my_gen))
       return;  // the shard failed over; a replacement owns it now
-    batch = std::vector<Reading>();
   }
 }
 
-bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
-                                 bool publish, std::uint64_t my_gen) {
+bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading>& batch,
+                                 std::vector<Reading>& spare, bool publish,
+                                 std::uint64_t my_gen) {
   std::vector<std::optional<core::WorstBlock>> worst(batch.size());
   const std::vector<PredictionGroup> plan =
       build_prediction_plan(chips_, batch);
@@ -339,8 +356,10 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
       const double delay = chaos_delay_ms_[batch[i].chip]->load(kRelaxed);
       if (delay > 0) sleep_ms(delay);
       decide_one(batch[i], worst[i] ? &*worst[i] : nullptr);
-      shard.handled.fetch_add(1, kRelaxed);
+      shard.handled.fetch_add(1, std::memory_order_release);
+      recycle(std::move(batch[i]), spare);
     }
+    batch.clear();
     return true;
   }
 
@@ -364,7 +383,9 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
         shed_.fetch_add(count, kRelaxed);  // unreachable by design
       return false;
     }
-    shard.inflight = std::move(batch);
+    // The slot is empty here (the last batch of this generation cleared
+    // it, or a steal did), so `batch` takes back its empty storage.
+    shard.inflight.swap(batch);
     shard.inflight_pos = 0;
     shard.inflight_stolen = false;
     shard.inflight_since_ms.store(now_ms(), kRelaxed);
@@ -396,7 +417,8 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
     shard.current_chip.compare_exchange_strong(mine, kNoChip,
                                                std::memory_order_release,
                                                std::memory_order_relaxed);
-    shard.handled.fetch_add(1, kRelaxed);
+    shard.handled.fetch_add(1, std::memory_order_release);
+    recycle(std::move(reading), spare);
   }
   std::lock_guard<std::mutex> lock(shard.inflight_mutex);
   if (shard.generation != my_gen) return false;
@@ -412,7 +434,6 @@ void MonitorFleet::decide_one(const Reading& reading,
                               const core::WorstBlock* precomputed) {
   ChipDomain& domain = *chips_[reading.chip];
   ChipDomain::Outcome outcome = domain.process(reading, precomputed);
-  processed_.fetch_add(1, kRelaxed);
   if (outcome.accepted && outcome.alarm_transition) {
     AlarmEvent event;
     event.chip = reading.chip;
@@ -549,7 +570,8 @@ FleetStats MonitorFleet::stats() const {
   s.ingested = ingested_.load(kRelaxed);
   s.enqueued = enqueued_.load(kRelaxed);
   s.shed = shed_.load(kRelaxed);
-  s.processed = processed_.load(kRelaxed);
+  for (const auto& shard : shards_)
+    s.processed += shard->handled.load(std::memory_order_acquire);
   s.alarm_events = alarm_events_.load(kRelaxed);
   s.stall_failovers = stall_failovers_.load(kRelaxed);
   for (const auto& chip : chips_) {

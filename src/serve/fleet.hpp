@@ -34,6 +34,15 @@
 //    lost — every one is decided, or dropped with a per-chip counter
 //    naming why.
 //
+// Value storage: a reading admitted through plain ingest() moves into the
+// shard queue and its value buffer travels with it. A reading admitted
+// through a producer lane is copied into the lane ring's slot, whose
+// buffer the slot owns and reuses lap after lap; the caller's Reading and
+// its buffer are freed on the caller's thread when ingest returns. A shard
+// worker pops ring values into value buffers it already owns (those of
+// readings it decided earlier), so once warm a lane reading costs the
+// worker no allocation and no free.
+//
 // Overload: try_push against a full shard queue sheds the newest reading
 // (counted per chip and fleet-wide, reported to the caller as kShed).
 // Shutdown: stop() closes the queues and drains what was admitted before
@@ -88,9 +97,12 @@ class MonitorFleet {
   ProducerId register_producer();
 
   /// Mutex-free fast-path admission (same shed policy, same accounting) —
-  /// safe only from the single thread driving this producer id. A full
-  /// ring sheds the newest reading; it never spills into the shared queue,
-  /// which would reorder the producer's feed around its ring backlog.
+  /// safe only from the single thread driving this producer id. The ring
+  /// copies chip, sequence, ingest stamp and values into a slot that owns
+  /// its value storage, so `reading` and its buffer are freed on this
+  /// thread when the call returns. A full ring sheds the newest reading;
+  /// it never spills into the shared queue, which would reorder the
+  /// producer's feed around its ring backlog.
   IngestResult ingest(ProducerId producer, Reading reading);
 
   /// Deterministic mode: decides everything currently queued, one parallel
@@ -142,7 +154,9 @@ class MonitorFleet {
     /// only changes while the fleet is stopped; ring consumption is
     /// serialized by inflight_mutex (see drain_rings).
     std::vector<std::unique_ptr<SpscRing<Reading>>> rings;
-    /// Items handled since start; the watchdog's liveness signal.
+    /// Readings decided on this shard since construction: the watchdog's
+    /// liveness signal, and summed into FleetStats::processed (release
+    /// increments after each decision, acquire loads in stats()).
     std::atomic<std::uint64_t> handled{0};
     /// Inflight micro-batch, shared with the watchdog for theft.
     std::mutex inflight_mutex;
@@ -176,21 +190,31 @@ class MonitorFleet {
   /// soon as a failover moves the shard past it.
   void worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
                    std::uint64_t my_gen);
-  /// Decides one batch. `publish` shares it through the shard's inflight
-  /// slot so the watchdog can steal the remainder (threaded mode only).
-  /// Returns false when the shard failed over out from under the caller
-  /// (shard.generation != my_gen): the batch — or its remainder — is now
-  /// the replacement's responsibility and the caller must exit.
-  bool execute_batch(Shard& shard, std::vector<Reading> batch, bool publish,
+  /// Decides one batch and leaves `batch` empty, its capacity kept; every
+  /// decided reading goes to `spare` (see recycle). `publish` shares the
+  /// batch through the shard's inflight slot so the watchdog can steal the
+  /// remainder (threaded mode only). Returns false when the shard failed
+  /// over out from under the caller (shard.generation != my_gen): the
+  /// batch — or its remainder — is now the replacement's responsibility
+  /// and the caller must exit.
+  bool execute_batch(Shard& shard, std::vector<Reading>& batch,
+                     std::vector<Reading>& spare, bool publish,
                      std::uint64_t my_gen);
-  /// Tops `batch` up to `limit` items from the shard's producer rings.
-  /// The consumer side of every ring is serialized by inflight_mutex, and
-  /// the generation check inside keeps a retired worker from consuming
-  /// concurrently with its replacement. Returns false when the shard has
-  /// failed over past `my_gen`; the caller must hand back what it popped
-  /// and exit without touching the rings.
+  /// Tops `batch` up to `limit` items from the shard's producer rings,
+  /// popping each into a reading taken from `spare` so its values land in
+  /// a buffer the caller owns. The consumer side of every ring is
+  /// serialized by inflight_mutex, and the generation check inside keeps a
+  /// retired worker from consuming concurrently with its replacement.
+  /// Returns false when the shard has failed over past `my_gen`; the
+  /// caller must hand back what it popped and exit without touching the
+  /// rings.
   bool drain_rings(Shard& shard, std::vector<Reading>& batch,
-                   std::uint64_t my_gen, std::size_t limit);
+                   std::vector<Reading>& spare, std::uint64_t my_gen,
+                   std::size_t limit);
+  /// Keeps a decided reading in its decider's `spare` for the next
+  /// drain_rings to pop into, up to one worker drain's worth (2 x
+  /// max_batch); past that the reading is freed.
+  void recycle(Reading&& reading, std::vector<Reading>& spare) const;
   /// Racy any-thread check used to pick the queue wait: false negatives
   /// just cost one short queue timeout.
   bool rings_look_empty(const Shard& shard) const;
@@ -223,7 +247,6 @@ class MonitorFleet {
   std::atomic<std::uint64_t> ingested_{0};
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> alarm_events_{0};
   std::atomic<std::uint64_t> stall_failovers_{0};
 };

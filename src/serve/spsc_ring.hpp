@@ -10,6 +10,14 @@
 // tail; the acquire reload of the counterpart index only happens when the
 // cached view says full/empty.
 //
+// Slots own their values. push() copy-assigns the caller's item into the
+// slot and pop() copy-assigns the slot into the consumer's object, so a
+// slot's heap storage (a Reading's value buffer) is allocated on the
+// producer's first lap through it and reused on every later lap it fits.
+// No heap buffer changes hands between the two threads: the caller's item
+// and its storage stay with the caller and are freed on the caller's
+// thread, and the consumer's copy lands in storage the consumer owns.
+//
 // Contract: at most one thread pushes and at most one thread pops at any
 // instant. The producer side is a single fixed thread; the consumer side
 // may migrate between threads (shard workers hand over at failover) as
@@ -20,7 +28,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace vmap::serve {
@@ -37,27 +44,28 @@ class SpscRing {
     slots_.resize(cap);
   }
 
-  /// Producer side. False when full (never blocks, never overwrites) —
-  /// `item` is left intact so the caller can still inspect it.
-  bool push(T&& item) {
+  /// Producer side. False when full (never blocks, never overwrites).
+  /// Copies `item` into the slot's own storage; `item` is only read.
+  bool push(const T& item) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - cached_head_ > mask_) {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (tail - cached_head_ > mask_) return false;
     }
-    slots_[tail & mask_] = std::move(item);
+    slots_[tail & mask_] = item;
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
-  /// Consumer side. False when empty.
+  /// Consumer side. False when empty. Copies the slot into `out`, reusing
+  /// `out`'s storage, and leaves the slot's storage for the next lap.
   bool pop(T& out) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     if (head == cached_tail_) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
       if (head == cached_tail_) return false;
     }
-    out = std::move(slots_[head & mask_]);
+    out = slots_[head & mask_];
     head_.store(head + 1, std::memory_order_release);
     return true;
   }

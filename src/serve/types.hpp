@@ -136,7 +136,10 @@ struct FleetStats {
   std::uint64_t ingested = 0;   ///< ingest() calls that named a known chip
   std::uint64_t enqueued = 0;   ///< admitted into a shard queue
   std::uint64_t shed = 0;       ///< rejected-newest under overload
-  std::uint64_t processed = 0;  ///< readings decided by shard workers
+  /// Readings decided by shard workers: the sum of the shards' counters.
+  /// Each is counted after its decision, so the chip stats and alarms of
+  /// every reading counted here are visible to the caller of stats().
+  std::uint64_t processed = 0;
   std::uint64_t alarm_events = 0;
   std::uint64_t stall_failovers = 0;
   std::uint64_t chips_quarantined = 0;  ///< current count

@@ -2,7 +2,7 @@
 // OnlineMonitors (the fused predict-and-min path, the per-sample path, and
 // fault-tolerant monitors losing a sensor mid-stream), overload shed
 // accounting, clean-shutdown drain, and watchdog stall failover in threaded
-// mode.
+// mode, with plain-ingest and producer-lane backlogs.
 
 #include <gtest/gtest.h>
 
@@ -416,6 +416,80 @@ TEST(MonitorFleet, WatchdogFailsOverAStalledShardAndSuspendsTheCulprit) {
   EXPECT_GT(survivor.samples, 0u);
   // The unrelated shard never noticed: all 40 of chip 1's readings decided.
   EXPECT_EQ(fleet.chip_stats(1).samples, 40u);
+}
+
+TEST(MonitorFleet, WatchdogFailsOverAShardStalledBehindLaneTraffic) {
+  // The stall above, with every reading on a producer lane: while the
+  // culprit wedges shard 0's worker, the shard's whole backlog is ring
+  // traffic, which the watchdog must count toward its stall signal; the
+  // rings then hand over to the replacement worker with the shard.
+  SyntheticFleetSpec spec;
+  constexpr std::size_t kChips = 4;  // chips 0 and 2 on shard 0, 1 and 3 on 1
+  constexpr std::uint64_t kSamples = 300;
+  FleetConfig fc;
+  fc.shards = 2;
+  fc.stall_timeout_ms = 80.0;
+  fc.watchdog_period_ms = 10.0;
+  fc.producer_ring_capacity = 4096;
+  MonitorFleet fleet(fc);
+  auto model = make_synthetic_model(spec);
+  for (std::size_t c = 0; c < kChips; ++c)
+    fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId producer = fleet.register_producer();
+
+  fleet.set_chaos_delay_ms(0, 1200.0);
+  fleet.start();
+  std::uint64_t enqueued = 0;
+  auto feed = [&](ChipId chip, std::uint64_t seq) {
+    if (fleet
+            .ingest(producer,
+                    make_reading(chip, seq, synthetic_reading(spec, chip, seq)))
+            .accepted)
+      ++enqueued;
+  };
+  feed(0, 1);  // the poison reading
+  // Let the worker take the poison reading alone and wedge on it, so what
+  // follows queues up in the rings behind the stall.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  auto feed_survivors = [&](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t t = from; t <= to; ++t)
+      for (ChipId chip = 1; chip < kChips; ++chip) feed(chip, t);
+  };
+  feed_survivors(1, kSamples / 2);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fleet.stats().stall_failovers == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_GE(fleet.stats().stall_failovers, 1u);
+  EXPECT_EQ(fleet.chip_mode(0), ChipMode::kSuspended);
+
+  feed_survivors(kSamples / 2 + 1, kSamples);
+  fleet.stop();
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.enqueued, enqueued);
+  EXPECT_EQ(stats.processed, enqueued);
+
+  // Every survivor decided its whole stream in order, across the failover:
+  // the same alarm transitions as a standalone monitor replay.
+  const ReferenceRun ref = run_reference(spec, kChips, kSamples);
+  std::map<ChipId, std::vector<std::uint64_t>> transitions;
+  for (const AlarmEvent& e : fleet.drain_alarms())
+    transitions[e.chip].push_back(e.sequence);
+  std::size_t replayed = 0;
+  for (ChipId chip = 1; chip < kChips; ++chip) {
+    EXPECT_EQ(fleet.chip_stats(chip).accepted, kSamples) << "chip " << chip;
+    const auto it = ref.transitions.find(chip);
+    const std::vector<std::uint64_t> want =
+        it == ref.transitions.end() ? std::vector<std::uint64_t>{}
+                                    : it->second;
+    EXPECT_EQ(transitions[chip], want) << "chip " << chip;
+    replayed += want.size();
+  }
+  EXPECT_GT(replayed, 0u);  // the streams do cross the alarm threshold
 }
 
 TEST(MonitorFleet, WokenStalledWorkerNeverTouchesTheReplacementsBatch) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -446,10 +447,8 @@ TEST(SpscRing, FifoOrderSurvivesManyWraparounds) {
   // Interleave pushes and pops so the indices wrap the 8-slot buffer many
   // times over; order must hold across every wrap.
   while (next_pop < 1000) {
-    for (int burst = 0; burst < 5 && next_push < 1000; ++burst) {
-      int v = next_push;
-      if (ring.push(std::move(v))) ++next_push;
-    }
+    for (int burst = 0; burst < 5 && next_push < 1000; ++burst)
+      if (ring.push(next_push)) ++next_push;
     int out = -1;
     while (ring.pop(out)) {
       EXPECT_EQ(out, next_pop);
@@ -461,13 +460,10 @@ TEST(SpscRing, FifoOrderSurvivesManyWraparounds) {
 
 TEST(SpscRing, FullPushRefusesAndLeavesItemIntact) {
   SpscRing<std::string> ring(4);
-  for (int i = 0; i < 4; ++i) {
-    std::string s = "item" + std::to_string(i);
-    EXPECT_TRUE(ring.push(std::move(s)));
-  }
-  std::string overflow = "overflow";
-  EXPECT_FALSE(ring.push(std::move(overflow)));
-  EXPECT_EQ(overflow, "overflow");  // untouched on refusal
+  for (int i = 0; i < 4; ++i)
+    EXPECT_TRUE(ring.push("item" + std::to_string(i)));
+  // Refused, and the caller's item is only ever read (push takes const&).
+  EXPECT_FALSE(ring.push("overflow"));
   EXPECT_EQ(ring.approx_size(), 4u);
 
   std::string out;
@@ -477,6 +473,32 @@ TEST(SpscRing, FullPushRefusesAndLeavesItemIntact) {
   }
   EXPECT_FALSE(ring.pop(out));
   EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRing, SlotsCarryExactlyTheValuesPushed) {
+  // A one-slot ring reuses the same slot storage on every lap: a shorter
+  // reading after a longer one must come out at its own length, with no
+  // leftover values from the earlier lap.
+  SpscRing<Reading> ring(1);
+  Reading out;
+  const Reading longer = make_reading(3, 7, level_reading(20, 0.9));
+  ASSERT_TRUE(ring.push(longer));
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(out.values.size(), 20u);
+
+  linalg::Vector values(16);
+  for (std::size_t q = 0; q < values.size(); ++q)
+    values[q] = 0.9 + 0.001 * static_cast<double>(q);
+  Reading shorter = make_reading(5, 8, values);
+  shorter.ingest_ms = 12.5;
+  ASSERT_TRUE(ring.push(shorter));
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(out.chip, 5u);
+  EXPECT_EQ(out.sequence, 8u);
+  EXPECT_EQ(out.ingest_ms, 12.5);
+  ASSERT_EQ(out.values.size(), 16u);
+  for (std::size_t q = 0; q < values.size(); ++q)
+    EXPECT_EQ(out.values[q], values[q]) << "value " << q;
 }
 
 TEST(SpscRing, ConcurrentProducerConsumerDeliversEverythingInOrder) {
@@ -489,8 +511,7 @@ TEST(SpscRing, ConcurrentProducerConsumerDeliversEverythingInOrder) {
   std::thread producer([&] {
     std::uint64_t v = 0;
     while (v < kItems) {
-      std::uint64_t item = v;
-      if (ring.push(std::move(item)))
+      if (ring.push(v))
         ++v;
       else
         std::this_thread::yield();
@@ -583,6 +604,148 @@ TEST(SpscRing, FastPathDecisionsBitIdenticalToQueuePath) {
   EXPECT_EQ(a[0].monitor.alarm_episodes, b[0].monitor.alarm_episodes);
   EXPECT_EQ(a[0].last_sequence, b[0].last_sequence);
   EXPECT_EQ(a[0].accepted, b[0].accepted);
+}
+
+// ---- Producer-lane admission parity --------------------------------------
+
+/// The outcome of the one reading decided between two stats snapshots: the
+/// fleet reports a reading's fate only through the chip's counters.
+RejectReason outcome_between(const ChipStats& before, const ChipStats& after) {
+  if (after.accepted != before.accepted) return RejectReason::kNone;
+  if (after.rejected_malformed != before.rejected_malformed)
+    return RejectReason::kMalformed;
+  if (after.rejected_nonfinite != before.rejected_nonfinite)
+    return RejectReason::kNonFinite;
+  if (after.rejected_stale != before.rejected_stale)
+    return RejectReason::kStale;
+  if (after.dropped_quarantined != before.dropped_quarantined)
+    return RejectReason::kQuarantined;
+  if (after.dropped_suspended != before.dropped_suspended)
+    return RejectReason::kSuspended;
+  return RejectReason::kStopped;  // nothing was decided
+}
+
+void expect_same_chip_stats(const ChipStats& a, const ChipStats& b,
+                            const std::string& where) {
+  EXPECT_EQ(a.mode, b.mode) << where;
+  EXPECT_EQ(a.accepted, b.accepted) << where;
+  EXPECT_EQ(a.rejected_malformed, b.rejected_malformed) << where;
+  EXPECT_EQ(a.rejected_nonfinite, b.rejected_nonfinite) << where;
+  EXPECT_EQ(a.rejected_stale, b.rejected_stale) << where;
+  EXPECT_EQ(a.dropped_quarantined, b.dropped_quarantined) << where;
+  EXPECT_EQ(a.dropped_suspended, b.dropped_suspended) << where;
+  EXPECT_EQ(a.shed, b.shed) << where;
+  EXPECT_EQ(a.quarantine_episodes, b.quarantine_episodes) << where;
+  EXPECT_EQ(a.last_sequence, b.last_sequence) << where;
+  EXPECT_EQ(a.samples, b.samples) << where;
+  EXPECT_EQ(a.alarm_samples, b.alarm_samples) << where;
+  EXPECT_EQ(a.alarm_episodes, b.alarm_episodes) << where;
+  EXPECT_EQ(a.degraded_samples, b.degraded_samples) << where;
+  EXPECT_EQ(a.degraded_episodes, b.degraded_episodes) << where;
+  EXPECT_EQ(a.alarm_active, b.alarm_active) << where;
+}
+
+/// Feeds `stream` one reading at a time, through a producer lane or plain
+/// ingest(), and waits for each decision before sending the next; returns
+/// the chip's stats after every reading and the monitor's final counters.
+std::vector<ChipStats> feed_one_at_a_time(MonitorFleet& fleet,
+                                          const std::vector<Reading>& stream,
+                                          bool lane, bool threaded,
+                                          core::OnlineMonitor::Counters& end) {
+  const ProducerId producer = lane ? fleet.register_producer() : 0;
+  if (threaded) fleet.start();
+  std::vector<ChipStats> after;
+  std::uint64_t admitted = 0;
+  for (const Reading& reading : stream) {
+    const IngestResult result =
+        lane ? fleet.ingest(producer, reading) : fleet.ingest(reading);
+    EXPECT_TRUE(result.accepted) << "sequence " << reading.sequence;
+    if (result.accepted) ++admitted;
+    if (threaded) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (fleet.stats().processed < admitted &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    } else {
+      fleet.pump();
+    }
+    after.push_back(fleet.chip_stats(0));
+  }
+  if (threaded) fleet.stop();
+  end = fleet.persisted_states()[0].monitor;
+  return after;
+}
+
+void check_lane_admission_parity(bool threaded) {
+  SyntheticFleetSpec spec;
+  spec.sensors = 16;
+  auto model = make_synthetic_model(spec);
+
+  // Right-size readings, a shorter and a longer one, a right-size reading
+  // in the slot the longer one used, a NaN into the plain monitor, then
+  // right-size readings again.
+  std::vector<Reading> stream;
+  std::vector<RejectReason> want;
+  auto add = [&](linalg::Vector values, RejectReason reason) {
+    stream.push_back(make_reading(0, stream.size() + 1, std::move(values)));
+    want.push_back(reason);
+  };
+  auto clean = [&] {
+    return synthetic_reading(spec, 0, stream.size() + 1);
+  };
+  for (int i = 0; i < 4; ++i) add(clean(), RejectReason::kNone);
+  add(level_reading(spec.sensors - 4, spec.nominal_v),
+      RejectReason::kMalformed);
+  add(level_reading(spec.sensors + 4, spec.nominal_v),
+      RejectReason::kMalformed);
+  add(clean(), RejectReason::kNone);
+  linalg::Vector poisoned = clean();
+  poisoned[3] = std::numeric_limits<double>::quiet_NaN();
+  add(std::move(poisoned), RejectReason::kNonFinite);
+  for (int i = 0; i < 6; ++i) add(clean(), RejectReason::kNone);
+
+  FleetConfig fc;
+  fc.shards = 1;
+  // One slot: every lane reading reuses the storage of the one before it.
+  fc.producer_ring_capacity = 1;
+  MonitorFleet lane_fleet(fc);
+  lane_fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  MonitorFleet plain_fleet(fc);
+  plain_fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+
+  core::OnlineMonitor::Counters lane_end, plain_end;
+  const std::vector<ChipStats> lane =
+      feed_one_at_a_time(lane_fleet, stream, true, threaded, lane_end);
+  const std::vector<ChipStats> plain =
+      feed_one_at_a_time(plain_fleet, stream, false, threaded, plain_end);
+  ASSERT_EQ(lane.size(), stream.size());
+  ASSERT_EQ(plain.size(), stream.size());
+  ChipStats lane_before, plain_before;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const std::string where = "reading " + std::to_string(i + 1);
+    EXPECT_EQ(outcome_between(lane_before, lane[i]), want[i]) << where;
+    EXPECT_EQ(outcome_between(plain_before, plain[i]), want[i]) << where;
+    expect_same_chip_stats(lane[i], plain[i], where);
+    lane_before = lane[i];
+    plain_before = plain[i];
+  }
+  EXPECT_EQ(lane_end.samples, plain_end.samples);
+  EXPECT_EQ(lane_end.rejected_samples, plain_end.rejected_samples);
+  EXPECT_EQ(lane_end.alarm, plain_end.alarm);
+  EXPECT_EQ(lane_end.crossing_streak, plain_end.crossing_streak);
+  EXPECT_EQ(lane_end.safe_streak, plain_end.safe_streak);
+  EXPECT_EQ(lane_end.alarm_samples, plain_end.alarm_samples);
+  EXPECT_EQ(lane_end.alarm_episodes, plain_end.alarm_episodes);
+  EXPECT_EQ(lane_fleet.stats().processed, stream.size());
+}
+
+TEST(ProducerLane, AdmissionMatchesPlainIngestInPumpMode) {
+  check_lane_admission_parity(/*threaded=*/false);
+}
+
+TEST(ProducerLane, AdmissionMatchesPlainIngestThreaded) {
+  check_lane_admission_parity(/*threaded=*/true);
 }
 
 }  // namespace
