@@ -1,5 +1,5 @@
 // Engineering microbenchmarks (google-benchmark): group-lasso solver
-// scaling (BCD vs FISTA), sparse direct vs iterative grid solves, transient
+// scaling (BCD vs FISTA), skyline factorization and grid solves, transient
 // step cost, and least-squares kernels. These back DESIGN.md §5's ablation
 // notes rather than any specific paper figure.
 
@@ -12,7 +12,6 @@
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
-#include "sparse/cg.hpp"
 #include "sparse/skyline_cholesky.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -142,29 +141,13 @@ BENCHMARK(BM_SkylineSolveLanes)
     ->Arg(16)
     ->Arg(20);
 
-void BM_PcgIc0Solve(benchmark::State& state) {
-  const grid::PowerGrid grid(bench_grid(static_cast<std::size_t>(state.range(0))));
-  const auto& a = grid.conductance();
-  const auto precond = sparse::ic0_preconditioner(a);
-  Rng rng(4);
-  linalg::Vector b(grid.node_count());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.normal();
-  sparse::CgOptions options;
-  options.tolerance = 1e-10;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sparse::conjugate_gradient(a, b, precond, options));
-  state.SetLabel(std::to_string(state.range(0)) + "x" +
-                 std::to_string(state.range(0)) + " grid");
-}
-BENCHMARK(BM_PcgIc0Solve)->Arg(32)->Arg(64)->Arg(96);
-
 // One step of a `lanes`-wide simulator: rhs assembly, both sweeps and the
 // scatter back to node order. items/s counts lane-steps.
 void BM_TransientStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto lanes = static_cast<std::size_t>(state.range(1));
   const grid::PowerGrid grid(bench_grid(n));
-  grid::TransientSim sim(grid, 100e-12, grid::StepSolver::kDirect, lanes);
+  grid::TransientSim sim(grid, 100e-12, lanes);
   Rng rng(5);
   std::vector<linalg::Vector> loads(lanes, linalg::Vector(grid.node_count()));
   for (linalg::Vector& load : loads)

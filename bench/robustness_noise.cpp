@@ -10,13 +10,14 @@
 //                      OLS absorb the noise statistics.
 //
 // --inject switches to the runtime fault-injection suite instead: each
-// scenario damages one pipeline input (cache bytes, trace files, solver
-// budgets) and checks that the resilience layer detects it, recovers
-// through the documented fallback, and lands within 1e-9 of the clean
-// run's result.
+// scenario damages one pipeline input (cache bytes, trace files) and
+// checks that the resilience layer detects it, recovers through the
+// documented fallback, and lands within 1e-9 of the clean run's result.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -27,7 +28,8 @@
 #include "core/ols_model.hpp"
 #include "core/pipeline.hpp"
 #include "core/sensor_noise.hpp"
-#include "grid/transient.hpp"
+#include "grid/power_grid.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "workload/trace_io.hpp"
@@ -116,6 +118,31 @@ int run_injection() {
   cache_scenario("cache: truncated to 2/3", [&] {
     fs::resize_file(cache, fs::file_size(cache) * 2 / 3);
   });
+  // A checksum-valid x_train section that holds only a forged 2^32 x 2^32
+  // shape, whose element count overflows to 0: FNV-1a does not stop a
+  // forgery, so the loader's bound on counts must.
+  cache_scenario("cache: forged x_train shape", [&] {
+    std::string image;
+    {
+      std::ifstream in(cache, std::ios::binary);
+      image.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    constexpr std::uint64_t kXTrainTag = 0xD5E70004ULL;
+    std::uint64_t header[3];  // tag, payload bytes, checksum
+    std::size_t at = 2 * sizeof(std::uint64_t);  // past magic and version
+    while (at + sizeof(header) <= image.size()) {
+      std::memcpy(header, image.data() + at, sizeof(header));
+      if (header[0] == kXTrainTag) break;
+      at += sizeof(header) + header[1];
+    }
+    std::uint64_t forged[] = {kXTrainTag, 16, 0, 1ULL << 32, 1ULL << 32};
+    forged[2] = fnv1a64(&forged[3], 16);
+    image.replace(at, sizeof(header) + header[1],
+                  reinterpret_cast<const char*>(forged), sizeof(forged));
+    std::ofstream out(cache, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  });
 
   // Truncated trace CSV: a row cut mid-stream must surface as corruption
   // (so batch importers can skip the file), never as a shorter trace.
@@ -147,39 +174,6 @@ int run_injection() {
     fs::remove(trace_path);
   }
 
-  // Forced CG non-convergence: a 1-iteration budget can never converge, so
-  // every PCG step must escalate through the ladder and land on the direct
-  // factorization — voltages must match the clean direct run exactly.
-  {
-    grid::TransientSim clean_sim(grid, setup.data.dt,
-                                 grid::StepSolver::kDirect);
-    grid::TransientSim hobbled(grid, setup.data.dt,
-                               grid::StepSolver::kPcgIc0);
-    sparse::CgOptions strangled;
-    strangled.max_iterations = 1;
-    hobbled.set_cg_options(strangled);
-    ResilienceReport report;
-    hobbled.set_resilience_report(&report);
-
-    linalg::Vector load(grid.device_node_count());
-    double max_diff = 0.0;
-    for (std::size_t s = 0; s < 25; ++s) {
-      for (std::size_t n = 0; n < load.size(); ++n)
-        load[n] = 1e-4 * static_cast<double>((n + 3 * s) % 7);
-      const linalg::Vector& v_clean = clean_sim.step(load);
-      const linalg::Vector& v_hobbled = hobbled.step(load);
-      for (std::size_t n = 0; n < v_clean.size(); ++n)
-        max_diff = std::max(max_diff, std::abs(v_clean[n] - v_hobbled[n]));
-    }
-    const bool pass = report.fallbacks() >= 1 && max_diff <= 1e-9;
-    all_pass = all_pass && pass;
-    table.add_row({"CG capped at 1 iteration",
-                   report.fallbacks() >= 1 ? "non-convergence"
-                                           : "NOT DETECTED",
-                   std::string("escalated to ") + hobbled.active_solver(),
-                   TablePrinter::sci(max_diff, 2), pass ? "yes" : "NO"});
-  }
-
   table.print(std::cout);
   fs::remove(cache);
   std::printf("\n%s\n", all_pass
@@ -197,9 +191,9 @@ int main(int argc, char** argv) {
   benchutil::add_common_flags(args);
   args.add_flag("sensors", "4", "sensors per core");
   args.add_bool("inject", false,
-                "run the runtime fault-injection suite (corrupted cache, "
-                "truncated cache, truncated trace csv, forced CG "
-                "non-convergence) instead of the noise sweep");
+                "run the runtime fault-injection suite (corrupted, truncated "
+                "and forged caches, truncated trace csv) instead of the "
+                "noise sweep");
   try {
     if (!args.parse(argc, argv)) return 0;
     if (args.get_bool("inject")) return run_injection();

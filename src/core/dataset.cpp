@@ -256,8 +256,7 @@ Dataset DataCollector::collect(
     const std::size_t b_begin = chunk * n_benchmarks / chunks;
     const std::size_t lanes = (chunk + 1) * n_benchmarks / chunks - b_begin;
     TraceSpan chunk_span("dataset.collect_chunk");
-    grid::TransientSim sim(grid_, config_.dt, grid::StepSolver::kDirect,
-                           lanes);
+    grid::TransientSim sim(grid_, config_.dt, lanes);
     std::vector<workload::ActivityGenerator> generators;
     generators.reserve(lanes);
     for (std::size_t c = 0; c < lanes; ++c)
@@ -333,12 +332,33 @@ double read_f64(std::istream& in) {
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
   return v;
 }
+// The readers below allocate from counts stored in a section payload. The
+// section checksum is FNV-1a, which does not stop a forged count, so every
+// count is bounded by the payload bytes left before anything is allocated;
+// a count that cannot fit fails the stream, and the section surfaces as
+// kCorruption instead of an overflowed shape, std::bad_alloc or
+// std::length_error.
+
+/// Bytes left unread in a payload stream.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::streamsize n = in ? in.rdbuf()->in_avail() : 0;
+  return n > 0 ? static_cast<std::uint64_t>(n) : 0;
+}
+/// Reads an element count; fails the stream (and returns 0) unless that
+/// many `element_bytes`-byte elements fit in the bytes left.
+std::uint64_t read_count(std::istream& in, std::uint64_t element_bytes) {
+  const std::uint64_t n = read_u64(in);
+  if (n <= bytes_left(in) / element_bytes) return n;
+  in.setstate(std::ios::failbit);
+  return 0;
+}
+
 void write_string(std::ostream& out, const std::string& s) {
   write_u64(out, s.size());
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 std::string read_string(std::istream& in) {
-  const std::uint64_t n = read_u64(in);
+  const std::uint64_t n = read_count(in, 1);
   std::string s(n, '\0');
   in.read(s.data(), static_cast<std::streamsize>(n));
   return s;
@@ -353,6 +373,12 @@ void write_matrix(std::ostream& out, const linalg::Matrix& m) {
 linalg::Matrix read_matrix(std::istream& in) {
   const std::uint64_t rows = read_u64(in);
   const std::uint64_t cols = read_u64(in);
+  // rows <= fit / cols keeps rows * cols (and its byte count) from
+  // overflowing.
+  if (cols != 0 && rows > bytes_left(in) / sizeof(double) / cols) {
+    in.setstate(std::ios::failbit);
+    return {};
+  }
   linalg::Matrix m(rows, cols);
   in.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(rows * cols * sizeof(double)));
@@ -363,8 +389,7 @@ void write_indices(std::ostream& out, const std::vector<std::size_t>& v) {
   for (std::size_t x : v) write_u64(out, x);
 }
 std::vector<std::size_t> read_indices(std::istream& in) {
-  const std::uint64_t n = read_u64(in);
-  std::vector<std::size_t> v(n);
+  std::vector<std::size_t> v(read_count(in, sizeof(std::uint64_t)));
   for (auto& x : v) x = read_u64(in);
   return v;
 }
@@ -603,15 +628,19 @@ StatusOr<Dataset> Dataset::try_load(const std::string& path) {
           "dataset cache critical-node section malformed: " + path);
   }
 
+  // Each matrix has one row per candidate (x) or critical node (f), and
+  // x and f agree on the sample count: a shape that disagrees is a
+  // malformed file, even when every count fits its section.
   const struct {
     std::uint64_t tag;
     linalg::Matrix* dst;
     const char* name;
+    std::size_t rows;
   } matrix_sections[] = {
-      {kSecXTrain, &d.x_train, "x_train"},
-      {kSecFTrain, &d.f_train, "f_train"},
-      {kSecXTest, &d.x_test, "x_test"},
-      {kSecFTest, &d.f_test, "f_test"},
+      {kSecXTrain, &d.x_train, "x_train", d.candidate_nodes.size()},
+      {kSecFTrain, &d.f_train, "f_train", d.critical_nodes.size()},
+      {kSecXTest, &d.x_test, "x_test", d.candidate_nodes.size()},
+      {kSecFTest, &d.f_test, "f_test", d.critical_nodes.size()},
   };
   for (const auto& sec : matrix_sections) {
     StatusOr<std::string> payload =
@@ -619,10 +648,13 @@ StatusOr<Dataset> Dataset::try_load(const std::string& path) {
     if (!payload.ok()) return payload.status();
     std::istringstream s(payload.value());
     *sec.dst = read_matrix(s);
-    if (!payload_consumed(s))
+    if (!payload_consumed(s) || sec.dst->rows() != sec.rows)
       return Status::Corruption("dataset cache " + std::string(sec.name) +
                                 " section malformed: " + path);
   }
+  if (d.f_train.cols() != d.x_train.cols() ||
+      d.f_test.cols() != d.x_test.cols())
+    return Status::Corruption("dataset cache sample counts disagree: " + path);
 
   StatusOr<std::string> benches =
       read_section(in, kSecBenchmarks, remaining(), path);

@@ -29,36 +29,24 @@
 // buffer the simulator owns, already in the factor's permuted row order
 // and padded to the solve's lane panel width
 // (SkylineCholesky::solve_in_factor_order); the sweeps run in place on it
-// and the new voltages are scattered back to node order once. The PCG
-// path assembles through the same routine with the identity order.
+// and the new voltages are scattered back to node order once.
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "grid/power_grid.hpp"
 #include "linalg/vector.hpp"
-#include "sparse/cg.hpp"
 #include "sparse/skyline_cholesky.hpp"
-#include "util/resilience.hpp"
 
 namespace vmap::grid {
-
-/// Which linear solver backs each transient step.
-enum class StepSolver {
-  kDirect,  ///< prefactored skyline Cholesky (default)
-  kPcgIc0,  ///< conjugate gradient with IC(0), for very large grids
-};
 
 /// Time-stepping engine over a PowerGrid.
 class TransientSim {
  public:
   /// `dt` is the step in seconds; must be positive. `lanes` (>= 1) is the
-  /// number of lockstep simulations; more than one needs kDirect.
-  TransientSim(const PowerGrid& grid, double dt,
-               StepSolver solver = StepSolver::kDirect,
-               std::size_t lanes = 1);
+  /// number of lockstep simulations.
+  TransientSim(const PowerGrid& grid, double dt, std::size_t lanes = 1);
 
   double dt() const { return dt_; }
   std::size_t lanes() const { return lanes_; }
@@ -89,49 +77,25 @@ class TransientSim {
   /// inductance.
   const linalg::Vector& pad_currents() const { return pad_currents_; }
 
-  /// Attaches a resilience report; solver fallbacks taken during step()
-  /// are recorded into it. The report must outlive the simulator (or be
-  /// detached with nullptr first). Not owned.
-  void set_resilience_report(ResilienceReport* report) { report_ = report; }
-
-  /// Overrides the PCG options used by kPcgIc0 stepping (tolerance,
-  /// iteration cap, divergence guard). No effect on the direct solver.
-  void set_cg_options(const sparse::CgOptions& options) {
-    cg_options_ = options;
-  }
-
-  /// The solver currently answering step(): "direct", "pcg-ic0", or
-  /// "pcg-degraded->direct" once the PCG path has permanently escalated.
-  const char* active_solver() const;
-
  private:
-  /// Escalation ladder for a failed PCG step: shifted-IC(0) retry, then a
-  /// lazily built direct factorization (permanent degradation).
-  void solve_with_fallback(const linalg::Vector& rhs,
-                           const StatusOr<sparse::CgResult>& failed);
-  /// Sets the rhs row order (row r is node order[r]) and the pad rows.
-  void use_order(std::vector<std::size_t> order);
-  /// Writes every lane's step right-hand side into rhs_, in order_.
+  /// Writes every lane's step right-hand side into rhs_, in factor order.
   void assemble_rhs(std::span<const linalg::Vector> loads);
 
   const PowerGrid& grid_;
   double dt_;
-  StepSolver solver_kind_;
   std::size_t lanes_;
   std::size_t stride_;  ///< rhs_ row stride: lanes padded to the panel width
   bool inductive_ = false;
   double g_eff_ = 0.0;       ///< effective pad conductance 1/(R + L/dt)
   double history_gain_ = 0.0;  ///< g_eff * L/dt
-  sparse::CsrMatrix step_matrix_;  // G (+ pad companion) + C/dt
-  std::unique_ptr<sparse::SkylineCholesky> direct_;
-  sparse::Preconditioner pcg_precond_;
-  sparse::CgOptions cg_options_;
-  ResilienceReport* report_ = nullptr;  // not owned
-  bool pcg_degraded_ = false;  ///< PCG path permanently escalated to direct
+  /// Of G (+ pad companion) + C/dt. Built from inductive_ and g_eff_ in
+  /// the constructor's initializer list, so declared after them.
+  sparse::SkylineCholesky factor_;
   linalg::Vector c_over_dt_;
-  std::vector<std::size_t> order_;     ///< rhs_ row -> node
   std::vector<std::size_t> pad_slot_;  ///< pad index -> rhs_ row
-  linalg::Vector rhs_;  ///< row r of lane c at [r * stride_ + c], in order_
+  /// Row r of lane c at [r * stride_ + c]; row r is node
+  /// factor_.permutation()[r].
+  linalg::Vector rhs_;
   linalg::Vector v_;
   linalg::Vector pad_currents_;
   std::size_t steps_ = 0;

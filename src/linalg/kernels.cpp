@@ -25,10 +25,6 @@ void axpy(std::size_t n, double a, const double* x, double* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void xpby(std::size_t n, const double* z, double b, double* p) {
-  for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + b * p[i];
-}
-
 void scale(std::size_t n, double a, double* x) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= a;
 }
@@ -233,18 +229,6 @@ VMAP_AVX2 void axpy(std::size_t n, double a, const double* x, double* y) {
                      _mm256_add_pd(vy, _mm256_mul_pd(va, vx)));
   }
   for (; i < n; ++i) y[i] += a * x[i];
-}
-
-VMAP_AVX2 void xpby(std::size_t n, const double* z, double b, double* p) {
-  const __m256d vb = _mm256_set1_pd(b);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vz = _mm256_loadu_pd(z + i);
-    const __m256d vp = _mm256_loadu_pd(p + i);
-    _mm256_storeu_pd(p + i,
-                     _mm256_add_pd(vz, _mm256_mul_pd(vb, vp)));
-  }
-  for (; i < n; ++i) p[i] = z[i] + b * p[i];
 }
 
 VMAP_AVX2 void scale(std::size_t n, double a, double* x) {
@@ -744,10 +728,6 @@ const char* simd_level() { return use_simd() ? "avx2" : "scalar"; }
 
 void axpy(std::size_t n, double a, const double* x, double* y) {
   VMAP_KERN_DISPATCH(axpy(n, a, x, y));
-}
-
-void xpby(std::size_t n, const double* z, double b, double* p) {
-  VMAP_KERN_DISPATCH(xpby(n, z, b, p));
 }
 
 void scale(std::size_t n, double a, double* x) {

@@ -1,6 +1,6 @@
 #pragma once
 // SIMD microkernel layer: the raw-pointer primitives under the dense
-// kernels (matmul family, Gram products, CG/FISTA vector updates), the
+// kernels (matmul family, Gram products, FISTA vector updates), the
 // skyline solver's multi-RHS substitution, and the serving layer's fused
 // predict-and-min decision kernel.
 //
@@ -45,8 +45,6 @@ const char* simd_level();
 
 /// y[i] += a * x[i]
 void axpy(std::size_t n, double a, const double* x, double* y);
-/// p[i] = z[i] + b * p[i]  (the CG search-direction update)
-void xpby(std::size_t n, const double* z, double b, double* p);
 /// x[i] *= a
 void scale(std::size_t n, double a, double* x);
 /// y[i] += x[i]
@@ -180,7 +178,6 @@ double nrm2sq(std::size_t n, const double* x);
 
 namespace ref {
 void axpy(std::size_t n, double a, const double* x, double* y);
-void xpby(std::size_t n, const double* z, double b, double* p);
 void scale(std::size_t n, double a, double* x);
 void add(std::size_t n, const double* x, double* y);
 void sub(std::size_t n, const double* x, double* y);

@@ -1,16 +1,11 @@
 #include "serve/checkpoint.hpp"
 
-#include <cstdio>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
+#include "util/atomic_file.hpp"
 #include "util/hash.hpp"
 
 namespace vmap::serve {
@@ -194,50 +189,13 @@ Status save_fleet_checkpoint(const MonitorFleet& fleet,
   std::ostringstream meta;
   write_u64(meta, states.size());
 
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::Io("cannot write fleet checkpoint: " + tmp_path);
-    write_u64(out, kMagic);
-    write_u64(out, kVersion);
-    write_section(out, kSecMeta, meta.str());
-    for (std::size_t i = 0; i < states.size(); ++i)
-      write_section(out, kSecChipBase + i, serialize_chip(states[i]));
-    out.flush();
-    if (!out) {
-      std::remove(tmp_path.c_str());
-      return Status::Io("fleet checkpoint write failed: " + tmp_path);
-    }
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#endif
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::Io("cannot move fleet checkpoint into place: " + tmp_path +
-                      " -> " + path);
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // The rename itself is only durable once the containing directory's
-  // entry is on disk — fsync it, or a crash right after return can roll
-  // the checkpoint back to the previous (or no) file.
-  {
-    const auto slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : slash == 0 ? "/"
-                                                      : path.substr(0, slash);
-    const int dir_fd = ::open(dir.c_str(), O_RDONLY);
-    if (dir_fd >= 0) {
-      ::fsync(dir_fd);
-      ::close(dir_fd);
-    }
-  }
-#endif
-  return Status::Ok();
+  std::ostringstream out;
+  write_u64(out, kMagic);
+  write_u64(out, kVersion);
+  write_section(out, kSecMeta, meta.str());
+  for (std::size_t i = 0; i < states.size(); ++i)
+    write_section(out, kSecChipBase + i, serialize_chip(states[i]));
+  return write_file_atomic(path, out.str());
 }
 
 Status load_fleet_checkpoint(MonitorFleet& fleet, const std::string& path) {

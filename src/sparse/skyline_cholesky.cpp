@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <string>
 
 #include "linalg/kernels.hpp"
 #include "sparse/ordering.hpp"
@@ -11,8 +9,8 @@
 
 namespace vmap::sparse {
 
-Status SkylineCholesky::factorize(const CsrMatrix& a, bool use_rcm) {
-  n_ = a.rows();
+SkylineCholesky::SkylineCholesky(const CsrMatrix& a, bool use_rcm)
+    : n_(a.rows()) {
   VMAP_REQUIRE(a.rows() == a.cols(), "Cholesky requires a square matrix");
   VMAP_REQUIRE(n_ > 0, "cannot factorize an empty matrix");
 
@@ -71,37 +69,9 @@ Status SkylineCholesky::factorize(const CsrMatrix& a, bool use_rcm) {
     }
     double d = diag_[i];
     for (std::size_t k = fi; k < i; ++k) d -= li[k - fi] * li[k - fi];
-    if (!(d > 0.0))
-      return Status::Numerical("matrix is not positive definite (skyline pivot " +
-                               std::to_string(i) + " = " + std::to_string(d) +
-                               ")");
+    if (!(d > 0.0)) throw ContractError("matrix is not positive definite");
     diag_[i] = std::sqrt(d);
   }
-  return Status::Ok();
-}
-
-SkylineCholesky::SkylineCholesky(const CsrMatrix& a, bool use_rcm) {
-  const Status status = factorize(a, use_rcm);
-  if (!status.ok()) throw ContractError("matrix is not positive definite");
-}
-
-StatusOr<SkylineCholesky> SkylineCholesky::try_factorize(const CsrMatrix& a,
-                                                         bool use_rcm) {
-  SkylineCholesky chol;
-  Status status = chol.factorize(a, use_rcm);
-  if (!status.ok()) return status;
-  return chol;
-}
-
-double SkylineCholesky::condition_estimate() const {
-  double mx = 0.0, mn = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n_; ++i) {
-    mx = std::max(mx, diag_[i]);
-    mn = std::min(mn, diag_[i]);
-  }
-  if (!(mn > 0.0)) return std::numeric_limits<double>::infinity();
-  const double ratio = mx / mn;
-  return ratio * ratio;
 }
 
 linalg::Vector SkylineCholesky::solve(const linalg::Vector& b) const {

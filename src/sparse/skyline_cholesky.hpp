@@ -7,8 +7,7 @@
 // each row's envelope, which the storage captures exactly.
 //
 // This is the workhorse behind both DC IR-drop solves and the prefactored
-// backward-Euler transient stepping, and the terminal rung of the
-// solve_spd_resilient escalation ladder.
+// backward-Euler transient stepping.
 //
 // Solves take a lane count: solve_lanes() runs several right-hand sides
 // through one pass over the factor, interleaved so each envelope entry is
@@ -24,7 +23,6 @@
 
 #include "linalg/vector.hpp"
 #include "sparse/csr.hpp"
-#include "util/status.hpp"
 
 namespace vmap::sparse {
 
@@ -36,12 +34,6 @@ class SkylineCholesky {
   /// first; otherwise the natural ordering is used. Throws ContractError on
   /// numerical breakdown (non-positive pivot).
   explicit SkylineCholesky(const CsrMatrix& a, bool use_rcm = true);
-
-  /// Non-throwing factorization: Status kNumerical when a pivot goes
-  /// non-positive instead of an exception, so the solver ladder can fall
-  /// back without unwinding the caller.
-  static StatusOr<SkylineCholesky> try_factorize(const CsrMatrix& a,
-                                                 bool use_rcm = true);
 
   std::size_t dim() const { return n_; }
 
@@ -73,15 +65,7 @@ class SkylineCholesky {
   /// The permutation used (new index -> old index).
   const std::vector<std::size_t>& permutation() const { return perm_; }
 
-  /// Cheap 2-norm condition estimate from the factor diagonal:
-  /// (max L_ii / min L_ii)^2, a lower bound on cond_2(A).
-  double condition_estimate() const;
-
  private:
-  SkylineCholesky() = default;
-  /// Shared factorization core; on failure the object is unspecified.
-  Status factorize(const CsrMatrix& a, bool use_rcm);
-
   // Row i of L occupies columns [first_col_[i], i], stored contiguously in
   // values_ starting at row_start_[i]; diag_[i] caches L_ii.
   std::size_t n_ = 0;

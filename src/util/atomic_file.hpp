@@ -1,10 +1,10 @@
 #pragma once
-// Crash-safe whole-file writes, shared by the sweep reports and any other
-// artifact that must never be observed torn.
+// Crash-safe whole-file writes, shared by the dataset cache, the fleet
+// checkpoint, the sweep reports and any other artifact that must never be
+// observed torn.
 //
-// write_file_atomic() serializes the idiom the dataset cache and fleet
-// checkpoint already use inline: write the full contents to `path + ".tmp"`,
-// fsync the file, rename into place, then fsync the containing directory so
+// write_file_atomic() writes the full contents to `path + ".tmp"`, fsyncs
+// the file, renames it into place, then fsyncs the containing directory so
 // the rename itself is durable. A crash at any instant leaves either the
 // previous file or the new one, never a prefix.
 

@@ -2,15 +2,15 @@
 // Process-wide metrics registry: counters, gauges, and fixed-bucket
 // histograms.
 //
-// Instruments the runtime's hot paths (CG solves, fallback-ladder rungs,
-// group-lasso sweeps, dataset cache hits/misses, thread-pool batches,
-// per-phase wall time) so every run can export a numeric snapshot into
-// its --report JSON. Recording is lock-free (relaxed atomics) and must
-// never change numerical results; registration (name lookup) takes a
-// mutex, so hot paths cache the returned reference:
+// Instruments the runtime's hot paths (transient steps, group-lasso
+// sweeps, dataset cache hits/misses, thread-pool batches, per-phase wall
+// time) so every run can export a numeric snapshot into its --report
+// JSON. Recording is lock-free (relaxed atomics) and must never change
+// numerical results; registration (name lookup) takes a mutex, so hot
+// paths cache the returned reference:
 //
-//   static metrics::Counter& solves = metrics::counter("cg.solves");
-//   solves.add();
+//   static metrics::Counter& sweeps = metrics::counter("gl.sweeps");
+//   sweeps.add();
 //
 // Metric object references are stable for the life of the process. The
 // VMAP_METRICS=0 environment variable (or set_enabled(false)) turns

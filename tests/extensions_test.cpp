@@ -1,5 +1,5 @@
-// Tests for the extension layer: placement baselines, automatic lambda
-// selection, sensor noise, the online monitor, and RLS adaptation.
+// Tests for the extension layer: placement baselines, sensor noise, the
+// online monitor, and RLS adaptation.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "core/correlation_map.hpp"
 #include "core/dataset.hpp"
 #include "core/experiment.hpp"
-#include "core/lambda_selection.hpp"
 #include "core/ols_model.hpp"
 #include "core/online_monitor.hpp"
 #include "core/pipeline.hpp"
@@ -204,30 +203,6 @@ TEST_F(ExtensionsTest, EvaluatePlacementReportsConsistently) {
   EXPECT_GT(eval.relative_error, 0.0);
   EXPECT_GT(eval.rmse_volts, 0.0);
   EXPECT_EQ(eval.detection.samples, data_->x_test.cols());
-}
-
-TEST_F(ExtensionsTest, AutoLambdaStopsAtFirstTargetMeetingPoint) {
-  const auto result =
-      auto_select_lambda(*data_, *plan_, /*target=*/0.01,
-                         {1.0, 4.0, 16.0});
-  ASSERT_FALSE(result.path.empty());
-  EXPECT_TRUE(result.met_target);
-  EXPECT_LE(result.chosen.relative_error, 0.01);
-  // Path must stop at the chosen lambda.
-  EXPECT_EQ(result.path.back().lambda, result.chosen.lambda);
-  // Larger lambda in the path => at least as many sensors.
-  for (std::size_t i = 1; i < result.path.size(); ++i)
-    EXPECT_GE(result.path[i].sensors + 1, result.path[i - 1].sensors);
-}
-
-TEST_F(ExtensionsTest, AutoLambdaUnreachableTargetReportsBestEffort) {
-  const auto result =
-      auto_select_lambda(*data_, *plan_, /*target=*/1e-9, {1.0, 2.0});
-  EXPECT_FALSE(result.met_target);
-  EXPECT_EQ(result.path.size(), 2u);
-  // Chosen = the most accurate of the tried points.
-  for (const auto& p : result.path)
-    EXPECT_GE(p.relative_error, result.chosen.relative_error);
 }
 
 TEST_F(ExtensionsTest, PredictFromSensorReadingsMatchesFullPrediction) {

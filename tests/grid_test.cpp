@@ -1,6 +1,6 @@
 // Power-grid physics tests: DC operating points, transient behaviour,
-// voltage bounds, lockstep lanes against one-lane simulators, a
-// closed-form backward-Euler oracle, and recorders.
+// voltage bounds, lockstep lanes against one-lane simulators, a dense-solve
+// and a closed-form backward-Euler oracle, and recorders.
 
 #include <gtest/gtest.h>
 
@@ -236,20 +236,6 @@ TEST(Transient, ResetRestoresQuiescentState) {
     EXPECT_DOUBLE_EQ(sim.voltages()[i], 1.0);
 }
 
-TEST(Transient, DirectAndPcgSolversAgree) {
-  const PowerGrid grid(small_config());
-  linalg::Vector load(grid.node_count());
-  load[grid.node_id(3, 3)] = 0.25;
-  TransientSim direct(grid, 1e-11, StepSolver::kDirect);
-  TransientSim pcg(grid, 1e-11, StepSolver::kPcgIc0);
-  for (int s = 0; s < 20; ++s) {
-    const auto& vd = direct.step(load);
-    const auto& vp = pcg.step(load);
-    for (std::size_t i = 0; i < vd.size(); ++i)
-      EXPECT_NEAR(vd[i], vp[i], 1e-7);
-  }
-}
-
 TEST(Transient, SmallerTimeStepTracksFasterDynamics) {
   // A smaller dt reaches less of the final droop in the same number of
   // steps (because less wall time has elapsed) — basic dt sanity.
@@ -345,7 +331,7 @@ void expect_lanes_match_one_lane_sims(const PowerGrid& grid,
   SimdGuard guard;
   for (bool simd : {false, true}) {
     linalg::kern::set_simd_enabled(simd);
-    TransientSim multi(grid, 1e-11, StepSolver::kDirect, lanes);
+    TransientSim multi(grid, 1e-11, lanes);
     std::vector<TransientSim> singles;
     singles.reserve(lanes);
     for (std::size_t c = 0; c < lanes; ++c) singles.emplace_back(grid, 1e-11);
@@ -404,7 +390,7 @@ TEST(TransientLanes, DroopIsLinearInTheLoad) {
   // droops exactly α times as much as a lane driven by I (to rounding).
   const PowerGrid grid(small_config());
   const double alpha = 2.7;
-  TransientSim sim(grid, 1e-11, StepSolver::kDirect, 2);
+  TransientSim sim(grid, 1e-11, 2);
   Rng rng(31);
   for (int step = 0; step < 50; ++step) {
     std::vector<linalg::Vector> loads(2);
@@ -423,7 +409,7 @@ TEST(TransientLanes, DroopIsLinearInTheLoad) {
 
 TEST(TransientLanes, StepCounterCountsLiveLanes) {
   const PowerGrid grid(small_config());
-  TransientSim sim(grid, 1e-11, StepSolver::kDirect, 5);
+  TransientSim sim(grid, 1e-11, 5);
   const bool metrics_were_on = metrics::enabled();
   metrics::set_enabled(true);
   metrics::Counter& steps = metrics::counter("transient.steps");
@@ -437,13 +423,10 @@ TEST(TransientLanes, StepCounterCountsLiveLanes) {
   metrics::set_enabled(metrics_were_on);
 }
 
-TEST(TransientLanes, RejectsWrongLaneCountAndMultiLanePcg) {
+TEST(TransientLanes, RejectsWrongLaneCount) {
   const PowerGrid grid(small_config());
-  EXPECT_THROW(TransientSim(grid, 1e-11, StepSolver::kDirect, 0),
-               vmap::ContractError);
-  EXPECT_THROW(TransientSim(grid, 1e-11, StepSolver::kPcgIc0, 2),
-               vmap::ContractError);
-  TransientSim sim(grid, 1e-11, StepSolver::kDirect, 2);
+  EXPECT_THROW(TransientSim(grid, 1e-11, 0), vmap::ContractError);
+  TransientSim sim(grid, 1e-11, 2);
   EXPECT_THROW(sim.step(linalg::Vector(grid.node_count())),
                vmap::ContractError);
 }
@@ -454,8 +437,8 @@ TEST(TransientLanes, RejectsWrongLaneCountAndMultiLanePcg) {
 void expect_simd_matches_scalar(const PowerGrid& grid, std::size_t lanes,
                                 std::size_t load_size, double amps) {
   SimdGuard guard;
-  TransientSim simd(grid, 1e-11, StepSolver::kDirect, lanes);
-  TransientSim scalar(grid, 1e-11, StepSolver::kDirect, lanes);
+  TransientSim simd(grid, 1e-11, lanes);
+  TransientSim scalar(grid, 1e-11, lanes);
   Rng rng(11 * lanes);
   for (int step = 0; step < 50; ++step) {
     std::vector<linalg::Vector> loads;
@@ -499,6 +482,36 @@ TEST(TransientLanes, SimdStepsMatchScalarSteps) {
                                  0.05);
 }
 
+TEST(TransientOracle, DirectStepMatchesDenseSolve) {
+  // Each prefactored skyline step must equal a dense Cholesky solve of
+  // (G + C/dt)·v⁺ = C/dt·v − I + pad injection, assembled here from the
+  // grid's own matrices, under a point load on resistive pads.
+  const PowerGrid grid(small_config());
+  ASSERT_EQ(grid.config().pad_inductance, 0.0);
+  const double dt = 1e-11;
+  const std::size_t n = grid.node_count();
+  const linalg::Vector& cap = grid.capacitance();
+  linalg::Matrix a = grid.conductance().to_dense();
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += cap[i] / dt;
+  const linalg::Cholesky dense(a);
+
+  const std::size_t victim = grid.node_id(3, 3);
+  linalg::Vector load(n);
+  load[victim] = 0.25;
+  TransientSim sim(grid, dt);
+  linalg::Vector want(n, grid.config().vdd);
+  for (int step = 0; step < 20; ++step) {
+    linalg::Vector rhs(n);
+    for (std::size_t i = 0; i < n; ++i)
+      rhs[i] = cap[i] / dt * want[i] - load[i] + grid.pad_injection()[i];
+    want = dense.solve(rhs);
+    const linalg::Vector& got = sim.step(load);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_NEAR(got[i], want[i], 1e-12) << "node " << i << " step " << step;
+  }
+  EXPECT_LT(want[victim], grid.config().vdd - 0.01);  // the load does droop
+}
+
 // --- closed-form transient oracle -----------------------------------------
 //
 // With a pad at every node (square lattice, pad_spacing = 1) and the same
@@ -531,7 +544,7 @@ TEST(TransientOracle, EveryNodeFollowsTheBackwardEulerRecurrence) {
   const double loads[] = {2.0, 0.5, 1.3};  // A per node, one per lane
 
   TransientSim one(grid, dt);
-  TransientSim three(grid, dt, StepSolver::kDirect, 3);
+  TransientSim three(grid, dt, 3);
   std::vector<linalg::Vector> lane_loads;
   for (double amps : loads)
     lane_loads.push_back(linalg::Vector(grid.node_count(), amps));

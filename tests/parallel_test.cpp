@@ -234,11 +234,6 @@ TEST(SimdKernels, ElementwiseBitIdenticalToScalarOracle) {
       EXPECT_TRUE(bytes_equal(got, want)) << "axpy n=" << n << " simd=" << simd;
 
       got = y0, want = y0;
-      linalg::kern::xpby(n, x.data(), -0.3, got.data());
-      linalg::kern::ref::xpby(n, x.data(), -0.3, want.data());
-      EXPECT_TRUE(bytes_equal(got, want)) << "xpby n=" << n << " simd=" << simd;
-
-      got = y0, want = y0;
       linalg::kern::scale(n, 0.77, got.data());
       linalg::kern::ref::scale(n, 0.77, want.data());
       EXPECT_TRUE(bytes_equal(got, want)) << "scale n=" << n;

@@ -1,12 +1,15 @@
 // Resilience-layer tests: ResilienceReport accounting, crash-safe cache
-// recovery, the SPD solve escalation ladder, ridge-jittered OLS refits,
-// group-lasso breakdown detection, and transient-solver degradation.
+// recovery, ridge-jittered OLS refits, and group-lasso breakdown
+// detection.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -18,11 +21,8 @@
 #include "core/group_lasso.hpp"
 #include "core/ols_model.hpp"
 #include "grid/power_grid.hpp"
-#include "grid/transient.hpp"
 #include "linalg/matrix.hpp"
-#include "sparse/cg.hpp"
-#include "sparse/csr.hpp"
-#include "sparse/skyline_cholesky.hpp"
+#include "util/hash.hpp"
 #include "util/resilience.hpp"
 #include "workload/benchmark_suite.hpp"
 
@@ -181,6 +181,58 @@ TEST_F(CacheResilienceTest, TrailingGarbageRecollects) {
   });
 }
 
+/// Rewrites the x_train section of a v7 cache to a 16-byte payload that
+/// holds only the shape rows x cols, with a matching length and checksum:
+/// a forgery the FNV-1a section checksum does not catch.
+void forge_x_train_shape(const std::string& path, std::uint64_t rows,
+                         std::uint64_t cols) {
+  constexpr std::uint64_t kXTrainTag = 0xD5E70004ULL;
+  std::string image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Sections follow the magic and version: [tag][bytes][checksum][payload].
+  std::size_t at = 2 * sizeof(std::uint64_t);
+  std::uint64_t header[3];
+  for (;;) {
+    ASSERT_LE(at + sizeof(header), image.size()) << "no x_train section";
+    std::memcpy(header, image.data() + at, sizeof(header));
+    if (header[0] == kXTrainTag) break;
+    at += sizeof(header) + header[1];
+  }
+  const std::uint64_t dims[] = {rows, cols};
+  const std::string payload(reinterpret_cast<const char*>(dims),
+                            sizeof(dims));
+  const std::uint64_t forged[] = {kXTrainTag, payload.size(),
+                                  fnv1a64(payload.data(), payload.size())};
+  image.replace(at, sizeof(header) + header[1],
+                std::string(reinterpret_cast<const char*>(forged),
+                            sizeof(forged)) +
+                    payload);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+TEST_F(CacheResilienceTest, ForgedShapeRecollects) {
+  // rows * cols overflowing to 0, a shape that wraps to a 32 GiB
+  // allocation, one past the vector size limit, and an empty matrix with
+  // the wrong row count: each must read as corruption, never as a
+  // storage-less matrix, std::bad_alloc or std::length_error.
+  const std::uint64_t shapes[][2] = {{1ULL << 32, 1ULL << 32},
+                                     {1ULL << 32, (1ULL << 32) + 1},
+                                     {1ULL << 61, 1},
+                                     {1ULL << 40, 0}};
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE("forged x_train shape " + std::to_string(shape[0]) + " x " +
+                 std::to_string(shape[1]));
+    expect_recovery([&shape](const std::string& path) {
+      forge_x_train_shape(path, shape[0], shape[1]);
+    });
+  }
+}
+
 TEST_F(CacheResilienceTest, ForeignFileRecollects) {
   reference_->save(path_);
   {
@@ -203,69 +255,6 @@ TEST_F(CacheResilienceTest, MissingFileIsIoNotCorruption) {
       core::Dataset::try_load("no_such_file.cache");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), ErrorCode::kIo);
-}
-
-/// 2D mesh Laplacian + diagonal boost (the shape of the grid's G).
-sparse::CsrMatrix mesh_spd(std::size_t nx, std::size_t ny,
-                           double diag_boost = 0.5) {
-  const std::size_t n = nx * ny;
-  sparse::TripletBuilder b(n, n);
-  auto id = [nx](std::size_t x, std::size_t y) { return y * nx + x; };
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t x = 0; x < nx; ++x) {
-      b.add(id(x, y), id(x, y), diag_boost);
-      if (x + 1 < nx) {
-        b.add(id(x, y), id(x, y), 1.0);
-        b.add(id(x + 1, y), id(x + 1, y), 1.0);
-        b.add(id(x, y), id(x + 1, y), -1.0);
-        b.add(id(x + 1, y), id(x, y), -1.0);
-      }
-      if (y + 1 < ny) {
-        b.add(id(x, y), id(x, y), 1.0);
-        b.add(id(x, y + 1), id(x, y + 1), 1.0);
-        b.add(id(x, y), id(x, y + 1), -1.0);
-        b.add(id(x, y + 1), id(x, y), -1.0);
-      }
-    }
-  }
-  return b.build();
-}
-
-TEST(SpdLadder, HealthyCgNeedsNoFallback) {
-  const sparse::CsrMatrix a = mesh_spd(6, 5);
-  linalg::Vector b(a.rows());
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = 1.0 + static_cast<double>(i % 3);
-
-  ResilienceReport report;
-  const StatusOr<sparse::SpdSolveResult> result = sparse::solve_spd_resilient(
-      a, b, sparse::jacobi_preconditioner(a), sparse::CgOptions{}, &report);
-  ASSERT_TRUE(result.ok());
-  EXPECT_STREQ(result->solver, "cg");
-  EXPECT_EQ(result->fallbacks, 0u);
-  EXPECT_TRUE(report.clean());
-  EXPECT_LT(result->relative_residual, 1e-9);
-}
-
-TEST(SpdLadder, StarvedCgEscalatesAndStillSolves) {
-  const sparse::CsrMatrix a = mesh_spd(6, 5);
-  linalg::Vector b(a.rows());
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = 1.0 + static_cast<double>(i % 3);
-  const linalg::Vector exact =
-      sparse::SkylineCholesky(a).solve(b);
-
-  sparse::CgOptions starved;
-  starved.max_iterations = 1;  // cannot converge: force the ladder
-  ResilienceReport report;
-  const StatusOr<sparse::SpdSolveResult> result = sparse::solve_spd_resilient(
-      a, b, sparse::jacobi_preconditioner(a), starved, &report);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->fallbacks, 1u);
-  EXPECT_FALSE(report.clean());
-  EXPECT_LT(result->relative_residual, 1e-9);
-  for (std::size_t i = 0; i < exact.size(); ++i)
-    EXPECT_NEAR(result->x[i], exact[i], 1e-9);
 }
 
 TEST(OlsRidgeFallback, CollinearDesignRecoversWithRidge) {
@@ -323,36 +312,6 @@ TEST(GroupLassoGuardrails, NonFiniteDataYieldsNumericalStatus) {
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.status.code(), ErrorCode::kNumerical);
   EXPECT_FALSE(result.converged);
-}
-
-TEST(TransientDegradation, StarvedPcgFallsBackToDirectBitExactly) {
-  const core::ExperimentSetup setup = core::small_setup();
-  grid::PowerGrid grid(setup.grid);
-
-  grid::TransientSim clean(grid, setup.data.dt, grid::StepSolver::kDirect);
-  grid::TransientSim hobbled(grid, setup.data.dt, grid::StepSolver::kPcgIc0);
-  sparse::CgOptions strangled;
-  strangled.max_iterations = 1;
-  hobbled.set_cg_options(strangled);
-  ResilienceReport report;
-  hobbled.set_resilience_report(&report);
-  EXPECT_STREQ(hobbled.active_solver(), "pcg-ic0");
-
-  linalg::Vector load(grid.device_node_count());
-  double max_diff = 0.0;
-  for (std::size_t s = 0; s < 10; ++s) {
-    for (std::size_t n = 0; n < load.size(); ++n)
-      load[n] = 1e-4 * static_cast<double>((n + 3 * s) % 7);
-    const linalg::Vector& v_clean = clean.step(load);
-    const linalg::Vector& v_hobbled = hobbled.step(load);
-    for (std::size_t n = 0; n < v_clean.size(); ++n)
-      max_diff = std::max(max_diff, std::abs(v_clean[n] - v_hobbled[n]));
-  }
-  // The ladder lands on the same skyline factorization the direct solver
-  // uses, so the degraded run is bit-identical, not merely close.
-  EXPECT_EQ(max_diff, 0.0);
-  EXPECT_GE(report.fallbacks(), 1u);
-  EXPECT_STREQ(hobbled.active_solver(), "pcg-degraded->direct");
 }
 
 }  // namespace

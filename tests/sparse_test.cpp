@@ -1,6 +1,6 @@
-// Sparse layer tests: CSR assembly semantics, SpMV, RCM ordering, skyline
-// Cholesky vs dense reference (and its multi-lane solves vs one-lane
-// solves), and preconditioned CG.
+// Sparse layer tests: CSR assembly semantics, SpMV, RCM ordering, and
+// skyline Cholesky vs dense reference (and its multi-lane solves vs
+// one-lane solves).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
-#include "sparse/cg.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ordering.hpp"
 #include "sparse/skyline_cholesky.hpp"
@@ -247,71 +246,6 @@ TEST(Skyline, RejectsIndefinite) {
   b.add(0, 1, 2.0);
   b.add(1, 0, 2.0);
   EXPECT_THROW(SkylineCholesky(b.build()), vmap::ContractError);
-}
-
-TEST(Cg, PlainCgSolvesChain) {
-  const CsrMatrix m = chain_spd(50);
-  vmap::Rng rng(17);
-  linalg::Vector b(m.rows());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.normal();
-  const auto result =
-      conjugate_gradient(m, b, identity_preconditioner(), CgOptions{});
-  EXPECT_TRUE(result.converged);
-  linalg::Vector r = m.multiply(result.x);
-  r -= b;
-  EXPECT_LT(r.norm2() / b.norm2(), 1e-8);
-}
-
-TEST(Cg, JacobiAndIc0AgreeWithDirect) {
-  const CsrMatrix m = mesh_spd(9, 7);
-  vmap::Rng rng(19);
-  linalg::Vector b(m.rows());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.normal();
-  const linalg::Vector x_direct = SkylineCholesky(m).solve(b);
-
-  for (const auto& precond :
-       {jacobi_preconditioner(m), ic0_preconditioner(m)}) {
-    const auto result = conjugate_gradient(m, b, precond, CgOptions{});
-    ASSERT_TRUE(result.converged);
-    for (std::size_t i = 0; i < b.size(); ++i)
-      EXPECT_NEAR(result.x[i], x_direct[i], 1e-7);
-  }
-}
-
-TEST(Cg, Ic0ConvergesFasterThanPlain) {
-  const CsrMatrix m = mesh_spd(16, 16, 0.05);  // poorly conditioned
-  vmap::Rng rng(23);
-  linalg::Vector b(m.rows());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.normal();
-  const auto plain =
-      conjugate_gradient(m, b, identity_preconditioner(), CgOptions{});
-  const auto ic = conjugate_gradient(m, b, ic0_preconditioner(m), CgOptions{});
-  ASSERT_TRUE(plain.converged);
-  ASSERT_TRUE(ic.converged);
-  EXPECT_LT(ic.iterations, plain.iterations);
-}
-
-TEST(Cg, ZeroRhsConvergesImmediately) {
-  const CsrMatrix m = chain_spd(10);
-  const auto result = conjugate_gradient(m, linalg::Vector(10),
-                                         identity_preconditioner(),
-                                         CgOptions{});
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.iterations, 0u);
-  EXPECT_EQ(result.x.norm2(), 0.0);
-}
-
-TEST(Cg, IterationCapReported) {
-  const CsrMatrix m = mesh_spd(20, 20, 0.01);
-  vmap::Rng rng(29);
-  linalg::Vector b(m.rows());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.normal();
-  CgOptions options;
-  options.max_iterations = 2;
-  const auto result =
-      conjugate_gradient(m, b, identity_preconditioner(), options);
-  EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.iterations, 2u);
 }
 
 }  // namespace

@@ -10,9 +10,10 @@
 #       execution layer and the lock-free crash ring.
 #   tools/check_sanitize.sh resilience [build-dir]  (default dir
 #       build-sanitize): ASan+UBSan over just the error-taxonomy and
-#       resilience tests — the fast gate for changes to the fallback
-#       ladders, cache integrity checks, or Status plumbing. (The default
-#       asan mode also covers these as part of the full suite.)
+#       resilience tests — the fast gate for changes to the recovery paths
+#       (OLS ridge refit, dataset-cache integrity checks) or the Status
+#       plumbing. (The default asan mode also covers these as part of the
+#       full suite.)
 #   tools/check_sanitize.sh chaos [build-dir]     (default dir build-tsan):
 #       ThreadSanitizer over the serving layer: the serve unit/integration
 #       tests plus the serving_suite chaos harness with every --inject
