@@ -6,12 +6,12 @@
 //     sensors sit differs.
 //  B. OLS refit vs raw (shrunk) GL coefficients across λ — §2.3's bias.
 //  C. Per-core vs whole-chip GL decomposition.
-//  D. BCD vs FISTA on the same per-core problem — support agreement,
-//     objective gap, runtime.
 //  E. Model-backend matrix — every registered selection x prediction pair
 //     head-to-head on the Table-2 metrics and fit wall time.
 //
 // --sections picks a subset (e.g. --sections=e for the CI ablation gate).
+// There is no section D; E keeps its letter so the CI gate's invocation
+// and the baseline's `sections` tag stay valid.
 
 #include <cctype>
 #include <cstdio>
@@ -21,8 +21,6 @@
 #include "core/baselines.hpp"
 #include "core/eagle_eye.hpp"
 #include "core/emergency.hpp"
-#include "core/group_lasso.hpp"
-#include "core/normalizer.hpp"
 #include "core/ols_model.hpp"
 #include "core/pipeline.hpp"
 #include "util/table.hpp"
@@ -156,58 +154,6 @@ void decomposition_ablation(const benchutil::Platform& platform,
   table.print(std::cout);
 }
 
-void solver_ablation(const benchutil::Platform& platform,
-                     benchutil::RunReport& report) {
-  const auto& data = platform.data;
-  std::printf("\n== D. BCD vs FISTA on core 0's GL problem ==\n");
-
-  const auto candidate_rows =
-      data.candidate_rows_for_core(*platform.floorplan, 0);
-  const auto block_rows = data.critical_rows_for_core(*platform.floorplan, 0);
-  const linalg::Matrix x = data.x_train.select_rows(candidate_rows);
-  const linalg::Matrix f = data.f_train.select_rows(block_rows);
-  const core::Normalizer xn(x), fn(f);
-  const auto problem =
-      core::GroupLassoProblem::from_data(xn.normalize(x), fn.normalize(f));
-
-  TablePrinter table({"solver", "mu/mu_max", "iterations", "converged",
-                      "objective", "#active (T=1e-3)", "time(ms)"});
-  for (double fraction : {0.5, 0.2, 0.05}) {
-    for (auto solver : {core::GlSolver::kBcd, core::GlSolver::kFista}) {
-      core::GroupLassoOptions options;
-      options.solver = solver;
-      // BCD stops on its duality-gap certificate (its sweep cap is only a
-      // safety net); FISTA stops on coefficient change, capped here.
-      if (solver == core::GlSolver::kFista) options.max_iterations = 20000;
-      core::GroupLasso gl(problem, options);
-      const double mu = gl.mu_max() * fraction;
-      Timer timer;
-      const auto result = gl.solve_penalized(mu);
-      const double ms = timer.millis();
-      // A numerical breakdown makes the whole comparison meaningless;
-      // non-convergence only makes one row inexact, so flag it in place.
-      if (!result.status.ok()) throw StatusError(result.status);
-      const std::string tag =
-          std::string(solver == core::GlSolver::kBcd ? "bcd" : "fista") +
-          "@" + TablePrinter::fmt(fraction, 2);
-      report.scalar("objective." + tag, result.objective);
-      report.scalar("active." + tag,
-                    static_cast<double>(result.active_groups(1e-3).size()));
-      report.timing("solve." + tag, ms);
-      table.add_row({solver == core::GlSolver::kBcd ? "BCD" : "FISTA",
-                     TablePrinter::fmt(fraction, 2),
-                     TablePrinter::fmt(result.iterations),
-                     result.converged ? "yes" : "NO (cap)",
-                     TablePrinter::fmt(result.objective, 6),
-                     TablePrinter::fmt(result.active_groups(1e-3).size()),
-                     TablePrinter::fmt(ms, 1)});
-    }
-  }
-  table.print(std::cout);
-  std::printf("(both reach the same objective and support; BCD's working-set "
-              "sweeps are cheaper on sparse solutions)\n");
-}
-
 void backend_matrix_ablation(const benchutil::Platform& platform,
                              std::size_t sensors_per_core,
                              benchutil::RunReport& report) {
@@ -257,19 +203,30 @@ void backend_matrix_ablation(const benchutil::Platform& platform,
               "grid-geometry patch features, greedy_r2 swaps the selector)\n");
 }
 
+constexpr const char* kSections = "abce";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliArgs args("ablation_suite — design-choice ablations (DESIGN.md §5)");
   benchutil::add_common_flags(args);
   args.add_flag("sensors", "2", "sensors per core for the placement table");
-  args.add_flag("sections", "abcde",
-                "which ablation sections to run (any subset of \"abcde\")");
+  args.add_flag("sections", kSections,
+                "which ablation sections to run (any subset of \"abce\")");
   try {
     if (!args.parse(argc, argv)) return 0;
     std::string sections = args.get("sections");
     for (char& c : sections)
       c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (sections.empty() ||
+        sections.find_first_not_of(kSections) != std::string::npos) {
+      std::fprintf(stderr,
+                   "error: --sections \"%s\" must name one or more of the "
+                   "known sections \"%s\" (a placement, b OLS refit, "
+                   "c decomposition, e backend matrix)\n",
+                   args.get("sections").c_str(), kSections);
+      return 1;
+    }
     const auto enabled = [&sections](char c) {
       return sections.find(c) != std::string::npos;
     };
@@ -281,7 +238,6 @@ int main(int argc, char** argv) {
     if (enabled('a')) placement_ablation(platform, sensors, report);
     if (enabled('b')) refit_ablation(platform, report);
     if (enabled('c')) decomposition_ablation(platform, report);
-    if (enabled('d')) solver_ablation(platform, report);
     if (enabled('e')) backend_matrix_ablation(platform, sensors, report);
     benchutil::write_report(args, &platform, report);
     benchutil::print_resilience(platform);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "util/flight_recorder.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -156,25 +157,6 @@ double scaled_lambda(const CliArgs& args, double paper_lambda) {
 
 namespace {
 
-void json_escape_into(std::string& out, const std::string& in) {
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Full-precision double literal: %.17g round-trips IEEE doubles exactly,
 /// which is what lets perf_gate.py hold correctness scalars byte-identical.
 std::string json_number(double v) {
@@ -188,7 +170,7 @@ void append_pairs(std::string& json,
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (i) json += ",";
     json += "\"";
-    json_escape_into(json, pairs[i].first);
+    json::escape_into(json, pairs[i].first);
     json += "\":" + json_number(pairs[i].second);
   }
 }
@@ -220,7 +202,7 @@ void write_report(const CliArgs& args, const Platform* platform,
   std::string json = "{\n";
   json += "  \"schema\": 1,\n";
   json += "  \"bench\": \"";
-  json_escape_into(json, report.bench);
+  json::escape_into(json, report.bench);
   json += "\",\n";
   if (platform) {
     char hash[32];
@@ -237,9 +219,9 @@ void write_report(const CliArgs& args, const Platform* platform,
   for (std::size_t i = 0; i < report.tags.size(); ++i) {
     if (i) json += ",";
     json += "\"";
-    json_escape_into(json, report.tags[i].first);
+    json::escape_into(json, report.tags[i].first);
     json += "\":\"";
-    json_escape_into(json, report.tags[i].second);
+    json::escape_into(json, report.tags[i].second);
     json += "\"";
   }
   json += "},\n";
@@ -266,11 +248,11 @@ void write_report(const CliArgs& args, const Platform* platform,
     for (std::size_t i = 0; i < events.size(); ++i) {
       if (i) json += ",";
       json += "{\"stage\": \"";
-      json_escape_into(json, events[i].stage);
+      json::escape_into(json, events[i].stage);
       json += "\", \"action\": \"";
       json += resilience_action_name(events[i].action);
       json += "\", \"detail\": \"";
-      json_escape_into(json, events[i].detail);
+      json::escape_into(json, events[i].detail);
       json += "\"}";
     }
     json += "]";
@@ -284,7 +266,7 @@ void write_report(const CliArgs& args, const Platform* platform,
 
   const char* trace_env = std::getenv("VMAP_TRACE");
   json += "  \"trace\": \"";
-  json_escape_into(json, trace_env ? trace_env : "");
+  json::escape_into(json, trace_env ? trace_env : "");
   json += "\"\n}\n";
 
   std::ofstream out(path, std::ios::trunc);

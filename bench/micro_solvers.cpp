@@ -1,7 +1,7 @@
 // Engineering microbenchmarks (google-benchmark): group-lasso solver
-// scaling (BCD vs FISTA), skyline factorization and grid solves, transient
-// step cost, and least-squares kernels. These back DESIGN.md §5's ablation
-// notes rather than any specific paper figure.
+// scaling, skyline factorization and grid solves, transient step cost,
+// and least-squares kernels. These back DESIGN.md §5's ablation notes
+// rather than any specific paper figure.
 
 #include <benchmark/benchmark.h>
 
@@ -53,21 +53,6 @@ void BM_GroupLassoBcd(benchmark::State& state) {
   state.SetLabel("M=" + std::to_string(m) + " K=30 N=1000");
 }
 BENCHMARK(BM_GroupLassoBcd)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_GroupLassoFista(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto problem = planted_problem(m, 30, 1000);
-  core::GroupLassoOptions options;
-  options.solver = core::GlSolver::kFista;
-  options.max_iterations = 5000;
-  core::GroupLasso solver(problem, options);
-  const double mu = solver.mu_max() * 0.3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve_penalized(mu));
-  }
-  state.SetLabel("M=" + std::to_string(m) + " K=30 N=1000");
-}
-BENCHMARK(BM_GroupLassoFista)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_GroupLassoBudget(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));

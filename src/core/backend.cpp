@@ -67,26 +67,10 @@ class GroupLassoSelection final : public SelectionBackend {
     const linalg::Matrix z = x_norm.normalize(x);
     const linalg::Matrix g = f_norm.normalize(f);
 
-    // Step 4: budgeted group lasso. A numerical breakdown in FISTA (the
-    // gradient path can blow up on pathological Grams) is retried with BCD,
-    // whose exact group updates cannot overshoot.
-    const GroupLassoProblem problem = GroupLassoProblem::from_data(z, g);
-    GroupLasso solver(problem, config.gl_options);
-    GroupLassoResult gl = solver.solve_budget(config.lambda);
-    if (!gl.status.ok() && config.gl_options.solver == GlSolver::kFista) {
-      if (report)
-        report->record("group_lasso", ResilienceAction::kFallback,
-                       "core " + std::to_string(core_index) +
-                           ": FISTA failed (" + gl.status.to_string() +
-                           "); retrying with BCD",
-                       gl.status.code());
-      VMAP_LOG(kWarn) << "core " << core_index << ": FISTA failed ("
-                      << gl.status.to_string() << "); retrying with BCD";
-      GroupLassoOptions bcd_options = config.gl_options;
-      bcd_options.solver = GlSolver::kBcd;
-      GroupLasso bcd_solver(problem, bcd_options);
-      gl = bcd_solver.solve_budget(config.lambda);
-    }
+    // Step 4: budgeted group lasso; a numerical breakdown is thrown.
+    const GroupLasso solver(GroupLassoProblem::from_data(z, g),
+                            config.gl_options);
+    const GroupLassoResult gl = solver.solve_budget(config.lambda);
     if (!gl.status.ok()) throw StatusError(gl.status);
     if (!gl.converged) {
       // Inexact but usable: the solve stopped at the iteration cap before

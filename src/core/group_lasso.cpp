@@ -1,10 +1,8 @@
 #include "core/group_lasso.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,7 +12,6 @@
 #include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/parallel.hpp"
 #include "util/trace.hpp"
 
 namespace vmap::core {
@@ -247,9 +244,7 @@ GroupLassoResult GroupLasso::solve_penalized(
                  "warm start shape mismatch");
   }
   TraceSpan span("gl.solve_penalized");
-  GroupLassoResult result = options_.solver == GlSolver::kBcd
-                                ? solve_bcd(mu, warm_start)
-                                : solve_fista(mu, warm_start);
+  GroupLassoResult result = solve_bcd(mu, warm_start);
   static metrics::Counter& solves = metrics::counter("gl.penalized_solves");
   static metrics::Counter& sweeps = metrics::counter("gl.sweeps");
   static metrics::Counter& breakdowns = metrics::counter("gl.breakdowns");
@@ -378,117 +373,6 @@ GroupLassoResult GroupLasso::solve_bcd(
   if (!result.converged) {
     VMAP_LOG(kInfo) << "group-lasso BCD hit the iteration cap (" << cap
                     << " sweeps) at mu=" << mu;
-  }
-  return result;
-}
-
-GroupLassoResult GroupLasso::solve_fista(
-    double mu, const std::optional<linalg::Matrix>& warm) const {
-  const std::size_t k_count = problem_.num_responses();
-  const std::size_t m_count = problem_.num_groups();
-  const linalg::Matrix& a = problem_.gram;
-  const linalg::Matrix& b = problem_.cross;
-
-  // Lipschitz constant of the smooth gradient: λ_max(A) via power iteration.
-  double lip = 0.0;
-  {
-    linalg::Vector v(m_count, 1.0);
-    v /= v.norm2();
-    for (int it = 0; it < 100; ++it) {
-      linalg::Vector av = linalg::matvec(a, v);
-      const double norm = av.norm2();
-      if (norm == 0.0) break;
-      av /= norm;
-      v = av;
-      lip = norm;
-    }
-    lip = std::max(lip * 1.01, 1e-12);  // small safety margin
-  }
-
-  GroupLassoResult result;
-  result.beta = warm ? *warm : linalg::Matrix(k_count, m_count);
-  linalg::Matrix& beta = result.beta;
-  linalg::Matrix y = beta;
-  double t = 1.0;
-  const double step_mu = mu / lip;
-
-  for (std::size_t it = 0; it < options_.max_iterations; ++it) {
-    // Gradient step on the momentum point: y − (yA − B)/L. Per-row
-    // elementwise, so rows can run on the pool with identical results.
-    linalg::Matrix grad = linalg::matmul(y, a);
-    grad -= b;
-    linalg::Matrix next = y;
-    const double row_flops = 2.0 * static_cast<double>(m_count);
-    parallel_for_chunked(0, k_count, row_flops,
-                         [&](std::size_t kb, std::size_t ke) {
-                           for (std::size_t k = kb; k < ke; ++k)
-                             linalg::kern::sub_div(m_count, grad.row_data(k), lip,
-                                           next.row_data(k));
-                         });
-    // Column-group proximal (soft threshold at μ/L). Columns are
-    // independent (each norm walks its own column in ascending k), so
-    // column ranges parallelize bit-identically; a non-finite column only
-    // sets the flag — `next` is discarded on that path, so scaling the
-    // other columns anyway changes nothing observable.
-    std::atomic<bool> non_finite{false};
-    parallel_for_chunked(
-        0, m_count, 2.0 * static_cast<double>(k_count),
-        [&](std::size_t mb, std::size_t me) {
-          for (std::size_t m = mb; m < me; ++m) {
-            double norm_sq = 0.0;
-            for (std::size_t k = 0; k < k_count; ++k)
-              norm_sq += next(k, m) * next(k, m);
-            if (!std::isfinite(norm_sq)) {
-              non_finite.store(true, std::memory_order_relaxed);
-              return;
-            }
-            const double norm = std::sqrt(norm_sq);
-            const double scale = norm <= step_mu ? 0.0 : 1.0 - step_mu / norm;
-            for (std::size_t k = 0; k < k_count; ++k) next(k, m) *= scale;
-          }
-        });
-    if (non_finite.load(std::memory_order_relaxed)) {
-      result.status = Status::Numerical(
-          "non-finite iterate in group-lasso FISTA (iteration " +
-          std::to_string(it + 1) + ", mu=" + std::to_string(mu) + ")");
-      return result;
-    }
-
-    // Nesterov momentum. Rows are disjoint; the convergence check is a max
-    // over all elements, which is order-insensitive for the finite values
-    // here, so per-chunk maxima folded under a mutex reproduce the serial
-    // `change` exactly.
-    const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
-    double change = 0.0;
-    std::mutex change_mutex;
-    parallel_for_chunked(
-        0, k_count, 4.0 * static_cast<double>(m_count),
-        [&](std::size_t kb, std::size_t ke) {
-          double local = 0.0;
-          for (std::size_t k = kb; k < ke; ++k) {
-            double* yrow = y.row_data(k);
-            double* brow = beta.row_data(k);
-            const double* nrow = next.row_data(k);
-            for (std::size_t m = 0; m < m_count; ++m) {
-              const double d = nrow[m] - brow[m];
-              local = std::max(local, std::abs(d));
-              yrow[m] = nrow[m] + ((t - 1.0) / t_next) * d;
-              brow[m] = nrow[m];
-            }
-          }
-          std::lock_guard<std::mutex> lock(change_mutex);
-          change = std::max(change, local);
-        });
-    t = t_next;
-    result.iterations = it + 1;
-    if (change < options_.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  if (!result.converged) {
-    VMAP_LOG(kInfo) << "group-lasso FISTA hit the iteration cap ("
-                    << options_.max_iterations << ") at mu=" << mu;
   }
   return result;
 }

@@ -5,8 +5,7 @@
 //     min_β ||G − β Z||_F    s.t.  Σ_m ||β_m||₂ ≤ λ          (12)
 // via SOCP. We solve the equivalent Lagrangian (penalized) problem
 //     min_β ½||G − β Z||²_F + μ Σ_m ||β_m||₂
-// with two hand-coded solvers — block coordinate descent (exact group
-// updates) and FISTA (accelerated proximal gradient) — and recover the
+// by block coordinate descent (BCD: exact group updates), and recover the
 // constrained solution for a budget λ by a false-position search on μ (the
 // budget Σ||β_m||₂ is non-increasing in μ). Both problems trace the same
 // solution path for this convex objective.
@@ -52,14 +51,11 @@ struct GroupLassoProblem {
                                      const linalg::Matrix& g);
 };
 
-enum class GlSolver { kBcd, kFista };
-
 struct GroupLassoOptions {
-  GlSolver solver = GlSolver::kBcd;
-  /// BCD: bound on the relative duality gap (primal − dual) / primal that
-  /// certifies a solve. FISTA: bound on the largest coefficient change.
+  /// Bound on the relative duality gap (primal − dual) / primal that
+  /// certifies a solve.
   double tolerance = 1e-6;
-  /// Sweep cap; a safety net only — BCD solves stop on the gap certificate.
+  /// Sweep cap; a safety net only — solves stop on the gap certificate.
   std::size_t max_iterations = 100000;
   /// Step limit of solve_budget's false-position search on μ.
   std::size_t budget_bisections = 60;
@@ -75,11 +71,11 @@ struct GroupLassoResult {
   /// Final relative duality gap (primal − dual) / primal at penalty_weight.
   double duality_gap = 0.0;
   std::size_t iterations = 0;
-  /// BCD working sets gathered: one per outer iteration whose full sweep
-  /// left a nonzero group. Always 0 for FISTA.
+  /// Working sets gathered: one per outer iteration whose full sweep left a
+  /// nonzero group.
   std::size_t working_sets = 0;
-  /// The stop rule was met (BCD: duality_gap ≤ tolerance); false means the
-  /// sweep cap stopped the solve first.
+  /// The stop rule was met (duality_gap ≤ tolerance); false means the sweep
+  /// cap stopped the solve first.
   bool converged = false;
   /// kOk normally (even when converged == false: hitting the iteration cap
   /// is a usable-but-inexact outcome). kNumerical when the iterates went
@@ -123,8 +119,6 @@ class GroupLasso {
  private:
   GroupLassoResult solve_bcd(double mu,
                              const std::optional<linalg::Matrix>& warm) const;
-  GroupLassoResult solve_fista(double mu,
-                               const std::optional<linalg::Matrix>& warm) const;
   void finalize(GroupLassoResult& result, double mu) const;
 
   GroupLassoProblem problem_;

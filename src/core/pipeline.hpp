@@ -130,9 +130,9 @@ class PlacementModel {
 /// raised before any per-core work starts; falls back to the strongest
 /// single candidate if a core's GL solution selects nothing at the given
 /// λ/T (logged). Numerical breakdowns are handled by the solver guardrails
-/// (FISTA → BCD retry, rank-deficient OLS → ridge refit); each recovery is
-/// recorded into `report` when one is supplied. Throws StatusError only
-/// when every fallback fails.
+/// (rank-deficient OLS → ridge refit); each recovery is recorded into
+/// `report` when one is supplied. Throws StatusError on a group-lasso
+/// breakdown, or when every fallback fails.
 PlacementModel fit_placement(const Dataset& data,
                              const chip::Floorplan& floorplan,
                              const PipelineConfig& config,

@@ -37,10 +37,6 @@ void sub(std::size_t n, const double* x, double* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] -= x[i];
 }
 
-void sub_div(std::size_t n, const double* g, double d, double* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] -= g[i] / d;
-}
-
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel) {
   for (std::size_t k = 0; k < n; ++k) {
@@ -256,19 +252,6 @@ VMAP_AVX2 void sub(std::size_t n, const double* x, double* y) {
         y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
   }
   for (; i < n; ++i) y[i] -= x[i];
-}
-
-VMAP_AVX2 void sub_div(std::size_t n, const double* g, double d, double* y) {
-  // vdivpd is correctly rounded per element, exactly like the scalar
-  // division — never replace with multiply-by-reciprocal.
-  const __m256d vd = _mm256_set1_pd(d);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    const __m256d vg = _mm256_loadu_pd(g + i);
-    _mm256_storeu_pd(y + i, _mm256_sub_pd(vy, _mm256_div_pd(vg, vd)));
-  }
-  for (; i < n; ++i) y[i] -= g[i] / d;
 }
 
 VMAP_AVX2 void pack_panel(std::size_t n, const double* r0, const double* r1,
@@ -740,10 +723,6 @@ void add(std::size_t n, const double* x, double* y) {
 
 void sub(std::size_t n, const double* x, double* y) {
   VMAP_KERN_DISPATCH(sub(n, x, y));
-}
-
-void sub_div(std::size_t n, const double* g, double d, double* y) {
-  VMAP_KERN_DISPATCH(sub_div(n, g, d, y));
 }
 
 void pack_panel(std::size_t n, const double* r0, const double* r1,

@@ -1,7 +1,7 @@
 #pragma once
 // SIMD microkernel layer: the raw-pointer primitives under the dense
-// kernels (matmul family, Gram products, FISTA vector updates), the
-// skyline solver's multi-RHS substitution, and the serving layer's fused
+// kernels (matmul family, Gram products, vector updates), the skyline
+// solver's multi-RHS substitution, and the serving layer's fused
 // predict-and-min decision kernel.
 //
 // Dispatch: every kernel has an AVX2 implementation and a scalar fallback,
@@ -51,8 +51,6 @@ void scale(std::size_t n, double a, double* x);
 void add(std::size_t n, const double* x, double* y);
 /// y[i] -= x[i]
 void sub(std::size_t n, const double* x, double* y);
-/// y[i] -= g[i] / d  (FISTA gradient step; IEEE division per element)
-void sub_div(std::size_t n, const double* g, double d, double* y);
 
 // --- packed A·Bᵀ microkernel --------------------------------------------
 //
@@ -181,7 +179,6 @@ void axpy(std::size_t n, double a, const double* x, double* y);
 void scale(std::size_t n, double a, double* x);
 void add(std::size_t n, const double* x, double* y);
 void sub(std::size_t n, const double* x, double* y);
-void sub_div(std::size_t n, const double* g, double d, double* y);
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel);
 void dot_panel(std::size_t n, const double* a, const double* panel,

@@ -112,9 +112,4 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-void axpy(double s, const Vector& x, Vector& y) {
-  VMAP_REQUIRE(x.size() == y.size(), "vector size mismatch in axpy");
-  kern::axpy(x.size(), s, x.data(), y.data());
-}
-
 }  // namespace vmap::linalg

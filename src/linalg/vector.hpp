@@ -74,7 +74,4 @@ Vector operator*(double s, Vector v);
 /// Dot product; sizes must match.
 double dot(const Vector& a, const Vector& b);
 
-/// y += s * x (BLAS axpy); sizes must match.
-void axpy(double s, const Vector& x, Vector& y);
-
 }  // namespace vmap::linalg

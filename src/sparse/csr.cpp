@@ -34,28 +34,15 @@ double CsrMatrix::at(std::size_t r, std::size_t c) const {
 }
 
 linalg::Vector CsrMatrix::multiply(const linalg::Vector& x) const {
-  linalg::Vector y(rows_);
-  multiply_add(x, y);
-  return y;
-}
-
-void CsrMatrix::multiply_add(const linalg::Vector& x,
-                             linalg::Vector& y) const {
   VMAP_REQUIRE(x.size() == cols_, "spmv input size mismatch");
-  VMAP_REQUIRE(y.size() == rows_, "spmv output size mismatch");
+  linalg::Vector y(rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
       acc += values_[k] * x[col_idx_[k]];
-    y[r] += acc;
+    y[r] = acc;
   }
-}
-
-linalg::Vector CsrMatrix::diagonal() const {
-  const std::size_t n = std::min(rows_, cols_);
-  linalg::Vector d(n);
-  for (std::size_t r = 0; r < n; ++r) d[r] = at(r, r);
-  return d;
+  return y;
 }
 
 linalg::Matrix CsrMatrix::to_dense() const {

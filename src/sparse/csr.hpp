@@ -35,11 +35,6 @@ class CsrMatrix {
 
   /// y = A x.
   linalg::Vector multiply(const linalg::Vector& x) const;
-  /// y += A x.
-  void multiply_add(const linalg::Vector& x, linalg::Vector& y) const;
-
-  /// Diagonal entries (0.0 where absent).
-  linalg::Vector diagonal() const;
 
   /// Dense copy (for small-matrix validation in tests).
   linalg::Matrix to_dense() const;

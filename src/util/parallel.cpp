@@ -276,50 +276,4 @@ std::size_t recommended_chunks(std::size_t items, double flops_per_item,
       1, std::min({items, by_work, by_threads}));
 }
 
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end, double flops_per_item,
-    const std::function<void(std::size_t, std::size_t)>& body_range) {
-  if (end <= begin) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = recommended_chunks(n, flops_per_item);
-  if (chunks <= 1 || t_in_parallel_region) {
-    body_range(begin, end);
-    return;
-  }
-  parallel_for(0, chunks, [&](std::size_t t) {
-    body_range(begin + t * n / chunks, begin + (t + 1) * n / chunks);
-  });
-}
-
-double parallel_reduce_ordered(
-    std::size_t n, double flops_per_item,
-    const std::function<double(std::size_t, std::size_t)>& partial) {
-  if (n == 0) return 0.0;
-  // The partition must not see the pool size, or the result would change
-  // with the thread count: chunk purely by work quantum (capped so the
-  // partials array stays small), then let the pool schedule the chunks.
-  constexpr std::size_t kMaxReduceChunks = 64;
-  const double total = flops_per_item * static_cast<double>(n);
-  const auto by_work = static_cast<std::size_t>(total / kWorkQuantumFlops);
-  const std::size_t chunks =
-      std::max<std::size_t>(1, std::min({n, by_work, kMaxReduceChunks}));
-  if (chunks <= 1) return partial(0, n);
-  // The serial path must walk the same chunk boundaries and combine in the
-  // same ascending order as the parallel one — a single partial(0, n) sweep
-  // would accumulate in a different order and break thread-count
-  // invariance.
-  std::vector<Padded<double>> partials(chunks);
-  const auto run_chunk = [&](std::size_t t) {
-    partials[t].value = partial(t * n / chunks, (t + 1) * n / chunks);
-  };
-  if (thread_count() <= 1 || t_in_parallel_region) {
-    for (std::size_t t = 0; t < chunks; ++t) run_chunk(t);
-  } else {
-    parallel_for(0, chunks, run_chunk);
-  }
-  double sum = 0.0;
-  for (const Padded<double>& p : partials) sum += p.value;
-  return sum;
-}
-
 }  // namespace vmap

@@ -80,30 +80,4 @@ inline constexpr double kWorkQuantumFlops = 1.0e6;
 std::size_t recommended_chunks(std::size_t items, double flops_per_item,
                                std::size_t max_per_thread = 4);
 
-/// parallel_for over contiguous sub-ranges of [begin, end) sized by
-/// recommended_chunks; body_range(b, e) must handle any [b, e) slice.
-/// Runs inline (one slice, in order) when the work is too small, the pool
-/// is serial, or the caller is already inside a parallel region.
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end, double flops_per_item,
-    const std::function<void(std::size_t, std::size_t)>& body_range);
-
-/// Cache-line-padded slot for per-thread/per-chunk accumulators: an array
-/// of Padded<double> puts each accumulator on its own line, so concurrent
-/// writers never false-share.
-template <typename T>
-struct alignas(64) Padded {
-  T value{};
-};
-
-/// Sum of partial(b, e) over a fixed partition of [0, n): the partition
-/// depends only on n and flops_per_item (never the pool size), partials
-/// are combined in ascending chunk order on the caller — deterministic at
-/// any thread count. Note the result is chunked-order, not the sequential
-/// left-to-right sum; don't swap it under a byte-gated scalar without
-/// refreshing baselines.
-double parallel_reduce_ordered(
-    std::size_t n, double flops_per_item,
-    const std::function<double(std::size_t, std::size_t)>& partial);
-
 }  // namespace vmap

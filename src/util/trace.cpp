@@ -8,6 +8,7 @@
 #include <mutex>
 #include <utility>
 
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 
@@ -90,8 +91,6 @@ int local_tid_locked(TraceState& s) {
   return t_tid;
 }
 
-void json_escape(std::string& out, const std::string& in);
-
 /// Serializes the full Chrome trace document. Caller holds the state
 /// mutex.
 std::string render_json_locked(TraceState& s) {
@@ -112,7 +111,7 @@ std::string render_json_locked(TraceState& s) {
     first = false;
     json += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(e.tid) +
             ",\"name\":\"";
-    json_escape(json, e.name);
+    json::escape_into(json, e.name);
     std::snprintf(buf, sizeof(buf), "\",\"ts\":%.3f,\"dur\":%.3f,", e.ts_us,
                   e.dur_us);
     json += buf;
@@ -120,7 +119,7 @@ std::string render_json_locked(TraceState& s) {
             ",\"parent\":" + std::to_string(e.parent);
     for (int a = 0; a < e.num_args; ++a) {
       json += ",\"";
-      json_escape(json, e.arg_keys[a]);
+      json::escape_into(json, e.arg_keys[a]);
       std::snprintf(buf, sizeof(buf), "\":%.17g", e.arg_values[a]);
       json += buf;
     }
@@ -128,25 +127,6 @@ std::string render_json_locked(TraceState& s) {
   }
   json += "\n]}\n";
   return json;
-}
-
-void json_escape(std::string& out, const std::string& in) {
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace

@@ -119,18 +119,4 @@ StatusOr<PowerTrace> PowerTrace::try_load_csv(const std::string& path) {
   }
 }
 
-TracePlayer::TracePlayer(const PowerTrace& trace, bool loop)
-    : trace_(trace), loop_(loop), current_(trace.blocks()) {
-  VMAP_REQUIRE(!trace.empty(), "cannot play an empty trace");
-}
-
-const linalg::Vector& TracePlayer::step() {
-  if (position_ >= trace_.steps()) {
-    VMAP_REQUIRE(loop_, "trace exhausted (constructed with loop=false)");
-    position_ = 0;
-  }
-  current_ = trace_.activity_at(position_++);
-  return current_;
-}
-
 }  // namespace vmap::workload

@@ -1,10 +1,9 @@
 #pragma once
-// Per-block activity traces: capture, CSV interchange, playback.
+// Per-block activity traces: capture and CSV interchange.
 //
 // The synthetic ActivityGenerator is a stand-in for GEM5+McPAT power
-// traces. Teams with real traces can import them here (CSV: one column
-// per block, one row per time step) and drive the exact same collection
-// and placement pipeline; conversely, synthetic traces can be captured
+// traces. Real traces can be imported here (CSV: one column per block,
+// one row per time step); conversely, synthetic traces can be captured
 // and exported for inspection or external tooling.
 
 #include <cstddef>
@@ -51,26 +50,6 @@ class PowerTrace {
  private:
   std::size_t blocks_;
   std::vector<double> data_;  // row-major [step][block]
-};
-
-/// Plays a PowerTrace through the ActivityGenerator-shaped interface the
-/// data-collection loop expects.
-class TracePlayer {
- public:
-  /// `loop`: wrap around at the end (otherwise stepping past the end
-  /// throws).
-  explicit TracePlayer(const PowerTrace& trace, bool loop = true);
-
-  /// Next step's activity.
-  const linalg::Vector& step();
-  std::size_t position() const { return position_; }
-  void rewind() { position_ = 0; }
-
- private:
-  const PowerTrace& trace_;
-  bool loop_;
-  std::size_t position_ = 0;
-  linalg::Vector current_;
 };
 
 }  // namespace vmap::workload

@@ -1,5 +1,5 @@
-// Tests for the analysis layer: symmetric eigendecomposition, vectorless
-// IR-drop analysis, trace capture/CSV/playback, and PCA leverage placement.
+// Tests for the analysis layer: symmetric eigendecomposition, trace
+// capture/CSV, and PCA leverage placement.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <fstream>
 
 #include "chip/floorplan.hpp"
-#include "chip/ir_analysis.hpp"
 #include "core/experiment.hpp"
 #include "grid/power_grid.hpp"
 #include "linalg/eigen.hpp"
@@ -144,96 +143,6 @@ TEST(Eigen, TopEigenvectorsAreOrthonormal) {
       EXPECT_NEAR(vtv(i, j), i == j ? 1.0 : 0.0, 1e-8);
 }
 
-class IrAnalysisTest : public ::testing::Test {
- protected:
-  IrAnalysisTest()
-      : setup_(core::small_setup()),
-        grid_(setup_.grid),
-        plan_(grid_, setup_.floorplan),
-        analysis_(grid_, plan_) {}
-  core::ExperimentSetup setup_;
-  grid::PowerGrid grid_;
-  chip::Floorplan plan_;
-  chip::IrDropAnalysis analysis_;
-};
-
-TEST_F(IrAnalysisTest, SensitivitiesAreNonNegative) {
-  for (std::size_t b = 0; b < analysis_.blocks(); ++b)
-    for (std::size_t n = 0; n < analysis_.nodes(); n += 7)
-      EXPECT_GE(analysis_.sensitivity(b, n), 0.0);
-}
-
-TEST_F(IrAnalysisTest, SensitivityPeaksAtTheBlockItself) {
-  const auto& block = plan_.block(10);
-  const std::size_t own_node = block.nodes[block.nodes.size() / 2];
-  const double own = analysis_.sensitivity(10, own_node);
-  // Any node across the die must see less droop from this block.
-  const std::size_t far_node =
-      grid_.node_id(setup_.grid.nx - 1, setup_.grid.ny - 1);
-  EXPECT_GT(own, analysis_.sensitivity(10, far_node));
-}
-
-TEST_F(IrAnalysisTest, WorstCaseMatchesSuperposedDcSolve) {
-  // With every block at its bound, the bound is tight: it equals the DC
-  // droop of the all-max load.
-  linalg::Vector bounds(plan_.block_count());
-  for (std::size_t b = 0; b < bounds.size(); ++b)
-    bounds[b] = 0.01 * static_cast<double>(b % 5 + 1);
-  const linalg::Vector wc = analysis_.worst_case_droop(bounds);
-
-  linalg::Vector load(grid_.node_count());
-  for (const auto& block : plan_.blocks()) {
-    const double per_node =
-        bounds[block.id] / static_cast<double>(block.nodes.size());
-    for (std::size_t node : block.nodes) load[node] += per_node;
-  }
-  const linalg::Vector v = grid_.dc_solve(load);
-  for (std::size_t n = 0; n < grid_.node_count(); n += 11)
-    EXPECT_NEAR(wc[n], setup_.grid.vdd - v[n], 1e-9);
-}
-
-TEST_F(IrAnalysisTest, BoundDominatesAnyFeasibleLoad) {
-  // Any load within the bounds must droop no more than the bound, at every
-  // node (monotonicity of the resistive network).
-  Rng rng(3);
-  linalg::Vector bounds(plan_.block_count(), 0.02);
-  const linalg::Vector wc = analysis_.worst_case_droop(bounds);
-
-  linalg::Vector load(grid_.node_count());
-  for (const auto& block : plan_.blocks()) {
-    const double current = rng.uniform(0.0, 0.02);
-    const double per_node =
-        current / static_cast<double>(block.nodes.size());
-    for (std::size_t node : block.nodes) load[node] += per_node;
-  }
-  const linalg::Vector v = grid_.dc_solve(load);
-  for (std::size_t n = 0; n < grid_.node_count(); n += 5)
-    EXPECT_LE(setup_.grid.vdd - v[n], wc[n] + 1e-9);
-}
-
-TEST_F(IrAnalysisTest, DominantBlockIsSelfForBlockNodes) {
-  linalg::Vector bounds(plan_.block_count(), 0.01);
-  const auto& block = plan_.block(3);
-  const std::size_t own_node = block.nodes[0];
-  // With uniform bounds, the block covering a node dominates its droop
-  // unless a much hotter neighbour exists; at least expect a nearby block.
-  const std::size_t dominant = analysis_.dominant_block(own_node, bounds);
-  const auto& dom = plan_.block(dominant);
-  const double dx = 0.5 * std::abs(static_cast<double>(dom.x0 + dom.x1) -
-                                   static_cast<double>(block.x0 + block.x1));
-  EXPECT_LE(dx, static_cast<double>(setup_.grid.nx) / 2.0);
-}
-
-TEST_F(IrAnalysisTest, RejectsBadInputs) {
-  EXPECT_THROW(analysis_.worst_case_droop(linalg::Vector(3)),
-               vmap::ContractError);
-  linalg::Vector negative(plan_.block_count());
-  negative[0] = -1.0;
-  EXPECT_THROW(analysis_.worst_case_droop(negative), vmap::ContractError);
-  EXPECT_THROW(analysis_.sensitivity(analysis_.blocks(), 0),
-               vmap::ContractError);
-}
-
 class TraceTest : public ::testing::Test {
  protected:
   TraceTest()
@@ -294,27 +203,8 @@ TEST_F(TraceTest, LoadRejectsMalformedCsv) {
   std::remove(path.c_str());
 }
 
-TEST_F(TraceTest, PlayerLoopsAndRespectsBounds) {
-  workload::PowerTrace trace(2);
-  trace.append(linalg::Vector{1.0, 2.0});
-  trace.append(linalg::Vector{3.0, 4.0});
-
-  workload::TracePlayer looping(trace, /*loop=*/true);
-  EXPECT_DOUBLE_EQ(looping.step()[0], 1.0);
-  EXPECT_DOUBLE_EQ(looping.step()[0], 3.0);
-  EXPECT_DOUBLE_EQ(looping.step()[0], 1.0);  // wrapped
-
-  workload::TracePlayer bounded(trace, /*loop=*/false);
-  bounded.step();
-  bounded.step();
-  EXPECT_THROW(bounded.step(), vmap::ContractError);
-  bounded.rewind();
-  EXPECT_DOUBLE_EQ(bounded.step()[1], 2.0);
-}
-
 TEST(Trace, EmptyTraceRejected) {
   workload::PowerTrace empty(3);
-  EXPECT_THROW(workload::TracePlayer{empty}, vmap::ContractError);
   EXPECT_THROW(empty.activity_at(0), vmap::ContractError);
 }
 

@@ -1,11 +1,13 @@
 // Group-lasso solver tests: optimality (KKT), the duality-gap certificate,
-// solver agreement, support recovery on planted problems, budget semantics,
-// candidate-order invariance, and the paper's §2.3 shrinkage example.
+// a closed-form oracle, support recovery on planted problems, budget
+// semantics, candidate-order invariance, and the paper's §2.3 shrinkage
+// example.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "core/group_lasso.hpp"
@@ -148,40 +150,83 @@ TEST_P(GlSizes, BcdSatisfiesKkt) {
   EXPECT_LT(kkt_violation(problem, result, mu), 1e-5);
 }
 
-TEST_P(GlSizes, FistaSatisfiesKkt) {
-  const std::size_t m = GetParam();
-  const Planted p = make_planted(m, 5, 400, {0, m / 2}, 0.1, 200 + m);
-  const auto problem = GroupLassoProblem::from_data(p.z, p.g);
-  GroupLassoOptions options;
-  options.solver = GlSolver::kFista;
-  options.max_iterations = 20000;
-  options.tolerance = 1e-9;
-  GroupLasso solver(problem, options);
-  const double mu = solver.mu_max() * 0.3;
-  const auto result = solver.solve_penalized(mu);
-  EXPECT_LT(kkt_violation(problem, result, mu), 1e-4);
-}
-
 INSTANTIATE_TEST_SUITE_P(GroupCounts, GlSizes,
                          ::testing::Values(4, 8, 16, 32));
 
-TEST(GroupLasso, BcdAndFistaAgree) {
-  const Planted p = make_planted(12, 4, 500, {1, 7}, 0.1, 4);
-  const auto problem = GroupLassoProblem::from_data(p.z, p.g);
-  GroupLassoOptions bcd_options;
-  GroupLassoOptions fista_options;
-  fista_options.solver = GlSolver::kFista;
-  fista_options.max_iterations = 30000;
-  fista_options.tolerance = 1e-10;
-  GroupLasso bcd(problem, bcd_options);
-  GroupLasso fista(problem, fista_options);
-  const double mu = bcd.mu_max() * 0.2;
-  const auto rb = bcd.solve_penalized(mu);
-  const auto rf = fista.solve_penalized(mu);
-  EXPECT_NEAR(rb.objective, rf.objective, 1e-6);
-  EXPECT_EQ(rb.active_groups(1e-4), rf.active_groups(1e-4));
-  for (std::size_t m = 0; m < 12; ++m)
-    EXPECT_NEAR(rb.group_norms[m], rf.group_norms[m], 1e-4);
+/// The group soft threshold β_m = (B_m / A_mm) · max(0, 1 − μ/‖B_m‖): the
+/// penalized optimum when the Gram A is diagonal.
+linalg::Matrix group_soft_threshold(const GroupLassoProblem& problem,
+                                    double mu) {
+  linalg::Matrix beta(problem.num_responses(), problem.num_groups());
+  for (std::size_t m = 0; m < problem.num_groups(); ++m) {
+    const double shrink =
+        std::max(0.0, 1.0 - mu / problem.cross.col(m).norm2());
+    for (std::size_t k = 0; k < beta.rows(); ++k)
+      beta(k, m) = problem.cross(k, m) / problem.gram(m, m) * shrink;
+  }
+  return beta;
+}
+
+TEST(GroupLasso, MatchesGroupSoftThresholdOnOrthogonalDesign) {
+  // Rows of Z with disjoint sample supports make A = ZZᵀ/N exactly
+  // diagonal, so the problem separates by group and the closed form above
+  // is the exact optimum. A different scale per row makes the A_mm differ.
+  constexpr std::size_t kGroups = 8, kResponses = 5, kSamples = 800;
+  vmap::Rng rng(31);
+  linalg::Matrix z(kGroups, kSamples), g(kResponses, kSamples);
+  for (std::size_t c = 0; c < kSamples; ++c) {
+    const std::size_t m = c % kGroups;
+    z(m, c) = (1.0 + 0.5 * static_cast<double>(m)) * rng.normal();
+  }
+  for (std::size_t k = 0; k < kResponses; ++k)
+    for (std::size_t c = 0; c < kSamples; ++c) g(k, c) = rng.normal();
+  const auto problem = GroupLassoProblem::from_data(z, g);
+  for (std::size_t i = 0; i < kGroups; ++i)
+    for (std::size_t j = 0; j < kGroups; ++j)
+      if (i != j) {
+        ASSERT_EQ(problem.gram(i, j), 0.0) << i << ", " << j;
+      }
+
+  GroupLasso solver(problem);
+  const auto expect_closed_form = [&](const GroupLassoResult& result,
+                                      double mu) {
+    const linalg::Matrix want = group_soft_threshold(problem, mu);
+    for (std::size_t k = 0; k < kResponses; ++k)
+      for (std::size_t m = 0; m < kGroups; ++m)
+        EXPECT_NEAR(result.beta(k, m), want(k, m), 1e-12)
+            << "k=" << k << " m=" << m << " mu=" << mu;
+  };
+  for (double fraction : {0.8, 0.5, 0.2}) {
+    const double mu = fraction * solver.mu_max();
+    const auto result = solver.solve_penalized(mu);
+    ASSERT_TRUE(result.converged);
+    expect_closed_form(result, mu);
+  }
+
+  // Budget: ‖β_m‖ = max(0, ‖B_m‖ − μ) / A_mm, so at μ₀ strictly between the
+  // 3rd and 4th largest ‖B_m‖ exactly three groups are active, and λ below
+  // is their budget.
+  std::vector<double> norms(kGroups);
+  for (std::size_t m = 0; m < kGroups; ++m)
+    norms[m] = problem.cross.col(m).norm2();
+  std::vector<double> sorted = norms;
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  ASSERT_GT(sorted[2], sorted[3]);
+  const double mu0 = 0.5 * (sorted[2] + sorted[3]);
+  double lambda = 0.0;
+  std::vector<std::size_t> expected;
+  for (std::size_t m = 0; m < kGroups; ++m) {
+    if (norms[m] <= mu0) continue;
+    lambda += (norms[m] - mu0) / problem.gram(m, m);
+    expected.push_back(m);
+  }
+  ASSERT_EQ(expected.size(), 3u);
+  const auto result = solver.solve_budget(lambda);
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.active_groups(0.0), expected);
+  EXPECT_LE(result.budget, lambda);
+  EXPECT_GE(result.budget, lambda * (1.0 - solver.options().budget_slack));
+  expect_closed_form(result, result.penalty_weight);
 }
 
 TEST(GroupLasso, RecoversPlantedSupport) {

@@ -79,13 +79,6 @@ TEST(Vector, DotProduct) {
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
 }
 
-TEST(Vector, Axpy) {
-  Vector x{1.0, 1.0}, y{0.0, 10.0};
-  axpy(2.0, x, y);
-  EXPECT_EQ(y[0], 2.0);
-  EXPECT_EQ(y[1], 12.0);
-}
-
 TEST(Vector, CauchySchwarzHoldsOnRandomData) {
   // Property: |<a,b>| <= ||a|| ||b|| for arbitrary vectors.
   for (int trial = 0; trial < 20; ++trial) {

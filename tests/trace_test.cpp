@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/trace.hpp"
 
@@ -159,11 +160,14 @@ TEST(Trace, PoolContextIsRestoredAfterTheBatch) {
 TEST(Trace, FlushWritesLoadableChromeTraceJson) {
   TraceGuard guard;
   const std::string path = "trace_test_flush.json";
+  // Every character class the JSON string escaper rewrites.
+  const std::string awkward = "quote\" backslash\\ newline\n tab\t ctl\x01";
   trace_enable(path);
   {
     TraceSpan outer("phase");
     outer.arg("value", 42.0);
     parallel_for(0, 16, [&](std::size_t) { TraceSpan w("work"); });
+    TraceSpan odd(awkward);
   }
   ASSERT_TRUE(trace_flush().ok());
 
@@ -187,6 +191,17 @@ TEST(Trace, FlushWritesLoadableChromeTraceJson) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+  // The document parses, and the escaped span name reads back unchanged.
+  const StatusOr<json::Value> doc = json::parse(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  const json::Value* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t matches = 0;
+  for (const json::Value& e : events->as_array()) {
+    const json::Value* name = e.find("name");
+    if (name != nullptr && name->as_string() == awkward) ++matches;
+  }
+  EXPECT_EQ(matches, 1u);
   std::remove(path.c_str());
 }
 
