@@ -234,7 +234,8 @@ void scenario_nan_storm(Harness& h) {
 // ---------------------------------------------------------------------------
 // Scenario: burst overload
 //
-// Bursts larger than the shard queues force the reject-newest shed policy.
+// Bursts larger than the plain-ingest lanes force the reject-newest shed
+// policy.
 // In pump mode admission is sequential, so the accepted subsequence is
 // deterministic: the harness records it at ingest time, replays it through
 // reference monitors, and requires bit-identical decisions — overload may
@@ -505,8 +506,8 @@ ThroughputRow run_throughput(const SyntheticFleetSpec& spec,
 
   // The whole synthetic feed runs on this one thread, so a single producer
   // lane gives it the mutex-free SPSC fast path into every shard. The chaos
-  // scenarios keep plain ingest(): their invariants are about the shared
-  // queue path.
+  // scenarios keep plain ingest(), so its mutex-serialized lane stays
+  // exercised.
   const ProducerId producer = fleet.register_producer();
   // Scope the alarm-latency histogram to this run so the reported
   // quantiles describe one (shards, rep) configuration, not the whole

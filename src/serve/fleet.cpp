@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -24,6 +23,28 @@ double now_ms() {
 
 void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+}
+
+using Lanes = std::vector<std::unique_ptr<SpscRing<Reading>>>;
+
+bool all_empty(const Lanes& lanes) {
+  for (const auto& lane : lanes)
+    if (!lane->empty()) return false;
+  return true;
+}
+
+/// A worker that has caught up with its producers waits kPollMs and looks
+/// at its lanes once more before it announces that it is about to sleep.
+/// Readings that arrive within that window make one batch instead of many,
+/// which keeps the worker off the ring lines its producers are writing, and
+/// a producer pushing microseconds apart never pays for a wake-up (a
+/// syscall, and an inter-processor interrupt under a hypervisor).
+constexpr double kPollMs = 0.005;
+
+bool poll_lanes(const Lanes& lanes) {
+  const double until = now_ms() + kPollMs;
+  while (now_ms() < until) std::this_thread::yield();
+  return !all_empty(lanes);
 }
 
 /// One same-model group of batch readings staged for the fused
@@ -99,8 +120,8 @@ MonitorFleet::MonitorFleet(FleetConfig config) : config_(config) {
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->queue =
-        std::make_unique<BoundedQueue<Reading>>(config_.queue_capacity);
+    shard->lanes.push_back(
+        std::make_unique<SpscRing<Reading>>(config_.queue_capacity));
     const std::string prefix = "serve.shard" + std::to_string(i);
     shard->depth_gauge = &metrics::gauge(prefix + ".queue_depth");
     shard->inflight_age_gauge = &metrics::gauge(prefix + ".inflight_age_ms");
@@ -133,24 +154,19 @@ IngestResult MonitorFleet::ingest(Reading reading) {
   reading.ingest_ms = now_ms();
   ingested_.fetch_add(1, kRelaxed);
   Shard& shard = *shards_[shard_of(reading.chip)];
-  ChipDomain& domain = *chips_[reading.chip];
-  std::lock_guard<std::mutex> route(shard.route_mutex);
-  if (shard.queue->closed()) return {false, RejectReason::kStopped};
-  if (shard.queue->try_push(std::move(reading))) {
-    enqueued_.fetch_add(1, kRelaxed);
-    shard.depth_gauge->set(static_cast<double>(shard.queue->size()));
-    return {true, RejectReason::kNone};
+  bool pushed = false;
+  {
+    std::lock_guard<std::mutex> route(shard.route_mutex);
+    pushed = shard.lanes[0]->push(reading);
   }
-  shed_.fetch_add(1, kRelaxed);
-  domain.count_shed();
-  return {false, RejectReason::kShed};
+  return admit(shard, reading.chip, pushed);
 }
 
 ProducerId MonitorFleet::register_producer() {
   VMAP_REQUIRE(!running(), "register_producer while the fleet is running");
   const ProducerId id = producer_count_++;
   for (auto& shard : shards_)
-    shard->rings.push_back(std::make_unique<SpscRing<Reading>>(
+    shard->lanes.push_back(std::make_unique<SpscRing<Reading>>(
         std::max<std::size_t>(1, config_.producer_ring_capacity)));
   return id;
 }
@@ -161,84 +177,58 @@ IngestResult MonitorFleet::ingest(ProducerId producer, Reading reading) {
   if (reading.chip >= chips_.size())
     return {false, RejectReason::kUnknownChip};
   VMAP_REQUIRE(producer < producer_count_, "unknown producer id");
-  const ChipId chip = reading.chip;
   reading.ingest_ms = now_ms();
   ingested_.fetch_add(1, kRelaxed);
-  Shard& shard = *shards_[shard_of(chip)];
+  Shard& shard = *shards_[shard_of(reading.chip)];
   // The ring copies the reading into its slot's own storage; `reading` and
-  // its value buffer die here, on the producer's thread.
-  if (shard.rings[producer]->push(reading)) {
-    enqueued_.fetch_add(1, kRelaxed);
-    return {true, RejectReason::kNone};
+  // its value buffer die here, on the producer's thread. A full ring sheds
+  // the newest: spilling into another lane instead would reorder this
+  // producer's feed around its ring backlog, and the per-chip sequence
+  // check would then reject the ring's stragglers as stale replays.
+  return admit(shard, reading.chip, shard.lanes[1 + producer]->push(reading));
+}
+
+IngestResult MonitorFleet::admit(Shard& shard, ChipId chip, bool pushed) {
+  if (!pushed) {
+    shed_.fetch_add(1, kRelaxed);
+    chips_[chip]->count_shed();
+    return {false, RejectReason::kShed};
   }
-  // Ring full: shed the newest, exactly like a full shard queue. Spilling
-  // into the shared queue instead would reorder this producer's feed
-  // around its ring backlog and the per-chip sequence check would then
-  // reject the ring's stragglers as stale replays.
-  shed_.fetch_add(1, kRelaxed);
-  chips_[chip]->count_shed();
-  return {false, RejectReason::kShed};
+  enqueued_.fetch_add(1, kRelaxed);
+  // StoreLoad, paired with the fence in worker_loop: either the worker's
+  // re-check sees this push, or this load sees its announcement. Only the
+  // first push after an announcement moves the epoch off the announced
+  // value, so one sleep costs one notify however many pushes follow.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  std::uint32_t epoch = shard.announced.load(kRelaxed);
+  if (shard.wake_epoch.load(kRelaxed) == epoch &&
+      shard.wake_epoch.compare_exchange_strong(epoch, epoch + 1, kRelaxed))
+    shard.wake_epoch.notify_all();
+  return {true, RejectReason::kNone};
 }
 
-bool MonitorFleet::drain_rings(Shard& shard, std::vector<Reading>& batch,
-                               std::vector<Reading>& spare,
-                               std::uint64_t my_gen, std::size_t limit) {
-  if (shard.rings.empty()) return true;
-  std::lock_guard<std::mutex> lock(shard.inflight_mutex);
-  if (shard.generation != my_gen) return false;
-  for (auto& ring : shard.rings) {
-    while (batch.size() < limit) {
-      // Pop into a recycled reading, so the values land in a buffer this
-      // consumer already owns.
-      if (spare.empty()) spare.emplace_back();
-      if (!ring->pop(spare.back())) break;
-      batch.push_back(std::move(spare.back()));
-      spare.pop_back();
-    }
-    if (batch.size() >= limit) break;
-  }
-  return true;
-}
-
-void MonitorFleet::recycle(Reading&& reading,
-                           std::vector<Reading>& spare) const {
-  // One drain's worth at most: plain-ingest traffic hands the worker
-  // readings the rings never ask back for.
-  if (spare.size() < 2 * config_.max_batch)
-    spare.push_back(std::move(reading));
-}
-
-bool MonitorFleet::rings_look_empty(const Shard& shard) const {
-  for (const auto& ring : shard.rings)
-    if (!ring->empty()) return false;
-  return true;
+void MonitorFleet::wake(Shard& shard) {
+  shard.wake_epoch.fetch_add(1, std::memory_order_release);
+  shard.wake_epoch.notify_all();
 }
 
 std::size_t MonitorFleet::pump() {
   VMAP_REQUIRE(!running(), "pump() is the non-threaded mode; stop() first");
-  std::vector<std::size_t> handled(shards_.size(), 0);
+  const std::uint64_t before = stats().processed;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    tasks.push_back([this, i, &handled] {
-      Shard& shard = *shards_[i];
-      std::vector<Reading> batch, spare;
-      for (;;) {
-        shard.queue->pop_batch(batch, config_.max_batch,
-                               std::chrono::milliseconds(0));
-        // Not running, so the generation is quiescent and this task is the
-        // shard's only ring consumer.
-        drain_rings(shard, batch, spare, shard.generation, config_.max_batch);
-        if (batch.empty()) break;
-        handled[i] += batch.size();
-        execute_batch(shard, batch, spare, /*publish=*/false, 0);
-      }
-    });
-  }
+  for (auto& shard : shards_)
+    tasks.push_back([this, &shard] { drain(*shard); });
   parallel_invoke(tasks);
-  std::size_t total = 0;
-  for (std::size_t n : handled) total += n;
-  return total;
+  return static_cast<std::size_t>(stats().processed - before);
+}
+
+void MonitorFleet::drain(Shard& shard) {
+  // No worker runs, so the generation is quiescent and this thread is the
+  // shard's only lane consumer.
+  std::vector<Reading> spare;
+  while (run_batch(shard, spare, shard.generation, config_.max_batch) != 0) {
+  }
 }
 
 void MonitorFleet::start() {
@@ -247,7 +237,6 @@ void MonitorFleet::start() {
   running_.store(true, std::memory_order_release);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    BoundedQueue<Reading>* queue = shard.queue.get();
     shard.last_handled = shard.handled.load(kRelaxed);
     shard.stalled_since_ms = -1.0;
     std::uint64_t gen = 0;
@@ -255,9 +244,8 @@ void MonitorFleet::start() {
       std::lock_guard<std::mutex> lock(shard.inflight_mutex);
       gen = shard.generation;
     }
-    shard.worker = std::thread([this, &shard, queue, gen] {
-      worker_loop(shard, queue, gen);
-    });
+    shard.worker =
+        std::thread([this, &shard, gen] { worker_loop(shard, gen); });
   }
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }
@@ -266,130 +254,97 @@ void MonitorFleet::stop() {
   if (!running_.exchange(false)) return;
   watchdog_stop_.store(true, std::memory_order_release);
   if (watchdog_.joinable()) watchdog_.join();
-  // Retired (failed-over) workers first, while the live queues are still
-  // open: a retired worker that popped a batch just before losing its
-  // shard hands that batch back to the live queue, and joining it here
-  // guarantees the hand-back lands before the queues close. The watchdog
-  // is already joined, so no new retirements can appear.
+  // No failover can start now. Stop admission and wake every worker: a
+  // live one drains its lanes and exits, a retired one exits on its
+  // generation check.
+  accepting_.store(false, std::memory_order_release);
+  for (auto& shard : shards_) wake(*shard);
   {
     std::lock_guard<std::mutex> lock(retired_mutex);
     for (auto& worker : retired_workers_)
       if (worker.joinable()) worker.join();
     retired_workers_.clear();
-    retired_queues_.clear();
-  }
-  // Stop admission, then close every queue: close() keeps pending items
-  // poppable, so the workers drain everything admitted before exiting.
-  accepting_.store(false, std::memory_order_release);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> route(shard->route_mutex);
-    shard->queue->close();
   }
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
-  // Ring residue: a producer racing stop() can land a push after its
-  // shard's worker checked the rings for the last time. Decide the
+  // Lane residue: a producer racing stop() can land a push after its
+  // shard's worker checked the lanes for the last time. Decide the
   // stragglers here — stop() never discards an admitted reading.
-  for (auto& shard : shards_) {
-    std::vector<Reading> residue, spare;
-    drain_rings(*shard, residue, spare, shard->generation,
-                std::numeric_limits<std::size_t>::max());
-    if (!residue.empty())
-      execute_batch(*shard, residue, spare, /*publish=*/false, 0);
-  }
-  // Fresh queues so the stopped fleet can still be ingested into and
-  // pump()ed (tests, checkpoint-then-inspect flows).
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> route(shard->route_mutex);
-    shard->queue =
-        std::make_unique<BoundedQueue<Reading>>(config_.queue_capacity);
-  }
+  for (auto& shard : shards_) drain(*shard);
   accepting_.store(true, std::memory_order_release);
 }
 
-void MonitorFleet::worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
-                               std::uint64_t my_gen) {
-  // Both keep their capacity and buffers from batch to batch.
-  std::vector<Reading> batch, spare;
+void MonitorFleet::worker_loop(Shard& shard, std::uint64_t my_gen) {
+  const std::size_t limit = 2 * config_.max_batch;
+  // Value buffers of decided readings, reused by the next lane pops.
+  std::vector<Reading> spare;
   for (;;) {
-    // Busy rings: poll the queue instead of sleeping on it, so ring
-    // traffic is never throttled by the queue's empty-wait. (Ring pushes
-    // do not signal the queue's condvar; sleeping here would cap ring
-    // throughput at one batch per timeout.)
-    const auto wait = rings_look_empty(shard) ? std::chrono::milliseconds(2)
-                                              : std::chrono::milliseconds(0);
-    queue->pop_batch(batch, config_.max_batch, wait);
-    if (!drain_rings(shard, batch, spare, my_gen, 2 * config_.max_batch)) {
-      // Failed over between popping and draining: hand the queue items
-      // back to the front of the live queue (they predate its contents)
-      // and retire; the rings now belong to the replacement.
-      if (!batch.empty()) {
-        const std::size_t count = batch.size();
-        std::lock_guard<std::mutex> route(shard.route_mutex);
-        if (!shard.queue->force_push_front(std::move(batch)))
-          shed_.fetch_add(count, kRelaxed);  // unreachable by design
-      }
-      return;
-    }
-    if (batch.empty()) {
-      // rings_look_empty is exact here: this worker still owns the
-      // generation, so it is the rings' consumer.
-      if (queue->closed() && queue->size() == 0 && rings_look_empty(shard))
-        return;
+    // Read before looking for work: every wake-up after this read changes
+    // the word, so the wait below cannot sleep through a push, a failover
+    // or stop().
+    const std::uint32_t epoch =
+        shard.wake_epoch.load(std::memory_order_acquire);
+    const std::size_t taken = run_batch(shard, spare, my_gen, limit);
+    if (taken == kRetired) return;
+    if (!accepting_.load(std::memory_order_acquire)) {
+      if (taken == 0) return;  // stop(): the lanes are drained
       continue;
     }
-    if (!execute_batch(shard, batch, spare, /*publish=*/true, my_gen))
-      return;  // the shard failed over; a replacement owns it now
+    if (taken == limit || poll_lanes(shard.lanes)) continue;
+    // Announce, re-check the lanes, wait. The announcement is made under
+    // the mutex fail_over() bumps the generation under, so a retired
+    // worker can never overwrite its replacement's. The fence pairs with
+    // the one in admit(): a StoreLoad barrier on both sides guarantees
+    // that either this re-check sees a racing push or that producer sees
+    // the announcement and wakes us (plain loads could miss both, even on
+    // x86).
+    {
+      std::lock_guard<std::mutex> lock(shard.inflight_mutex);
+      if (shard.generation != my_gen) return;
+      shard.announced.store(epoch, kRelaxed);
+    }
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (all_empty(shard.lanes)) shard.wake_epoch.wait(epoch, kRelaxed);
   }
 }
 
-bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading>& batch,
-                                 std::vector<Reading>& spare, bool publish,
-                                 std::uint64_t my_gen) {
-  std::vector<std::optional<core::WorstBlock>> worst(batch.size());
-  const std::vector<PredictionGroup> plan =
-      build_prediction_plan(chips_, batch);
-
-  if (!publish) {
-    run_prediction_plan(plan, worst);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const double delay = chaos_delay_ms_[batch[i].chip]->load(kRelaxed);
-      if (delay > 0) sleep_ms(delay);
-      decide_one(batch[i], worst[i] ? &*worst[i] : nullptr);
-      shard.handled.fetch_add(1, std::memory_order_release);
-      recycle(std::move(batch[i]), spare);
-    }
-    batch.clear();
-    return true;
-  }
-
-  // Threaded mode: share the batch through the inflight slot so the
-  // watchdog can steal the un-decided remainder if this worker stalls.
-  // Publishing happens *before* the fused kernel runs (the plan already
-  // copied everything it needs), so even a stall inside the kernel leaves
-  // the whole batch stealable.
+std::size_t MonitorFleet::run_batch(Shard& shard,
+                                    std::vector<Reading>& spare,
+                                    std::uint64_t my_gen, std::size_t limit) {
+  std::vector<PredictionGroup> plan;
+  std::size_t count = 0;
   {
-    std::unique_lock<std::mutex> lock(shard.inflight_mutex);
-    if (shard.generation != my_gen) {
-      // The shard failed over between popping this batch and publishing
-      // it, so the steal never saw these readings. Hand them back to the
-      // front of the live queue (they predate its backlog) and retire;
-      // stop() joins retired workers before closing queues, so the
-      // hand-back cannot be refused while anything else is running.
-      lock.unlock();
-      const std::size_t count = batch.size();
-      std::lock_guard<std::mutex> route(shard.route_mutex);
-      if (!shard.queue->force_push_front(std::move(batch)))
-        shed_.fetch_add(count, kRelaxed);  // unreachable by design
-      return false;
+    std::lock_guard<std::mutex> lock(shard.inflight_mutex);
+    if (shard.generation != my_gen) return kRetired;
+    // A failover's stolen remainder predates every lane reading, so it is
+    // decided first. Otherwise pop straight into the slot within this
+    // hold: a steal always sees every popped reading.
+    if (shard.inflight.empty()) {
+      const std::size_t lanes = shard.lanes.size();
+      for (std::size_t k = 0; k < lanes && shard.inflight.size() < limit;
+           ++k) {
+        SpscRing<Reading>& lane =
+            *shard.lanes[(shard.next_lane + k) % lanes];
+        while (shard.inflight.size() < limit) {
+          // Pop into a recycled reading, so the values land in a buffer
+          // this consumer already owns.
+          if (spare.empty()) spare.emplace_back();
+          if (!lane.pop(spare.back())) break;
+          shard.inflight.push_back(std::move(spare.back()));
+          spare.pop_back();
+        }
+      }
+      shard.next_lane = (shard.next_lane + 1) % lanes;
     }
-    // The slot is empty here (the last batch of this generation cleared
-    // it, or a steal did), so `batch` takes back its empty storage.
-    shard.inflight.swap(batch);
-    shard.inflight_pos = 0;
-    shard.inflight_stolen = false;
+    count = shard.inflight.size();
+    if (count == 0) return 0;
+    // The plan copies everything the fused kernel reads, so the kernel
+    // runs after the lock is released and even a stall inside it leaves
+    // the whole batch stealable.
+    plan = build_prediction_plan(chips_, shard.inflight);
     shard.inflight_since_ms.store(now_ms(), kRelaxed);
   }
+  std::vector<std::optional<core::WorstBlock>> worst(count);
   run_prediction_plan(plan, worst);
   for (;;) {
     Reading reading;
@@ -397,10 +352,8 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading>& batch,
     {
       std::lock_guard<std::mutex> lock(shard.inflight_mutex);
       if (shard.generation != my_gen)
-        return false;  // failed over mid-batch: remainder was stolen
-      if (shard.inflight_stolen ||
-          shard.inflight_pos >= shard.inflight.size())
-        break;
+        return kRetired;  // failed over mid-batch
+      if (shard.inflight_pos >= shard.inflight.size()) break;
       index = shard.inflight_pos++;
       reading = std::move(shard.inflight[index]);
       // Published before any potential stall so the watchdog can name the
@@ -418,16 +371,14 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading>& batch,
                                                std::memory_order_release,
                                                std::memory_order_relaxed);
     shard.handled.fetch_add(1, std::memory_order_release);
-    recycle(std::move(reading), spare);
+    spare.push_back(std::move(reading));
   }
   std::lock_guard<std::mutex> lock(shard.inflight_mutex);
-  if (shard.generation != my_gen) return false;
-  if (!shard.inflight_stolen) {
-    shard.inflight.clear();
-    shard.inflight_pos = 0;
-    shard.inflight_since_ms.store(0.0, kRelaxed);
-  }
-  return true;
+  if (shard.generation != my_gen) return kRetired;
+  shard.inflight.clear();
+  shard.inflight_pos = 0;
+  shard.inflight_since_ms.store(0.0, kRelaxed);
+  return count;
 }
 
 void MonitorFleet::decide_one(const Reading& reading,
@@ -461,20 +412,13 @@ void MonitorFleet::watchdog_loop() {
       Shard& shard = *shards_[i];
       const std::uint64_t handled = shard.handled.load(kRelaxed);
       std::size_t backlog = 0;
-      {
-        std::lock_guard<std::mutex> route(shard.route_mutex);
-        backlog = shard.queue->size();
-      }
-      // Ring backlog counts toward the stall signal too: a worker wedged
-      // with only ring traffic pending must still fail over.
-      for (const auto& ring : shard.rings) backlog += ring->approx_size();
+      for (const auto& lane : shard.lanes) backlog += lane->approx_size();
       shard.depth_gauge->set(static_cast<double>(backlog));
       const double since = shard.inflight_since_ms.load(kRelaxed);
       shard.inflight_age_gauge->set(since > 0 ? now - since : 0.0);
       {
         std::lock_guard<std::mutex> lock(shard.inflight_mutex);
-        if (!shard.inflight_stolen)
-          backlog += shard.inflight.size() - shard.inflight_pos;
+        backlog += shard.inflight.size() - shard.inflight_pos;
       }
       if (handled != shard.last_handled || backlog == 0) {
         shard.last_handled = handled;
@@ -497,22 +441,19 @@ void MonitorFleet::watchdog_loop() {
 void MonitorFleet::fail_over(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
 
-  // 1. Steal the un-decided remainder of the inflight batch and identify
-  //    the chip the stuck worker is buried in.
-  std::vector<Reading> stolen;
+  // 1. Revoke the stuck worker's batch ownership and name the chip it is
+  //    buried in. The un-decided remainder of its batch stays in the slot,
+  //    now owned by the new generation; only the decided prefix goes.
   ChipId culprit = kNoChip;
   std::uint64_t new_gen = 0;
   {
     std::lock_guard<std::mutex> lock(shard.inflight_mutex);
-    if (shard.inflight_stolen) return;  // failover already in flight
-    for (std::size_t j = shard.inflight_pos; j < shard.inflight.size(); ++j)
-      stolen.push_back(std::move(shard.inflight[j]));
-    shard.inflight.clear();
+    shard.inflight.erase(
+        shard.inflight.begin(),
+        shard.inflight.begin() +
+            static_cast<std::ptrdiff_t>(shard.inflight_pos));
     shard.inflight_pos = 0;
-    shard.inflight_stolen = true;
     shard.inflight_since_ms.store(0.0, kRelaxed);
-    // Revoke the old worker's batch ownership: from here on it exits on
-    // its first look at the shard instead of racing the replacement.
     new_gen = ++shard.generation;
     culprit = shard.current_chip.load(std::memory_order_acquire);
   }
@@ -523,35 +464,17 @@ void MonitorFleet::fail_over(std::size_t shard_index) {
   //    boundary is what makes the concurrent handoff safe.
   if (culprit != kNoChip) chips_[culprit]->suspend();
 
-  // 3. Swap in a fresh queue pre-filled with the stolen remainder followed
-  //    by the old queue's backlog, original order preserved. Producers are
-  //    held out by route_mutex for the duration, so nothing lands in the
-  //    retiring queue. force_push: these readings were admitted once; a
-  //    failover must not re-shed them.
-  auto fresh = std::make_unique<BoundedQueue<Reading>>(config_.queue_capacity);
-  std::unique_ptr<BoundedQueue<Reading>> old;
-  {
-    std::lock_guard<std::mutex> route(shard.route_mutex);
-    old = std::move(shard.queue);
-    shard.queue = std::move(fresh);
-    for (auto& reading : stolen) shard.queue->force_push(std::move(reading));
-    for (auto& reading : old->drain())
-      shard.queue->force_push(std::move(reading));
-  }
-  // 4. Close the old queue: when the stuck worker finally wakes it sees the
-  //    generation moved past it (or its queue closed-and-empty) and exits.
-  //    Both the thread and its queue are parked for stop() to reap.
-  old->close();
+  // 3. Wake the retired worker in case it sleeps; it sees the generation
+  //    moved past it and exits. The thread is parked for stop() to join.
+  wake(shard);
   {
     std::lock_guard<std::mutex> lock(retired_mutex);
     retired_workers_.push_back(std::move(shard.worker));
-    retired_queues_.push_back(std::move(old));
   }
-  // 5. Replacement worker on the fresh queue, owning the new generation.
-  BoundedQueue<Reading>* queue = shard.queue.get();
-  shard.worker = std::thread([this, &shard, queue, new_gen] {
-    worker_loop(shard, queue, new_gen);
-  });
+  // 4. The replacement owns the new generation: it decides the remainder
+  //    left in the slot, then the lanes.
+  shard.worker =
+      std::thread([this, &shard, new_gen] { worker_loop(shard, new_gen); });
   stall_failovers_.fetch_add(1, kRelaxed);
   static metrics::Counter& failovers =
       metrics::counter("serve.stall_failovers");

@@ -1,52 +1,61 @@
 #pragma once
 // MonitorFleet: the multi-chip serving engine.
 //
-// Registers N chips (each its own ChipDomain fault domain), ingests sensor
-// readings through bounded per-shard queues, and decides them in
-// micro-batches. A decision needs only the lowest predicted block voltage
-// and its row, so the healthy readings of same-model chips in a batch are
-// decided by one fused predict-and-min kernel call that never builds a
-// prediction vector (bit-identical to the per-sample path; see
+// Registers N chips (each its own ChipDomain fault domain), admits sensor
+// readings into per-shard SPSC lanes, and decides them in micro-batches. A
+// decision needs only the lowest predicted block voltage and its row, so
+// the healthy readings of same-model chips in a batch are decided by one
+// fused predict-and-min kernel call that never builds a prediction vector
+// (bit-identical to the per-sample path; see
 // PlacementModel::worst_from_sensor_readings_batch). Alarm transitions are
 // appended to an in-process sink with their ingest-to-decision latency.
+//
+// Lanes are the only ingest path. Every shard has one SpscRing per
+// registered producer (ingest(ProducerId, Reading), mutex-free) and one
+// plain-ingest ring of queue_capacity slots whose producer side the
+// shard's route mutex serializes (ingest(Reading), any thread). A full
+// lane sheds the newest reading (counted per chip and fleet-wide, reported
+// to the caller as kShed).
 //
 // Two execution modes share the same decision path:
 //
 //  * pump() — deterministic: the caller drains every shard on the global
-//    thread pool (one parallel task per shard) and returns when all queued
-//    readings are decided. This is the mode tests and the bit-identity
-//    harness use.
+//    thread pool (one parallel task per shard) and returns when all
+//    admitted readings are decided. This is the mode tests and the
+//    bit-identity harness use.
 //  * start()/stop() — threaded: one worker thread per shard plus a watchdog.
-//    The watchdog declares a shard stalled when its backlog stops advancing
-//    for stall_timeout_ms, then fails it over: the inflight batch remainder
-//    is stolen, the chip being processed is suspended (poison pill), the
-//    shard gets a fresh queue pre-filled with the stolen + drained backlog
-//    in original order, and a replacement worker takes over. Batch
-//    ownership is a per-shard generation counter bumped at each failover:
-//    every worker carries the generation it was spawned with, and the
-//    moment the shard's generation moves past it the worker stops touching
-//    the shared inflight slot and exits — so a stalled worker that wakes
-//    while its replacement is mid-batch can never claim the replacement's
-//    items or run a chip's monitor concurrently with it. A batch popped
-//    just before the failover (not yet published, invisible to the steal)
-//    is handed back to the front of the live queue instead of being
-//    decided by the retired worker. No admitted reading is ever silently
-//    lost — every one is decided, or dropped with a per-chip counter
-//    naming why.
+//    A worker that has caught up with its lanes looks at them once more
+//    after a few microseconds, then sleeps on a C++20 atomic wait until a
+//    push wakes it (see worker_loop for the handshake). The watchdog
+//    declares a shard stalled when its backlog stops advancing for
+//    stall_timeout_ms, then fails it over: the chip being processed is
+//    suspended (poison pill), and a replacement worker takes the shard
+//    together with the un-decided remainder of the inflight batch.
 //
-// Value storage: a reading admitted through plain ingest() moves into the
-// shard queue and its value buffer travels with it. A reading admitted
-// through a producer lane is copied into the lane ring's slot, whose
-// buffer the slot owns and reuses lap after lap; the caller's Reading and
-// its buffer are freed on the caller's thread when ingest returns. A shard
-// worker pops ring values into value buffers it already owns (those of
-// readings it decided earlier), so once warm a lane reading costs the
-// worker no allocation and no free.
+// Batch ownership: a worker pops lane readings straight into the shard's
+// inflight slot while holding the inflight mutex, so a failover's steal
+// always sees every popped reading; nothing is ever handed back. Each
+// worker carries the shard generation it was spawned with, and fail_over()
+// bumps it under the same mutex: the moment the shard's generation moves
+// past a worker, that worker stops touching the slot and the lanes and
+// exits — so a stalled worker that wakes while its replacement is
+// mid-batch can never claim the replacement's items or run a chip's
+// monitor concurrently with it. The stolen remainder stays in the slot
+// under the new generation, and the replacement decides it before it
+// reads any lane, so every chip's readings are decided in order. No
+// admitted reading is ever silently lost — every one is decided, or
+// dropped with a per-chip counter naming why.
 //
-// Overload: try_push against a full shard queue sheds the newest reading
-// (counted per chip and fleet-wide, reported to the caller as kShed).
-// Shutdown: stop() closes the queues and drains what was admitted before
-// joining — close() never discards pending items.
+// Value storage: every reading is copied into a lane slot that owns its
+// value buffer and reuses it lap after lap; the caller's Reading and its
+// buffer are freed on the caller's thread when ingest returns. A shard
+// worker pops lane values into value buffers it already owns (those of
+// readings it decided earlier), so once warm a reading costs the worker no
+// allocation and no free.
+//
+// Shutdown: stop() stops admission, wakes the workers, lets each drain its
+// lanes before joining, and decides any reading a racing producer landed
+// after that — stop() never discards an admitted reading.
 
 #include <atomic>
 #include <cstdint>
@@ -57,7 +66,6 @@
 
 #include "core/online_monitor.hpp"
 #include "core/pipeline.hpp"
-#include "serve/bounded_queue.hpp"
 #include "serve/chip_domain.hpp"
 #include "serve/spsc_ring.hpp"
 #include "serve/types.hpp"
@@ -84,9 +92,10 @@ class MonitorFleet {
                       nullptr);
   std::size_t num_chips() const { return chips_.size(); }
 
-  /// Admission: stamps the ingest time, routes to the owning shard, applies
-  /// the overload shed policy. The decision itself happens later on the
-  /// shard (pump() or a worker thread).
+  /// Admission from any thread: stamps the ingest time and copies the
+  /// reading into the owning shard's plain-ingest lane (route mutex held),
+  /// shedding the newest reading when the lane is full. The decision itself
+  /// happens later on the shard (pump() or a worker thread).
   IngestResult ingest(Reading reading);
 
   /// Registers an ingestion lane for one producer thread: one SPSC ring
@@ -101,18 +110,18 @@ class MonitorFleet {
   /// copies chip, sequence, ingest stamp and values into a slot that owns
   /// its value storage, so `reading` and its buffer are freed on this
   /// thread when the call returns. A full ring sheds the newest reading;
-  /// it never spills into the shared queue, which would reorder the
-  /// producer's feed around its ring backlog.
+  /// it never spills into another lane, which would reorder the producer's
+  /// feed around its ring backlog.
   IngestResult ingest(ProducerId producer, Reading reading);
 
-  /// Deterministic mode: decides everything currently queued, one parallel
+  /// Deterministic mode: decides everything currently admitted, one parallel
   /// task per shard on the global pool. Not concurrent with start().
   /// Returns the number of readings handled.
   std::size_t pump();
 
   /// Threaded mode: spawns one worker per shard plus the watchdog.
   void start();
-  /// Closes the queues, drains what was admitted, joins every worker (and
+  /// Stops admission, drains what was admitted, joins every worker (and
   /// every failed-over worker). Idempotent.
   void stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -144,80 +153,77 @@ class MonitorFleet {
       const std::vector<ChipDomain::PersistedState>& states);
 
  private:
-  /// One ingestion/decision lane. The queue pointer is swapped at failover;
-  /// route_mutex makes the swap invisible to producers (nothing is pushed
-  /// into a queue that is being retired).
+  /// One ingestion/decision lane set with its worker.
   struct Shard {
-    std::unique_ptr<BoundedQueue<Reading>> queue;
-    std::mutex route_mutex;  ///< guards `queue` (producers + failover)
-    /// One SPSC ingestion ring per registered producer. The vector itself
-    /// only changes while the fleet is stopped; ring consumption is
-    /// serialized by inflight_mutex (see drain_rings).
-    std::vector<std::unique_ptr<SpscRing<Reading>>> rings;
+    /// lanes[0] is the plain-ingest lane; lanes[1 + p] is producer p's.
+    /// The vector itself only changes while the fleet is stopped; lane
+    /// consumption is serialized by inflight_mutex (see run_batch).
+    std::vector<std::unique_ptr<SpscRing<Reading>>> lanes;
+    /// Sleep handshake (see worker_loop): the word a worker waits on,
+    /// which every wake-up bumps, and the value of it on which the shard's
+    /// worker last announced it is about to sleep. Only the owner of the
+    /// generation writes `announced`, under inflight_mutex.
+    std::atomic<std::uint32_t> wake_epoch{0};
+    std::atomic<std::uint32_t> announced{0};
+    /// Serializes the plain-ingest lane's producer side.
+    std::mutex route_mutex;
     /// Readings decided on this shard since construction: the watchdog's
     /// liveness signal, and summed into FleetStats::processed (release
     /// increments after each decision, acquire loads in stats()).
     std::atomic<std::uint64_t> handled{0};
-    /// Inflight micro-batch, shared with the watchdog for theft.
+    /// Inflight micro-batch, shared with the watchdog for theft. Readings
+    /// [inflight_pos, end) are not claimed yet.
     std::mutex inflight_mutex;
     std::vector<Reading> inflight;
     std::size_t inflight_pos = 0;
-    bool inflight_stolen = false;
     /// Batch-ownership epoch, guarded by inflight_mutex. fail_over() bumps
     /// it; a worker whose spawn-time generation no longer matches has been
-    /// replaced and must exit without touching the inflight slot. Unlike
-    /// inflight_stolen (reset by the replacement's next publish), this
+    /// replaced and must exit without touching the slot or the lanes. It
     /// never moves backwards, so a late-waking retired worker cannot
     /// mistake the replacement's batch for its own.
     std::uint64_t generation = 0;
+    /// Lane the next fill starts at, guarded by inflight_mutex; rotating
+    /// it keeps one busy lane from starving the others.
+    std::size_t next_lane = 0;
     std::atomic<ChipId> current_chip{kNoChip};
     std::thread worker;
     // Watchdog bookkeeping (watchdog-thread-owned).
     std::uint64_t last_handled = 0;
     double stalled_since_ms = -1.0;
     /// Observability: registry gauges cached at construction (registration
-    /// takes a lock; updates are relaxed stores). Depth tracks the shard
-    /// queue; inflight age is how long the current published batch has
-    /// been outstanding — 0 when none is.
+    /// takes a lock; updates are relaxed stores). Depth is the lane
+    /// backlog; inflight age is how long the current batch has been
+    /// outstanding — 0 when none is.
     metrics::Gauge* depth_gauge = nullptr;
     metrics::Gauge* inflight_age_gauge = nullptr;
-    /// now_ms() when the current inflight batch was published; 0 between
+    /// now_ms() when the current inflight batch was taken; 0 between
     /// batches. Written by the owning worker, read by the watchdog.
     std::atomic<double> inflight_since_ms{0.0};
   };
 
+  /// run_batch's result when the shard failed over past the caller.
+  static constexpr std::size_t kRetired = static_cast<std::size_t>(-1);
+
+  /// Counts an admission attempt on `shard`'s lane and wakes the worker
+  /// if it announced it is about to sleep.
+  IngestResult admit(Shard& shard, ChipId chip, bool pushed);
+  /// Bumps the shard's wake word and wakes every thread waiting on it.
+  static void wake(Shard& shard);
   /// `my_gen` is the shard generation this worker owns; the loop exits as
   /// soon as a failover moves the shard past it.
-  void worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
-                   std::uint64_t my_gen);
-  /// Decides one batch and leaves `batch` empty, its capacity kept; every
-  /// decided reading goes to `spare` (see recycle). `publish` shares the
-  /// batch through the shard's inflight slot so the watchdog can steal the
-  /// remainder (threaded mode only). Returns false when the shard failed
-  /// over out from under the caller (shard.generation != my_gen): the
-  /// batch — or its remainder — is now the replacement's responsibility
-  /// and the caller must exit.
-  bool execute_batch(Shard& shard, std::vector<Reading>& batch,
-                     std::vector<Reading>& spare, bool publish,
-                     std::uint64_t my_gen);
-  /// Tops `batch` up to `limit` items from the shard's producer rings,
-  /// popping each into a reading taken from `spare` so its values land in
-  /// a buffer the caller owns. The consumer side of every ring is
-  /// serialized by inflight_mutex, and the generation check inside keeps a
-  /// retired worker from consuming concurrently with its replacement.
-  /// Returns false when the shard has failed over past `my_gen`; the
-  /// caller must hand back what it popped and exit without touching the
-  /// rings.
-  bool drain_rings(Shard& shard, std::vector<Reading>& batch,
-                   std::vector<Reading>& spare, std::uint64_t my_gen,
-                   std::size_t limit);
-  /// Keeps a decided reading in its decider's `spare` for the next
-  /// drain_rings to pop into, up to one worker drain's worth (2 x
-  /// max_batch); past that the reading is freed.
-  void recycle(Reading&& reading, std::vector<Reading>& spare) const;
-  /// Racy any-thread check used to pick the queue wait: false negatives
-  /// just cost one short queue timeout.
-  bool rings_look_empty(const Shard& shard) const;
+  void worker_loop(Shard& shard, std::uint64_t my_gen);
+  /// Takes the shard's next micro-batch into the inflight slot — the
+  /// stolen remainder a failover left there, or else up to `limit`
+  /// readings popped from the lanes — and decides it. Every decided
+  /// reading's buffer goes to `spare`, and lane pops land in buffers taken
+  /// from it. Returns the number of readings taken (0: the lanes were
+  /// empty), or kRetired when the shard failed over past `my_gen`, in
+  /// which case the slot's remainder is the replacement's.
+  std::size_t run_batch(Shard& shard, std::vector<Reading>& spare,
+                        std::uint64_t my_gen, std::size_t limit);
+  /// Decides everything in the shard's slot and lanes on the calling
+  /// thread, in max_batch micro-batches. Only while no worker runs.
+  void drain(Shard& shard);
   void decide_one(const Reading& reading,
                   const core::WorstBlock* precomputed);
   void watchdog_loop();
@@ -236,10 +242,9 @@ class MonitorFleet {
   std::atomic<bool> accepting_{true};
   std::atomic<bool> watchdog_stop_{false};
   std::thread watchdog_;
-  /// Failed-over workers and their retired queues; joined/freed in stop().
+  /// Failed-over workers; joined in stop().
   std::mutex retired_mutex;
   std::vector<std::thread> retired_workers_;
-  std::vector<std::unique_ptr<BoundedQueue<Reading>>> retired_queues_;
 
   std::mutex alarm_mutex_;
   std::vector<AlarmEvent> alarms_;

@@ -1,6 +1,7 @@
 #pragma once
-// Single-producer / single-consumer ring: the mutex-free ingestion fast
-// path under MonitorFleet's per-producer lanes.
+// Single-producer / single-consumer ring: MonitorFleet's one ingestion
+// transport. Every shard has one ring per registered producer plus one
+// plain-ingest ring whose producer side the fleet serializes.
 //
 // Classic cached-index SPSC design (the read-path idiom ROART uses for its
 // log rings): head and tail are the only shared state, each written by
@@ -19,12 +20,13 @@
 // thread, and the consumer's copy lands in storage the consumer owns.
 //
 // Contract: at most one thread pushes and at most one thread pops at any
-// instant. The producer side is a single fixed thread; the consumer side
-// may migrate between threads (shard workers hand over at failover) as
-// long as successive consumers are serialized by an external
-// happens-before edge — MonitorFleet serializes them with the shard's
-// inflight mutex. approx_size()/approx_empty() are racy snapshots safe
-// from any thread; empty() from the consumer thread is exact.
+// instant. Either side may migrate between threads (shard workers hand the
+// consumer side over at failover; plain-ingest callers take turns on the
+// producer side) as long as successive threads on one side are serialized
+// by an external happens-before edge — MonitorFleet serializes consumers
+// with the shard's inflight mutex and plain-ingest producers with its
+// route mutex. approx_size() is a racy snapshot safe from any thread;
+// empty() from the consumer thread is exact.
 
 #include <atomic>
 #include <cstddef>
@@ -35,22 +37,23 @@ namespace vmap::serve {
 template <typename T>
 class SpscRing {
  public:
-  /// Capacity is rounded up to a power of two (index masking); the ring
-  /// holds exactly `capacity()` items before push refuses.
-  explicit SpscRing(std::size_t min_capacity) {
-    std::size_t cap = 1;
-    while (cap < min_capacity) cap <<= 1;
-    mask_ = cap - 1;
-    slots_.resize(cap);
+  /// Holds exactly `capacity` items before push refuses. The slot array is
+  /// rounded up to a power of two so indices wrap by masking; only the
+  /// full test looks at the requested capacity.
+  explicit SpscRing(std::size_t capacity) : capacity_(capacity) {
+    std::size_t slots = 1;
+    while (slots < capacity) slots <<= 1;
+    mask_ = slots - 1;
+    slots_.resize(slots);
   }
 
   /// Producer side. False when full (never blocks, never overwrites).
   /// Copies `item` into the slot's own storage; `item` is only read.
   bool push(const T& item) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
+    if (tail - cached_head_ >= capacity_) {
       cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ > mask_) return false;
+      if (tail - cached_head_ >= capacity_) return false;
     }
     slots_[tail & mask_] = item;
     tail_.store(tail + 1, std::memory_order_release);
@@ -84,9 +87,10 @@ class SpscRing {
     return tail >= head ? tail - head : 0;
   }
 
-  std::size_t capacity() const { return mask_ + 1; }
+  std::size_t capacity() const { return capacity_; }
 
  private:
+  std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   std::vector<T> slots_;
   /// Consumer-owned index (next slot to pop).

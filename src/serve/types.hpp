@@ -49,7 +49,7 @@ enum class RejectReason {
   kStale,           ///< sequence did not advance
   kSuspended,       ///< chip is suspended; feed is ignored
   kQuarantined,     ///< chip is quarantined; reading only feeds probation
-  kShed,            ///< shard queue full: overload shed (reject-newest)
+  kShed,            ///< lane full: overload shed (reject-newest)
   kStopped,         ///< fleet is not accepting readings
 };
 const char* reject_reason_name(RejectReason reason);
@@ -85,15 +85,12 @@ struct AlarmEvent {
 /// (hundreds of chips, thousands of readings/sec per shard).
 struct FleetConfig {
   std::size_t shards = 4;            ///< independent fault/throughput lanes
-  std::size_t queue_capacity = 1024; ///< bounded per-shard backlog
-  /// Readings popped from the shard queue per micro-batch. A threaded
-  /// worker then tops the batch up from its producer rings to at most
-  /// 2 x max_batch readings; pump() tops it up to max_batch.
+  /// Capacity of each shard's plain-ingest lane (the ring behind
+  /// ingest(Reading)). Full lane = overload shed of the newest reading.
+  std::size_t queue_capacity = 1024;
+  /// Micro-batch bound: pump() takes at most max_batch readings from a
+  /// shard's lanes per batch, a threaded worker at most 2 x max_batch.
   std::size_t max_batch = 64;
-  /// Alarm events are appended to the sink as each micro-batch item is
-  /// decided; this is the service-level objective the chaos scenarios
-  /// report against (p99 ingest-to-alarm latency).
-  double alarm_deadline_ms = 50.0;
   /// Watchdog: a shard with backlog that has not advanced for this long is
   /// declared stalled and failed over.
   double stall_timeout_ms = 250.0;
@@ -104,8 +101,8 @@ struct FleetConfig {
   std::size_t probation = 16;
   /// Bad readings observed while quarantined before the chip is suspended.
   std::size_t suspend_after = 3;
-  /// Capacity of each producer→shard SPSC ingestion ring (rounded up to a
-  /// power of two). Full ring = overload shed, same policy as the queues.
+  /// Capacity of each producer→shard SPSC ingestion ring. Full ring =
+  /// overload shed, same policy as the plain-ingest lane.
   std::size_t producer_ring_capacity = 4096;
 };
 
@@ -134,7 +131,7 @@ struct ChipStats {
 /// Fleet-wide accounting snapshot.
 struct FleetStats {
   std::uint64_t ingested = 0;   ///< ingest() calls that named a known chip
-  std::uint64_t enqueued = 0;   ///< admitted into a shard queue
+  std::uint64_t enqueued = 0;   ///< admitted into a lane
   std::uint64_t shed = 0;       ///< rejected-newest under overload
   /// Readings decided by shard workers: the sum of the shards' counters.
   /// Each is counted after its decision, so the chip stats and alarms of

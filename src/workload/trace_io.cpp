@@ -18,14 +18,6 @@ void PowerTrace::append(const linalg::Vector& activity) {
   data_.insert(data_.end(), activity.begin(), activity.end());
 }
 
-linalg::Vector PowerTrace::activity_at(std::size_t step) const {
-  VMAP_REQUIRE(step < steps(), "trace step out of range");
-  linalg::Vector out(blocks_);
-  const double* src = data_.data() + step * blocks_;
-  for (std::size_t b = 0; b < blocks_; ++b) out[b] = src[b];
-  return out;
-}
-
 double PowerTrace::at(std::size_t step, std::size_t block) const {
   VMAP_REQUIRE(step < steps() && block < blocks_, "trace index out of range");
   return data_[step * blocks_ + block];

@@ -29,8 +29,6 @@ class PowerTrace {
   /// Appends one step of activity (size must equal blocks()).
   void append(const linalg::Vector& activity);
 
-  /// Activity of one step (size blocks()).
-  linalg::Vector activity_at(std::size_t step) const;
   /// Single entry access.
   double at(std::size_t step, std::size_t block) const;
 

@@ -205,7 +205,7 @@ TEST_F(TraceTest, LoadRejectsMalformedCsv) {
 
 TEST(Trace, EmptyTraceRejected) {
   workload::PowerTrace empty(3);
-  EXPECT_THROW(empty.activity_at(0), vmap::ContractError);
+  EXPECT_THROW(empty.at(0, 0), vmap::ContractError);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // MonitorFleet integration tests: decisions bit-identical to standalone
 // OnlineMonitors (the fused predict-and-min path, the per-sample path, and
 // fault-tolerant monitors losing a sensor mid-stream), overload shed
-// accounting, clean-shutdown drain, and watchdog stall failover in threaded
-// mode, with plain-ingest and producer-lane backlogs.
+// accounting, clean-shutdown drain, watchdog stall failover in threaded
+// mode with plain-ingest and producer-lane backlogs, and workers that
+// sleep between bursts without missing a wake-up.
 
 #include <gtest/gtest.h>
 
@@ -561,6 +562,127 @@ TEST(MonitorFleet, WokenStalledWorkerNeverTouchesTheReplacementsBatch) {
   const std::vector<std::uint64_t> want_transitions =
       it == ref.transitions.end() ? std::vector<std::uint64_t>{} : it->second;
   EXPECT_EQ(transitions, want_transitions);
+}
+
+TEST(MonitorFleet, LaneFailoverDecidesTheStolenRemainderBeforeTheLanes) {
+  // The poison reading and the first survivor readings land in one batch,
+  // and more survivor readings wait in the ring behind them. The failover
+  // leaves the batch's un-decided remainder in the inflight slot; the
+  // replacement must decide it before it reads the ring, or the survivor's
+  // later readings would get ahead of it and the remainder would be
+  // rejected as stale replays.
+  SyntheticFleetSpec spec;
+  FleetConfig fc;
+  fc.shards = 1;
+  fc.max_batch = 8;  // a threaded worker takes at most 16 readings
+  fc.stall_timeout_ms = 80.0;
+  fc.watchdog_period_ms = 10.0;
+  MonitorFleet fleet(fc);
+  auto model = make_synthetic_model(spec);
+  for (int c = 0; c < 2; ++c)
+    fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId producer = fleet.register_producer();
+  fleet.set_chaos_delay_ms(0, 1000.0);
+
+  constexpr std::uint64_t kQueued = 40;   // survivor readings before start
+  constexpr std::uint64_t kSamples = 60;  // survivor readings in total
+  std::uint64_t enqueued = 0;
+  auto feed = [&](ChipId chip, std::uint64_t seq) {
+    if (fleet
+            .ingest(producer,
+                    make_reading(chip, seq, synthetic_reading(spec, chip, seq)))
+            .accepted)
+      ++enqueued;
+  };
+  // Admitted before start(), so the first batch is the poison reading and
+  // survivor readings 1..15, with 16..40 left in the ring.
+  feed(0, 1);
+  for (std::uint64_t t = 1; t <= kQueued; ++t) feed(1, t);
+  fleet.start();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fleet.stats().stall_failovers == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_GE(fleet.stats().stall_failovers, 1u);
+  EXPECT_EQ(fleet.chip_mode(0), ChipMode::kSuspended);
+  for (std::uint64_t t = kQueued + 1; t <= kSamples; ++t) feed(1, t);
+  fleet.stop();
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.processed, enqueued);
+  const ChipStats survivor = fleet.chip_stats(1);
+  EXPECT_EQ(survivor.rejected_stale, 0u);
+  EXPECT_EQ(survivor.accepted, kSamples);
+  const ReferenceRun ref = run_reference(spec, 2, kSamples);
+  const auto states = fleet.persisted_states();
+  EXPECT_EQ(states[1].monitor.samples, ref.counters[1].samples);
+  EXPECT_EQ(states[1].monitor.alarm_samples, ref.counters[1].alarm_samples);
+  EXPECT_EQ(states[1].monitor.alarm_episodes,
+            ref.counters[1].alarm_episodes);
+  std::vector<std::uint64_t> transitions;
+  for (const AlarmEvent& e : fleet.drain_alarms())
+    if (e.chip == 1) transitions.push_back(e.sequence);
+  const auto it = ref.transitions.find(1);
+  EXPECT_EQ(transitions, it == ref.transitions.end()
+                             ? std::vector<std::uint64_t>{}
+                             : it->second);
+}
+
+TEST(MonitorFleet, SleepingWorkersWakeForEveryBurst) {
+  // Lost wake-up stress. Each burst is one reading, waited on until it is
+  // decided, then an idle gap. The gaps sweep 0-20 us in 0.25 us steps, so
+  // pushes land at every point of a worker's poll, announce and sleep
+  // path, and every 16th gap is 2 ms, long enough for both workers to fall
+  // asleep in the kernel. Chips 0 and 1 (one per shard) feed a producer
+  // lane, chips 2 and 3 plain ingest(). The watchdog is set far past the
+  // per-burst deadline, so only a missed wake-up can leave a reading
+  // undecided there, and no failover can rescue one.
+  SyntheticFleetSpec spec;
+  constexpr std::size_t kChips = 4;
+  constexpr std::uint64_t kBursts = 4000;
+  FleetConfig fc;
+  fc.shards = 2;
+  fc.stall_timeout_ms = 600000.0;
+  MonitorFleet fleet(fc);
+  auto model = make_synthetic_model(spec);
+  for (std::size_t c = 0; c < kChips; ++c)
+    fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId producer = fleet.register_producer();
+  fleet.start();
+
+  using Clock = std::chrono::steady_clock;
+  std::uint64_t admitted = 0;
+  for (std::uint64_t burst = 0; burst < kBursts; ++burst) {
+    const auto chip = static_cast<ChipId>(burst % kChips);
+    const std::uint64_t seq = burst / kChips + 1;
+    Reading r = make_reading(chip, seq, synthetic_reading(spec, chip, seq));
+    const IngestResult result = chip < 2 ? fleet.ingest(producer, std::move(r))
+                                         : fleet.ingest(std::move(r));
+    ASSERT_TRUE(result.accepted) << "burst " << burst;
+    ++admitted;
+    const auto deadline = Clock::now() + std::chrono::seconds(2);
+    while (fleet.stats().processed < admitted && Clock::now() < deadline)
+      std::this_thread::yield();
+    ASSERT_EQ(fleet.stats().processed, admitted)
+        << "burst " << burst << " sat undecided: a lost wake-up";
+    if (burst % 16 == 15) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    } else {
+      const auto until = Clock::now() + std::chrono::nanoseconds(
+                                            250 * (burst % 80));
+      while (Clock::now() < until) {
+      }
+    }
+  }
+  fleet.stop();
+
+  EXPECT_EQ(fleet.stats().stall_failovers, 0u);
+  EXPECT_EQ(fleet.stats().shed, 0u);
+  expect_matches_reference(fleet, run_reference(spec, kChips, kBursts / kChips),
+                           kChips);
 }
 
 }  // namespace

@@ -434,11 +434,25 @@ TEST_F(CheckpointTest, ChecksumValidForgedCountIsCorruptionNotBadAlloc) {
 
 // ---- SPSC ingestion ring -------------------------------------------------
 
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 1u);
-  EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(5).capacity(), 8u);
-  EXPECT_EQ(SpscRing<int>(4096).capacity(), 4096u);
+TEST(SpscRing, HoldsExactlyTheRequestedCapacity) {
+  for (std::size_t capacity : {1u, 2u, 5u, 4096u})
+    EXPECT_EQ(SpscRing<int>(capacity).capacity(), capacity);
+  // Five items in eight slots: the ring holds 5 and refuses the 6th on
+  // every lap, while its indices wrap the slot array many times over.
+  SpscRing<int> ring(5);
+  int next = 0;
+  for (int lap = 0; lap < 20; ++lap) {
+    for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.push(next + i)) << lap;
+    EXPECT_FALSE(ring.push(-1)) << "lap " << lap;
+    EXPECT_EQ(ring.approx_size(), 5u);
+    int out = -1;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(ring.pop(out));
+      EXPECT_EQ(out, next + i);
+    }
+    EXPECT_FALSE(ring.pop(out));
+    next += 5;
+  }
 }
 
 TEST(SpscRing, FifoOrderSurvivesManyWraparounds) {
@@ -557,7 +571,7 @@ TEST(SpscRing, FleetFastPathLosesNothingAcrossShutdownDrain) {
                                              synthetic_reading(spec, chip, t)))
               .accepted)
         ++enqueued;
-  fleet.stop();  // shutdown drain: rings + queues must both empty
+  fleet.stop();  // shutdown drain: every lane must empty
 
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.enqueued, enqueued);
@@ -568,7 +582,7 @@ TEST(SpscRing, FleetFastPathLosesNothingAcrossShutdownDrain) {
   EXPECT_EQ(accepted + stats.shed, kSamples * kChips);
 }
 
-TEST(SpscRing, FastPathDecisionsBitIdenticalToQueuePath) {
+TEST(SpscRing, FastPathDecisionsBitIdenticalToPlainIngest) {
   // The same stream through the producer-lane fast path (pump-drained) and
   // through plain ingest() must produce identical monitor counters — the
   // ring changes how readings travel, never what is decided.
@@ -581,23 +595,23 @@ TEST(SpscRing, FastPathDecisionsBitIdenticalToQueuePath) {
   MonitorFleet ring_fleet(fc);
   ring_fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
   const ProducerId producer = ring_fleet.register_producer();
-  MonitorFleet queue_fleet(fc);
-  queue_fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  MonitorFleet plain_fleet(fc);
+  plain_fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
 
   for (std::uint64_t t = 1; t <= kSamples; ++t) {
     ring_fleet.ingest(producer,
                       make_reading(0, t, synthetic_reading(spec, 0, t)));
-    queue_fleet.ingest(make_reading(0, t, synthetic_reading(spec, 0, t)));
+    plain_fleet.ingest(make_reading(0, t, synthetic_reading(spec, 0, t)));
     if (t % 40 == 0) {
       ring_fleet.pump();
-      queue_fleet.pump();
+      plain_fleet.pump();
     }
   }
   ring_fleet.pump();
-  queue_fleet.pump();
+  plain_fleet.pump();
 
   const auto a = ring_fleet.persisted_states();
-  const auto b = queue_fleet.persisted_states();
+  const auto b = plain_fleet.persisted_states();
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a[0].monitor.samples, b[0].monitor.samples);
   EXPECT_EQ(a[0].monitor.alarm_samples, b[0].monitor.alarm_samples);
