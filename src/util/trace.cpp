@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "util/json.hpp"
@@ -46,6 +47,9 @@ std::atomic<std::uint64_t> g_next_span{0};
 thread_local std::uint64_t t_current_span = 0;
 thread_local int t_tid = -1;
 
+/// The thread that runs static initialization: the process's main thread.
+const std::thread::id g_main_thread = std::this_thread::get_id();
+
 void flush_at_exit() { (void)trace_flush(); }
 
 bool init_from_env() {
@@ -85,8 +89,10 @@ int local_tid_locked(TraceState& s) {
   if (t_tid >= 0) return t_tid;
   t_tid = s.next_tid++;
   const int w = worker_index();
-  std::string name = w >= 0 ? "worker-" + std::to_string(w)
-                            : (t_tid == 0 ? "main" : "thread");
+  std::string name =
+      w >= 0 ? "worker-" + std::to_string(w)
+             : (std::this_thread::get_id() == g_main_thread ? "main"
+                                                            : "thread");
   s.thread_names.emplace_back(t_tid, std::move(name));
   return t_tid;
 }
