@@ -6,6 +6,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "linalg/kernels.hpp"
 #include "util/flight_recorder.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -214,6 +215,10 @@ void write_report(const CliArgs& args, const Platform* platform,
   }
   json += "  \"threads\": " + std::to_string(thread_count()) + ",\n";
   json += "  \"calibration_ms\": " + json_number(calibration_ms()) + ",\n";
+  json += "  \"simd\": \"" +
+          std::string(linalg::kern::simd_level_name(
+              linalg::kern::simd_level())) +
+          "\",\n";
 
   json += "  \"tags\": {";
   for (std::size_t i = 0; i < report.tags.size(); ++i) {

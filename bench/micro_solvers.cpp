@@ -114,7 +114,7 @@ void BM_SkylineSolveLanes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(lanes));
   state.SetLabel("96x96 grid, " + std::to_string(lanes) + " lanes, " +
-                 linalg::kern::simd_level());
+                 linalg::kern::simd_level_name(linalg::kern::simd_level()));
 }
 // 5 is a set-up collect chunk's width, 20 perf_suite's one-thread width,
 // 16 a wider reference point.
@@ -143,7 +143,7 @@ void BM_TransientStep(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes));
   state.SetLabel(std::to_string(n) + "x" + std::to_string(n) + " grid, " +
                  std::to_string(lanes) + " lanes, " +
-                 linalg::kern::simd_level());
+                 linalg::kern::simd_level_name(linalg::kern::simd_level()));
 }
 BENCHMARK(BM_TransientStep)
     ->Args({32, 1})
@@ -210,14 +210,15 @@ void BM_KernDotAxpy(benchmark::State& state) {
     x[i] = rng.normal();
     y[i] = rng.normal();
   }
-  const bool was = linalg::kern::simd_enabled();
-  linalg::kern::set_simd_enabled(simd);
+  const linalg::kern::SimdLevel was = linalg::kern::simd_level();
+  linalg::kern::set_simd_level(simd ? linalg::kern::SimdLevel::kAvx2
+                                    : linalg::kern::SimdLevel::kScalar);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::kern::dot(n, x.data(), y.data()));
     linalg::kern::axpy(n, 1e-9, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
-  linalg::kern::set_simd_enabled(was);
+  linalg::kern::set_simd_level(was);
   state.SetLabel("n=" + std::to_string(n) + " " + (simd ? "simd" : "scalar"));
 }
 BENCHMARK(BM_KernDotAxpy)
@@ -231,10 +232,11 @@ void BM_MatmulScalarDispatch(benchmark::State& state) {
   const bool simd = state.range(1) != 0;
   const auto a = random_matrix(n, 4 * n, 8);
   const auto b = random_matrix(4 * n, n, 9);
-  const bool was = linalg::kern::simd_enabled();
-  linalg::kern::set_simd_enabled(simd);
+  const linalg::kern::SimdLevel was = linalg::kern::simd_level();
+  linalg::kern::set_simd_level(simd ? linalg::kern::SimdLevel::kAvx2
+                                    : linalg::kern::SimdLevel::kScalar);
   for (auto _ : state) benchmark::DoNotOptimize(linalg::matmul(a, b));
-  linalg::kern::set_simd_enabled(was);
+  linalg::kern::set_simd_level(was);
   state.SetLabel("N=" + std::to_string(n) + "x" + std::to_string(4 * n) +
                  (simd ? " simd" : " scalar"));
 }

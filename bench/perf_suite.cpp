@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
     // cell of the same class, calibration-normalized like every other cell.
     {
       const std::size_t mt = thread_list.back();
-      const bool simd_was_enabled = linalg::kern::simd_enabled();
+      const linalg::kern::SimdLevel level_was = linalg::kern::simd_level();
       const std::size_t kn = 256;
       linalg::Matrix ka(kn, 4 * kn), kb(4 * kn, kn);
       linalg::Matrix kx(4 * kn, kn);            // Gram operand (tall)
@@ -345,7 +345,9 @@ int main(int argc, char** argv) {
       for (const char* cls : {"matmul", "gram", "dot_axpy", "batched_matvec"}) {
         Measurement scalar_cell;
         for (const Variant& v : variants) {
-          linalg::kern::set_simd_enabled(v.simd);
+          linalg::kern::set_simd_level(
+              v.simd ? linalg::kern::SimdLevel::kAvx2
+                     : linalg::kern::SimdLevel::kScalar);
           set_thread_count(v.threads);
           Measurement m = time_cell(std::string("kern_") + cls + "_" + v.name,
                                     v.threads, reps, kernel_bodies(cls));
@@ -355,7 +357,7 @@ int main(int argc, char** argv) {
         }
       }
       (void)sink;
-      linalg::kern::set_simd_enabled(simd_was_enabled);
+      linalg::kern::set_simd_level(level_was);
       set_thread_count(0);
     }
 

@@ -28,6 +28,24 @@ PlacementModel::PlacementModel(std::vector<CoreModel> cores,
                      sensor_rows_.end());
   VMAP_REQUIRE(sensor_rows_.size() == sensor_nodes_.size(),
                "sensor node list must align with selected rows");
+  positions_.resize(cores_.size());
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    const CoreModel& core = cores_[c];
+    VMAP_REQUIRE(core.alpha.rows() == core.block_rows.size() &&
+                     core.alpha.cols() == core.selected_rows.size() &&
+                     core.intercept.size() == core.block_rows.size(),
+                 "core coefficients must be block rows x selected rows");
+    for (std::size_t row : core.block_rows)
+      VMAP_REQUIRE(row < num_blocks_, "block row out of range");
+    for (std::size_t row : core.selected_rows) {
+      const auto it =
+          std::lower_bound(sensor_rows_.begin(), sensor_rows_.end(), row);
+      VMAP_ASSERT(it != sensor_rows_.end() && *it == row,
+                  "selected row missing from the sensor list");
+      positions_[c].push_back(
+          static_cast<std::size_t>(it - sensor_rows_.begin()));
+    }
+  }
 }
 
 linalg::Matrix PlacementModel::predict(const linalg::Matrix& x_full) const {
@@ -102,43 +120,34 @@ linalg::Matrix PlacementModel::predict_from_sensor_readings_batch(
   return f_pred;
 }
 
-std::vector<WorstBlock> PlacementModel::worst_from_sensor_readings_batch(
-    const linalg::Matrix& readings) const {
+void PlacementModel::worst_from_sensor_readings_batch(
+    const linalg::Matrix& readings, std::size_t n, WorstScratch& scratch,
+    WorstBlock* worst) const {
   VMAP_REQUIRE(readings.rows() == sensor_rows_.size(),
                "reading rows must align with the placed sensors");
+  VMAP_REQUIRE(n <= readings.cols(), "more readings than reading columns");
   VMAP_REQUIRE(num_blocks_ > 0, "a model without blocks has no worst block");
-  std::vector<std::vector<std::size_t>> positions(cores_.size());
-  std::vector<linalg::kern::AffineBlock> blocks(cores_.size());
+  // Grown, never shrunk: a warm scratch serves any batch up to its size.
+  const auto at_least = [](auto& buffer, std::size_t size) {
+    if (buffer.size() < size) buffer.resize(size);
+  };
+  at_least(scratch.tile, num_blocks_ * linalg::kern::kAffinePanel);
+  at_least(scratch.voltage, n);
+  at_least(scratch.row, n);
+  scratch.blocks.resize(cores_.size());
   for (std::size_t c = 0; c < cores_.size(); ++c) {
     const CoreModel& core = cores_[c];
-    VMAP_REQUIRE(core.alpha.rows() == core.block_rows.size() &&
-                     core.alpha.cols() == core.selected_rows.size() &&
-                     core.intercept.size() == core.block_rows.size(),
-                 "core coefficients must be block rows x selected rows");
-    for (std::size_t row : core.block_rows)
-      VMAP_REQUIRE(row < num_blocks_, "block row out of range");
-    for (std::size_t row : core.selected_rows) {
-      const auto it =
-          std::lower_bound(sensor_rows_.begin(), sensor_rows_.end(), row);
-      VMAP_ASSERT(it != sensor_rows_.end() && *it == row,
-                  "selected row missing from the sensor list");
-      positions[c].push_back(
-          static_cast<std::size_t>(it - sensor_rows_.begin()));
-    }
-    blocks[c] = {core.block_rows.size(), core.selected_rows.size(),
-                 core.alpha.data(),      core.intercept.data(),
-                 core.block_rows.data(), positions[c].data()};
+    scratch.blocks[c] = {core.block_rows.size(), core.selected_rows.size(),
+                         core.alpha.data(),      core.intercept.data(),
+                         core.block_rows.data(), positions_[c].data()};
   }
-  const std::size_t n = readings.cols();
-  std::vector<double> tile(num_blocks_ * linalg::kern::kAffinePanel);
-  std::vector<double> voltage(n);
-  std::vector<std::size_t> row(n);
-  linalg::kern::affine_min(num_blocks_, blocks.data(), blocks.size(), n,
-                           readings.data(), n, tile.data(), voltage.data(),
-                           row.data());
-  std::vector<WorstBlock> worst(n);
-  for (std::size_t b = 0; b < n; ++b) worst[b] = {voltage[b], row[b]};
-  return worst;
+  linalg::kern::affine_min(num_blocks_, scratch.blocks.data(),
+                           scratch.blocks.size(), n,
+                           readings.data(), readings.cols(),
+                           scratch.tile.data(), scratch.voltage.data(),
+                           scratch.row.data());
+  for (std::size_t b = 0; b < n; ++b)
+    worst[b] = {scratch.voltage[b], scratch.row[b]};
 }
 
 linalg::Vector PlacementModel::predict_sample(

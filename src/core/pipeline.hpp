@@ -19,6 +19,7 @@
 #include "chip/floorplan.hpp"
 #include "core/dataset.hpp"
 #include "core/group_lasso.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "util/resilience.hpp"
@@ -71,9 +72,21 @@ struct WorstBlock {
   std::size_t row = 0;
 };
 
+/// Scratch for PlacementModel::worst_from_sensor_readings_batch that a
+/// caller keeps across calls, so that a warm call allocates nothing.
+struct WorstScratch {
+  std::vector<double> tile;  ///< num_blocks() x kern::kAffinePanel
+  std::vector<double> voltage;
+  std::vector<std::size_t> row;
+  std::vector<linalg::kern::AffineBlock> blocks;  ///< one per core
+};
+
 /// Chip-wide sensor placement + voltage prediction model.
 class PlacementModel {
  public:
+  /// Requires every core's alpha to be block rows x selected rows, its
+  /// intercept to have one entry per block row, and every block row to be
+  /// below num_blocks.
   explicit PlacementModel(std::vector<CoreModel> cores,
                           std::vector<std::size_t> sensor_nodes,
                           std::size_t num_blocks);
@@ -106,23 +119,30 @@ class PlacementModel {
   /// worst_from_sensor_readings_batch instead.
   linalg::Matrix predict_from_sensor_readings_batch(
       const linalg::Matrix& readings) const;
-  /// The serving layer's decision path: the WorstBlock of every column of
-  /// `readings` (Q x B, laid out as for predict_from_sensor_readings_batch)
-  /// from one fused kern::affine_min call, with no prediction vector or
-  /// K x B matrix built. Entry b equals, bit for bit, the first strict
-  /// minimum (`<` in block-row order, so a NaN never wins) of
+  /// The serving layer's decision path: writes worst[b], the WorstBlock of
+  /// column b of `readings`, for every b < n, from one fused
+  /// kern::affine_min call, with no prediction vector or K x n matrix
+  /// built. `readings` is laid out as for
+  /// predict_from_sensor_readings_batch and may be wider than n (Q x C,
+  /// n <= C), so a caller can keep one buffer for batches of any size.
+  /// worst[b] equals, bit for bit, the first strict minimum (`<` in
+  /// block-row order, so a NaN never wins) of
   /// predict_from_sensor_readings(readings.col(b)) and its row, for any
   /// layout of the cores' block_rows: a row no core covers predicts 0.0 and
   /// a row two cores cover takes the later core's value. Requires
   /// num_blocks() > 0.
-  std::vector<WorstBlock> worst_from_sensor_readings_batch(
-      const linalg::Matrix& readings) const;
+  void worst_from_sensor_readings_batch(const linalg::Matrix& readings,
+                                        std::size_t n, WorstScratch& scratch,
+                                        WorstBlock* worst) const;
 
  private:
   std::vector<CoreModel> cores_;
   std::vector<std::size_t> sensor_rows_;
   std::vector<std::size_t> sensor_nodes_;
   std::size_t num_blocks_ = 0;
+  /// positions_[c][q]: the index in sensor_rows_ of core c's q-th selected
+  /// row, i.e. the reading row the fused kernel takes it from.
+  std::vector<std::vector<std::size_t>> positions_;
 };
 
 /// Runs the methodology on a dataset. Throws on configuration errors —

@@ -15,7 +15,7 @@
 namespace vmap::linalg::kern {
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels. These are the semantics contract: every AVX2
+// Scalar reference kernels. These are the semantics contract: every SIMD
 // kernel below must produce byte-identical results.
 // ---------------------------------------------------------------------------
 
@@ -654,6 +654,114 @@ VMAP_AVX2 double nrm2sq(std::size_t n, const double* x) {
 
 }  // namespace avx2
 
+// ---------------------------------------------------------------------------
+// AVX-512 fused predict-and-min.
+//
+// AVX-512F has fused multiply-add encodings of its own, so target("avx512f")
+// lets GCC contract a plain _mm512_add_pd(_mm512_mul_pd(...)) into one
+// vfmadd231pd. Every mul and add below is written with the explicit-rounding
+// intrinsics instead: they compile to vmulpd and vaddpd {rn-sae}, two
+// roundings to nearest, exactly the scalar code's arithmetic. Only the
+// reading panels widen: kAffinePanel = 8 readings fill one zmm.
+// ---------------------------------------------------------------------------
+
+namespace avx512 {
+
+#define VMAP_AVX512 __attribute__((target("avx512f")))
+
+constexpr int kNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+constexpr __mmask8 kAll = 0xFF;
+
+// The merge-masked forms with every lane selected compile to the same
+// unmasked instruction; unlike the unmasked intrinsics, whose undefined
+// merge source GCC 12 reports under -Wuninitialized, their source is `a`.
+VMAP_AVX512 inline __m512d mul(__m512d a, __m512d b) {
+  return _mm512_mask_mul_round_pd(a, kAll, a, b, kNearest);
+}
+
+VMAP_AVX512 inline __m512d add(__m512d a, __m512d b) {
+  return _mm512_mask_add_round_pd(a, kAll, a, b, kNearest);
+}
+
+// Rows k .. k+R-1 of `blk` for the panel of readings at xp: one accumulator
+// per row from 0.0, q ascending, each x_q load feeding R add chains; the
+// dead lanes of a partial panel load zeros and are never reported.
+template <std::size_t R>
+VMAP_AVX512 inline void predict_rows(const AffineBlock& blk, std::size_t k,
+                                     const double* xp, std::size_t ldx,
+                                     __mmask8 live, double* tile) {
+  const std::size_t cols = blk.cols;
+  const double* c = blk.coef + k * cols;
+  __m512d acc[R];
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < R; ++j) acc[j] = _mm512_setzero_pd();
+  for (std::size_t q = 0; q < cols; ++q) {
+    const __m512d xq = _mm512_maskz_loadu_pd(live, xp + blk.in_col[q] * ldx);
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < R; ++j)
+      acc[j] = add(acc[j], mul(_mm512_set1_pd(c[j * cols + q]), xq));
+  }
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < R; ++j)
+    _mm512_storeu_pd(tile + blk.out_row[k + j] * kAffinePanel,
+                     add(acc[j], _mm512_set1_pd(blk.offset[k + j])));
+}
+
+VMAP_AVX512 void affine_min(std::size_t n_rows, const AffineBlock* blocks,
+                            std::size_t n_blocks, std::size_t n,
+                            const double* x, std::size_t ldx, double* tile,
+                            double* worst, std::size_t* worst_row) {
+  constexpr std::size_t P = kAffinePanel;
+  if (n == 0) return;
+  // Rows no block writes predict 0.0; every other row is rewritten by
+  // every panel, in block order.
+  for (std::size_t r = 0; r < n_rows; ++r)
+    _mm512_storeu_pd(tile + r * P, _mm512_setzero_pd());
+  for (std::size_t j0 = 0; j0 < n; j0 += P) {
+    const std::size_t live = n - j0 < P ? n - j0 : P;
+    const __mmask8 mask = static_cast<__mmask8>((1u << live) - 1);
+    const double* xp = x + j0;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      const AffineBlock& blk = blocks[b];
+      std::size_t k = 0;
+      for (; k + 8 <= blk.rows; k += 8)
+        predict_rows<8>(blk, k, xp, ldx, mask, tile);
+      if (k + 4 <= blk.rows) {
+        predict_rows<4>(blk, k, xp, ldx, mask, tile);
+        k += 4;
+      }
+      if (k + 2 <= blk.rows) {
+        predict_rows<2>(blk, k, xp, ldx, mask, tile);
+        k += 2;
+      }
+      if (k < blk.rows) predict_rows<1>(blk, k, xp, ldx, mask, tile);
+    }
+    // Ordered scan: a lane takes row r only when its value compares
+    // strictly below (_CMP_LT_OQ: false on NaN) — the scalar `<`.
+    __m512d w = _mm512_loadu_pd(tile);
+    __m512i row = _mm512_setzero_si512();
+    for (std::size_t r = 1; r < n_rows; ++r) {
+      const __m512d v = _mm512_loadu_pd(tile + r * P);
+      const __mmask8 lt = _mm512_cmp_pd_mask(v, w, _CMP_LT_OQ);
+      w = _mm512_mask_mov_pd(w, lt, v);
+      row = _mm512_mask_mov_epi64(row, lt,
+                                  _mm512_set1_epi64(static_cast<long long>(r)));
+    }
+    double wv[P];
+    long long rv[P];
+    _mm512_storeu_pd(wv, w);
+    _mm512_storeu_si512(rv, row);
+    for (std::size_t l = 0; l < live; ++l) {
+      worst[j0 + l] = wv[l];
+      worst_row[j0 + l] = static_cast<std::size_t>(rv[l]);
+    }
+  }
+}
+
+#undef VMAP_AVX512
+
+}  // namespace avx512
+
 #endif  // VMAP_KERN_X86
 
 // ---------------------------------------------------------------------------
@@ -662,11 +770,13 @@ VMAP_AVX2 double nrm2sq(std::size_t n, const double* x) {
 
 namespace {
 
-bool detect_simd_available() {
+SimdLevel detect_max_level() {
 #if VMAP_KERN_X86
-  return __builtin_cpu_supports("avx2") != 0;
+  if (__builtin_cpu_supports("avx2") == 0) return SimdLevel::kScalar;
+  if (__builtin_cpu_supports("avx512f") == 0) return SimdLevel::kAvx2;
+  return SimdLevel::kAvx512;
 #else
-  return false;
+  return SimdLevel::kScalar;
 #endif
 }
 
@@ -676,30 +786,43 @@ bool env_allows_simd() {
   return std::strcmp(v, "0") != 0;
 }
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> enabled{detect_simd_available() &&
-                                   env_allows_simd()};
-  return enabled;
+std::atomic<SimdLevel>& level_flag() {
+  static std::atomic<SimdLevel> level{
+      env_allows_simd() ? max_simd_level() : SimdLevel::kScalar};
+  return level;
 }
 
-inline bool use_simd() {
-  return enabled_flag().load(std::memory_order_relaxed);
+inline SimdLevel active_level() {
+  return level_flag().load(std::memory_order_relaxed);
 }
+
+inline bool use_simd() { return active_level() != SimdLevel::kScalar; }
 
 }  // namespace
 
-bool simd_available() {
-  static const bool available = detect_simd_available();
-  return available;
+SimdLevel max_simd_level() {
+  static const SimdLevel max = detect_max_level();
+  return max;
 }
 
-bool simd_enabled() { return use_simd(); }
+SimdLevel simd_level() { return active_level(); }
 
-void set_simd_enabled(bool on) {
-  enabled_flag().store(on && simd_available(), std::memory_order_relaxed);
+void set_simd_level(SimdLevel level) {
+  level_flag().store(std::min(level, max_simd_level()),
+                     std::memory_order_relaxed);
 }
 
-const char* simd_level() { return use_simd() ? "avx2" : "scalar"; }
+const char* simd_level_name(SimdLevel level) {
+  switch (level) {
+    case SimdLevel::kAvx512:
+      return "avx512";
+    case SimdLevel::kAvx2:
+      return "avx2";
+    case SimdLevel::kScalar:
+      break;
+  }
+  return "scalar";
+}
 
 #if VMAP_KERN_X86
 #define VMAP_KERN_DISPATCH(call) \
@@ -762,6 +885,11 @@ void affine_min(std::size_t n_rows, const AffineBlock* blocks,
                 std::size_t n_blocks, std::size_t n, const double* x,
                 std::size_t ldx, double* tile, double* worst,
                 std::size_t* worst_row) {
+#if VMAP_KERN_X86
+  if (active_level() == SimdLevel::kAvx512)
+    return avx512::affine_min(n_rows, blocks, n_blocks, n, x, ldx, tile,
+                              worst, worst_row);
+#endif
   VMAP_KERN_DISPATCH(affine_min(n_rows, blocks, n_blocks, n, x, ldx, tile,
                                 worst, worst_row));
 }

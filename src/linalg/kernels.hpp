@@ -4,23 +4,37 @@
 // solver's multi-RHS substitution, and the serving layer's fused
 // predict-and-min decision kernel.
 //
-// Dispatch: every kernel has an AVX2 implementation and a scalar fallback,
-// selected once at startup — AVX2 when the CPU supports it and the
-// VMAP_SIMD environment variable does not disable it (VMAP_SIMD=0 is the
-// kill switch, mirroring VMAP_METRICS). set_simd_enabled() lets tests and
-// benches flip paths at runtime.
+// Dispatch: one level, chosen once at startup and capped at what the CPU
+// reports — kAvx512 when it has AVX-512F, kAvx2 when it has AVX2, else
+// kScalar. The VMAP_SIMD environment variable set to 0 starts it at
+// kScalar (the kill switch, mirroring VMAP_METRICS); set_simd_level() lets
+// tests and benches move it at runtime. Every kernel has an AVX2
+// implementation and a scalar fallback; only affine_min has an AVX-512
+// body as well, and every other kernel runs its AVX2 body at kAvx512.
 //
-// Bit-identity contract: the AVX2 kernels vectorize across *independent
+// Bit-identity contract: the SIMD kernels vectorize across *independent
 // output elements* — each element keeps its own single accumulator,
 // walking k in ascending order, and multiplies are never fused into FMAs
 // (separate mul + add, two roundings, exactly like the scalar code). So
-// every kernel here is bit-identical to its scalar fallback, and the dense
-// kernels built on them stay bit-identical to matmul_reference at any
-// thread count and either SIMD setting. The only kernels with a *new*
-// accumulation order are dot()/nrm2sq(), which use a fixed 4-lane strided
-// order (documented below) — they are bit-identical scalar-vs-AVX2 but NOT
-// to the legacy sequential linalg::dot, so the solver paths keep the
-// sequential versions and these serve new code and the kernel benches.
+// every kernel here is bit-identical to its scalar fallback at every
+// level, and the dense kernels built on them stay bit-identical to
+// matmul_reference at any thread count and any level. The only kernels
+// with a *new* accumulation order are dot()/nrm2sq(), which use a fixed
+// 4-lane strided order (documented below) — they are bit-identical
+// scalar-vs-AVX2 but NOT to the legacy sequential linalg::dot, so the
+// solver paths keep the sequential versions and these serve new code and
+// the kernel benches.
+//
+// No FMA: the AVX2 bodies are compiled for "avx2" without "fma", so the
+// compiler has no fused instruction to contract a mul and an add into.
+// AVX-512F carries its own FMA encodings, and GCC contracts a plain
+// _mm512_add_pd(_mm512_mul_pd(...)) into vfmadd231pd, so the AVX-512 body
+// writes every mul and add with the explicit-rounding intrinsics
+// (_mm512_mask_mul_round_pd / _mm512_mask_add_round_pd with every lane
+// selected, round-to-nearest with exceptions suppressed). Those compile to
+// separate vmulpd and vaddpd {rn-sae}, with the scalar code's two
+// roundings. tools/check_no_fma.sh fails CI if any fused multiply-add
+// appears in the linalg library.
 //
 // kern::ref mirrors every kernel with a plain scalar implementation that
 // ignores the dispatch switch — the identity oracle the tests compare
@@ -30,16 +44,19 @@
 
 namespace vmap::linalg::kern {
 
-/// True when this build/CPU can run the AVX2 kernels at all.
-bool simd_available();
-/// True when the AVX2 kernels are the active dispatch target.
-bool simd_enabled();
-/// Flips the dispatch at runtime (tests, scalar-vs-SIMD benches). Enabling
-/// is a no-op when simd_available() is false. Not thread-safe against
-/// in-flight kernels; call from a single thread between workloads.
-void set_simd_enabled(bool on);
-/// "avx2" or "scalar" — what the dispatcher currently targets.
-const char* simd_level();
+/// Kernel dispatch levels, each needing more of the CPU than the last.
+enum class SimdLevel { kScalar, kAvx2, kAvx512 };
+
+/// The highest level this build and CPU can run.
+SimdLevel max_simd_level();
+/// The level the dispatcher currently targets.
+SimdLevel simd_level();
+/// Moves the dispatch to `level`, capped at max_simd_level(). Not
+/// thread-safe against in-flight kernels; call from a single thread
+/// between workloads.
+void set_simd_level(SimdLevel level);
+/// "scalar", "avx2" or "avx512".
+const char* simd_level_name(SimdLevel level);
 
 // --- element-wise kernels (bit-identical to the scalar loops) -----------
 
@@ -133,11 +150,13 @@ void lane_backward(const Envelope& l, std::size_t s, double* y);
 // false on NaN, so a NaN never replaces the running minimum) and its row,
 // without materializing a prediction vector per reading.
 //
-// The AVX2 path takes kAffinePanel readings at a time: it register-blocks
-// 4 rows x 8 readings (8 independent add chains), stores the rows into an
-// n_rows x kAffinePanel tile in row order, then scans the tile with
-// ordered compares. Each (row, reading) keeps its own accumulator, so
-// every prediction, and with it every minimum and row, is the scalar one.
+// The SIMD paths take kAffinePanel readings at a time. The AVX2 path
+// register-blocks 4 rows x 8 readings (two vectors per row, 8 independent
+// add chains), the AVX-512 path 8 rows x 8 readings (one vector per row);
+// both store the rows into an n_rows x kAffinePanel tile in row order,
+// then scan the tile with ordered compares. Each (row, reading) keeps its
+// own accumulator, so every prediction, and with it every minimum and
+// row, is the scalar one.
 
 inline constexpr std::size_t kAffinePanel = 8;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -47,18 +46,49 @@ bool poll_lanes(const Lanes& lanes) {
   return !all_empty(lanes);
 }
 
-/// One same-model group of batch readings staged for the fused
-/// predict-and-min kernel. The values are copied out up front so the kernel
-/// can run *after* the batch is published to the shard's inflight slot —
-/// i.e. while the watchdog can already steal it — without ever reading
-/// shared state.
-struct PredictionGroup {
-  const core::PlacementModel* model = nullptr;
-  std::vector<std::size_t> indices;  ///< batch positions, column order
-  linalg::Matrix readings;           ///< q_count x indices.size()
+}  // namespace
+
+/// A worker's reusable batch state. It lives on the deciding thread
+/// (worker_loop, drain), never in the Shard: after fail_over() the retired
+/// worker can still be inside the kernel with its plan while its
+/// replacement builds the next one.
+struct MonitorFleet::BatchScratch {
+  /// One same-model group of batch readings staged for the fused
+  /// predict-and-min kernel. The values are copied out up front so the
+  /// kernel can run *after* the batch is published to the shard's inflight
+  /// slot — i.e. while the watchdog can already steal it — without ever
+  /// reading shared state.
+  struct Group {
+    const core::PlacementModel* model = nullptr;
+    std::vector<std::size_t> indices;  ///< batch positions, column order
+    /// q_count x C, C >= indices.size(): column j holds reading indices[j].
+    /// Reused batch after batch by the same model, and widened only when
+    /// the group outgrows it.
+    linalg::Matrix readings;
+    std::vector<core::WorstBlock> decided;  ///< column j's worst block
+  };
+
+  /// Value buffers of decided readings, reused by the next lane pops.
+  std::vector<Reading> spare;
+  /// plan[0, groups) is the current batch's prediction plan; the groups
+  /// past it keep their models' buffers for later batches.
+  std::vector<Group> plan;
+  std::size_t groups = 0;
+  /// Per batch position: the planned reading's worst block, or null for
+  /// the per-sample path.
+  std::vector<const core::WorstBlock*> worst;
+  core::WorstScratch kernel;
+
+  /// Groups `batch`'s eligible readings by shared model into plan[0,
+  /// groups) and copies their values into each group's reading matrix.
+  void build_plan(const std::vector<std::unique_ptr<ChipDomain>>& chips,
+                  const std::vector<Reading>& batch);
+  /// Decides every planned reading's worst block into worst[0, count);
+  /// unplanned entries stay null.
+  void run_plan(std::size_t count);
 };
 
-std::vector<PredictionGroup> build_prediction_plan(
+void MonitorFleet::BatchScratch::build_plan(
     const std::vector<std::unique_ptr<ChipDomain>>& chips,
     const std::vector<Reading>& batch) {
   // Group eligible readings by shared model: one kernel call per model.
@@ -67,7 +97,7 @@ std::vector<PredictionGroup> build_prediction_plan(
   // inside the monitor, so a wrong grouping guess can cost a wasted column
   // but never change a decision. A fleet serves one model or a few, so a
   // linear scan of the plan finds a reading's group.
-  std::vector<PredictionGroup> plan;
+  groups = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Reading& r = batch[i];
     const ChipDomain& domain = *chips[r.chip];
@@ -78,40 +108,53 @@ std::vector<PredictionGroup> build_prediction_plan(
       finite = std::isfinite(r.values[q]);
     if (!finite) continue;
     const core::PlacementModel* model = domain.shared_model();
-    auto group = std::find_if(
-        plan.begin(), plan.end(),
-        [model](const PredictionGroup& g) { return g.model == model; });
-    if (group == plan.end()) {
-      group = plan.emplace(plan.end());
-      group->model = model;
+    std::size_t g = 0;
+    while (g < groups && plan[g].model != model) ++g;
+    if (g == groups) {
+      // A model takes back the group it had in earlier batches, so a
+      // group's reading matrix keeps one row count whichever model leads.
+      std::size_t s = g;
+      while (s < plan.size() && plan[s].model != model) ++s;
+      if (s == plan.size()) plan.emplace_back().model = model;
+      if (s != g) std::swap(plan[g], plan[s]);
+      plan[g].indices.clear();
+      ++groups;
     }
-    group->indices.push_back(i);
+    plan[g].indices.push_back(i);
   }
-  for (PredictionGroup& group : plan) {
+  for (std::size_t g = 0; g < groups; ++g) {
+    Group& group = plan[g];
     const std::size_t q_count = group.model->sensor_rows().size();
-    group.readings = linalg::Matrix(q_count, group.indices.size());
-    for (std::size_t j = 0; j < group.indices.size(); ++j) {
+    const std::size_t n = group.indices.size();
+    if (group.readings.rows() != q_count || group.readings.cols() < n) {
+      // Geometric growth only for the matrix's own model: a fresh or
+      // reshaped matrix starts at the batch's width.
+      const std::size_t width = group.readings.rows() == q_count
+                                    ? std::max(n, 2 * group.readings.cols())
+                                    : n;
+      group.readings = linalg::Matrix(q_count, width);
+    }
+    const std::size_t ldx = group.readings.cols();
+    double* x = group.readings.data();
+    for (std::size_t j = 0; j < n; ++j) {
       const linalg::Vector& values = batch[group.indices[j]].values;
-      for (std::size_t q = 0; q < q_count; ++q)
-        group.readings(q, j) = values[q];
+      for (std::size_t q = 0; q < q_count; ++q) x[q * ldx + j] = values[q];
     }
   }
-  return plan;
 }
 
-/// Decides every planned reading's worst block; unplanned entries stay
-/// empty and take the per-sample path.
-void run_prediction_plan(const std::vector<PredictionGroup>& plan,
-                         std::vector<std::optional<core::WorstBlock>>& worst) {
-  for (const PredictionGroup& group : plan) {
-    const std::vector<core::WorstBlock> decided =
-        group.model->worst_from_sensor_readings_batch(group.readings);
-    for (std::size_t j = 0; j < group.indices.size(); ++j)
-      worst[group.indices[j]] = decided[j];
+void MonitorFleet::BatchScratch::run_plan(std::size_t count) {
+  worst.assign(count, nullptr);
+  for (std::size_t g = 0; g < groups; ++g) {
+    Group& group = plan[g];
+    const std::size_t n = group.indices.size();
+    if (group.decided.size() < n) group.decided.resize(n);
+    group.model->worst_from_sensor_readings_batch(group.readings, n, kernel,
+                                                  group.decided.data());
+    for (std::size_t j = 0; j < n; ++j)
+      worst[group.indices[j]] = &group.decided[j];
   }
 }
-
-}  // namespace
 
 MonitorFleet::MonitorFleet(FleetConfig config) : config_(config) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
@@ -226,14 +269,18 @@ std::size_t MonitorFleet::pump() {
 void MonitorFleet::drain(Shard& shard) {
   // No worker runs, so the generation is quiescent and this thread is the
   // shard's only lane consumer.
-  std::vector<Reading> spare;
-  while (run_batch(shard, spare, shard.generation, config_.max_batch) != 0) {
+  const std::size_t limit = config_.max_batch;
+  BatchScratch scratch;
+  while (run_batch(shard, scratch, shard.generation, limit) != 0) {
   }
 }
 
 void MonitorFleet::start() {
   VMAP_REQUIRE(!running(), "fleet is already running");
-  watchdog_stop_.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(watchdog_mutex_);
+    watchdog_stop_ = false;
+  }
   running_.store(true, std::memory_order_release);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
@@ -252,7 +299,11 @@ void MonitorFleet::start() {
 
 void MonitorFleet::stop() {
   if (!running_.exchange(false)) return;
-  watchdog_stop_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(watchdog_mutex_);
+    watchdog_stop_ = true;
+  }
+  watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
   // No failover can start now. Stop admission and wake every worker: a
   // live one drains its lanes and exits, a retired one exits on its
@@ -276,15 +327,14 @@ void MonitorFleet::stop() {
 
 void MonitorFleet::worker_loop(Shard& shard, std::uint64_t my_gen) {
   const std::size_t limit = 2 * config_.max_batch;
-  // Value buffers of decided readings, reused by the next lane pops.
-  std::vector<Reading> spare;
+  BatchScratch scratch;
   for (;;) {
     // Read before looking for work: every wake-up after this read changes
     // the word, so the wait below cannot sleep through a push, a failover
     // or stop().
     const std::uint32_t epoch =
         shard.wake_epoch.load(std::memory_order_acquire);
-    const std::size_t taken = run_batch(shard, spare, my_gen, limit);
+    const std::size_t taken = run_batch(shard, scratch, my_gen, limit);
     if (taken == kRetired) return;
     if (!accepting_.load(std::memory_order_acquire)) {
       if (taken == 0) return;  // stop(): the lanes are drained
@@ -308,10 +358,9 @@ void MonitorFleet::worker_loop(Shard& shard, std::uint64_t my_gen) {
   }
 }
 
-std::size_t MonitorFleet::run_batch(Shard& shard,
-                                    std::vector<Reading>& spare,
+std::size_t MonitorFleet::run_batch(Shard& shard, BatchScratch& scratch,
                                     std::uint64_t my_gen, std::size_t limit) {
-  std::vector<PredictionGroup> plan;
+  std::vector<Reading>& spare = scratch.spare;
   std::size_t count = 0;
   {
     std::lock_guard<std::mutex> lock(shard.inflight_mutex);
@@ -341,11 +390,10 @@ std::size_t MonitorFleet::run_batch(Shard& shard,
     // The plan copies everything the fused kernel reads, so the kernel
     // runs after the lock is released and even a stall inside it leaves
     // the whole batch stealable.
-    plan = build_prediction_plan(chips_, shard.inflight);
+    scratch.build_plan(chips_, shard.inflight);
     shard.inflight_since_ms.store(now_ms(), kRelaxed);
   }
-  std::vector<std::optional<core::WorstBlock>> worst(count);
-  run_prediction_plan(plan, worst);
+  scratch.run_plan(count);
   for (;;) {
     Reading reading;
     std::size_t index = 0;
@@ -362,7 +410,7 @@ std::size_t MonitorFleet::run_batch(Shard& shard,
     }
     const double delay = chaos_delay_ms_[reading.chip]->load(kRelaxed);
     if (delay > 0) sleep_ms(delay);
-    decide_one(reading, worst[index] ? &*worst[index] : nullptr);
+    decide_one(reading, scratch.worst[index]);
     // Clear only if still ours: a replacement worker may have published
     // its own current chip while this (now stalled-and-woken) worker was
     // finishing its claimed reading.
@@ -405,8 +453,12 @@ void MonitorFleet::decide_one(const Reading& reading,
 }
 
 void MonitorFleet::watchdog_loop() {
-  while (!watchdog_stop_.load(std::memory_order_acquire)) {
-    sleep_ms(config_.watchdog_period_ms);
+  const std::chrono::duration<double, std::milli> period(
+      config_.watchdog_period_ms);
+  std::unique_lock<std::mutex> stop_lock(watchdog_mutex_);
+  while (!watchdog_cv_.wait_for(stop_lock, period,
+                                [this] { return watchdog_stop_; })) {
+    stop_lock.unlock();
     const double now = now_ms();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& shard = *shards_[i];
@@ -435,6 +487,7 @@ void MonitorFleet::watchdog_loop() {
         shard.last_handled = shard.handled.load(kRelaxed);
       }
     }
+    stop_lock.lock();
   }
 }
 

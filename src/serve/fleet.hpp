@@ -51,13 +51,17 @@
 // buffer are freed on the caller's thread when ingest returns. A shard
 // worker pops lane values into value buffers it already owns (those of
 // readings it decided earlier), so once warm a reading costs the worker no
-// allocation and no free.
+// allocation and no free. The same holds for a batch: the prediction plan,
+// its reading matrices and the kernel's scratch live in a BatchScratch on
+// the deciding thread and are reused batch after batch.
 //
-// Shutdown: stop() stops admission, wakes the workers, lets each drain its
-// lanes before joining, and decides any reading a racing producer landed
-// after that — stop() never discards an admitted reading.
+// Shutdown: stop() ends the watchdog's wait at once, stops admission, wakes
+// the workers, lets each drain its lanes before joining, and decides any
+// reading a racing producer landed after that — stop() never discards an
+// admitted reading.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -204,6 +208,10 @@ class MonitorFleet {
   /// run_batch's result when the shard failed over past the caller.
   static constexpr std::size_t kRetired = static_cast<std::size_t>(-1);
 
+  /// The deciding thread's reusable batch state: recycled reading buffers,
+  /// the prediction plan and the kernel's scratch (defined in fleet.cpp).
+  struct BatchScratch;
+
   /// Counts an admission attempt on `shard`'s lane and wakes the worker
   /// if it announced it is about to sleep.
   IngestResult admit(Shard& shard, ChipId chip, bool pushed);
@@ -215,11 +223,12 @@ class MonitorFleet {
   /// Takes the shard's next micro-batch into the inflight slot — the
   /// stolen remainder a failover left there, or else up to `limit`
   /// readings popped from the lanes — and decides it. Every decided
-  /// reading's buffer goes to `spare`, and lane pops land in buffers taken
-  /// from it. Returns the number of readings taken (0: the lanes were
-  /// empty), or kRetired when the shard failed over past `my_gen`, in
+  /// reading's buffer goes to `scratch.spare`, and lane pops land in
+  /// buffers taken from it; the batch's prediction plan reuses the
+  /// scratch's buffers. Returns the number of readings taken (0: the lanes
+  /// were empty), or kRetired when the shard failed over past `my_gen`, in
   /// which case the slot's remainder is the replacement's.
-  std::size_t run_batch(Shard& shard, std::vector<Reading>& spare,
+  std::size_t run_batch(Shard& shard, BatchScratch& scratch,
                         std::uint64_t my_gen, std::size_t limit);
   /// Decides everything in the shard's slot and lanes on the calling
   /// thread, in max_batch micro-batches. Only while no worker runs.
@@ -240,7 +249,11 @@ class MonitorFleet {
 
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{true};
-  std::atomic<bool> watchdog_stop_{false};
+  /// The watchdog waits out each period on watchdog_cv_, so stop() ends
+  /// the wait at once instead of sleeping through the rest of it.
+  std::mutex watchdog_mutex_;
+  std::condition_variable watchdog_cv_;
+  bool watchdog_stop_ = false;  ///< guarded by watchdog_mutex_
   std::thread watchdog_;
   /// Failed-over workers; joined in stop().
   std::mutex retired_mutex;

@@ -302,11 +302,11 @@ TEST(Transient, ZeroInductanceKeepsPadCurrentsStateless) {
 /// Restores the SIMD dispatch choice when a test ends.
 class SimdGuard {
  public:
-  SimdGuard() : was_(linalg::kern::simd_enabled()) {}
-  ~SimdGuard() { linalg::kern::set_simd_enabled(was_); }
+  SimdGuard() : was_(linalg::kern::simd_level()) {}
+  ~SimdGuard() { linalg::kern::set_simd_level(was_); }
 
  private:
-  bool was_;
+  linalg::kern::SimdLevel was_;
 };
 
 bool same_bits(double a, double b) {
@@ -330,7 +330,8 @@ void expect_lanes_match_one_lane_sims(const PowerGrid& grid,
                                       std::size_t load_size, double amps) {
   SimdGuard guard;
   for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
+    linalg::kern::set_simd_level(simd ? linalg::kern::SimdLevel::kAvx2
+                                      : linalg::kern::SimdLevel::kScalar);
     TransientSim multi(grid, 1e-11, lanes);
     std::vector<TransientSim> singles;
     singles.reserve(lanes);
@@ -444,9 +445,9 @@ void expect_simd_matches_scalar(const PowerGrid& grid, std::size_t lanes,
     std::vector<linalg::Vector> loads;
     for (std::size_t c = 0; c < lanes; ++c)
       loads.push_back(random_load(load_size, rng, amps));
-    linalg::kern::set_simd_enabled(true);
+    linalg::kern::set_simd_level(linalg::kern::SimdLevel::kAvx2);
     const linalg::Vector& got = simd.step(loads);
-    linalg::kern::set_simd_enabled(false);
+    linalg::kern::set_simd_level(linalg::kern::SimdLevel::kScalar);
     const linalg::Vector& want = scalar.step(loads);
     ASSERT_EQ(std::memcmp(got.data(), want.data(),
                           got.size() * sizeof(double)),

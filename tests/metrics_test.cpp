@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "linalg/kernels.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -243,6 +244,11 @@ TEST(RunReport, JsonRoundTripThroughWriteReport) {
   EXPECT_NE(json.find("\"fraction\":2.5"), std::string::npos);
   EXPECT_NE(json.find("\"phase_one\":12.5"), std::string::npos);
   EXPECT_NE(json.find("\"calibration_ms\""), std::string::npos);
+  EXPECT_NE(json.find(std::string("\"simd\": \"") +
+                      linalg::kern::simd_level_name(
+                          linalg::kern::simd_level()) +
+                      "\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"resilience\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"test.report.counter\""), std::string::npos);

@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "core/group_lasso.hpp"
 #include "core/ols_model.hpp"
@@ -200,20 +204,37 @@ TEST(PlacementModel, BatchedWorstMatchesPredictionAndMonitorScan) {
   std::vector<CoreModel> cores;
   cores.push_back(random_core(0, {2, 7, 11}, {0, 3, 6, 8}));
   cores.push_back(random_core(1, {4, 7}, {1, 5, 2, 7}));
-  const PlacementModel model(std::move(cores), {20, 40, 70, 110}, 9);
+  // The model under test is a copy whose original is gone before the first
+  // call: a copy must decide from its own cores and sensor positions.
+  std::optional<PlacementModel> original;
+  original.emplace(std::move(cores), std::vector<std::size_t>{20, 40, 70, 110},
+                   9);
+  const PlacementModel model = *original;
+  original.reset();
   ASSERT_EQ(model.sensor_rows(), (std::vector<std::size_t>{2, 4, 7, 11}));
 
-  const bool was_simd = linalg::kern::simd_enabled();
-  for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
+  using linalg::kern::SimdLevel;
+  const SimdLevel was = linalg::kern::simd_level();
+  WorstScratch scratch;  // one for every call, as a fleet worker keeps it
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    const std::string tag =
+        std::string(" ") + linalg::kern::simd_level_name(level);
+    if (level > linalg::kern::max_simd_level()) {
+      std::cout << "[ SKIPPED  ] SIMD level" << tag << ": this CPU lacks it\n";
+      continue;
+    }
+    linalg::kern::set_simd_level(level);
     for (std::size_t n : {1, 8, 13}) {
-      linalg::Matrix readings(4, n);
+      // Two columns past n hold NaN; the call must never read them.
+      linalg::Matrix readings(4, n + 2,
+                              std::numeric_limits<double>::quiet_NaN());
       for (std::size_t q = 0; q < 4; ++q)
         for (std::size_t b = 0; b < n; ++b)
           readings(q, b) = rng.normal(0.0, b % 2 == 0 ? 1.0 : 0.05);
-      const std::vector<WorstBlock> worst =
-          model.worst_from_sensor_readings_batch(readings);
-      ASSERT_EQ(worst.size(), n);
+      std::vector<WorstBlock> worst(n);
+      model.worst_from_sensor_readings_batch(readings, n, scratch,
+                                             worst.data());
       bool uncovered_won = false, covered_won = false;
       for (std::size_t b = 0; b < n; ++b) {
         OnlineMonitor monitor(model, OnlineMonitorConfig{});
@@ -222,22 +243,44 @@ TEST(PlacementModel, BatchedWorstMatchesPredictionAndMonitorScan) {
         EXPECT_EQ(std::memcmp(&worst[b].voltage, &want.worst_voltage,
                               sizeof(double)),
                   0)
-            << "b=" << b << " simd=" << simd;
-        EXPECT_EQ(worst[b].row, want.worst_row) << "b=" << b;
+            << "b=" << b << tag;
+        EXPECT_EQ(worst[b].row, want.worst_row) << "b=" << b << tag;
         (worst[b].row == 4 ? uncovered_won : covered_won) = true;
       }
       if (n == 13) {
-        EXPECT_TRUE(uncovered_won) << "simd=" << simd;
-        EXPECT_TRUE(covered_won) << "simd=" << simd;
+        EXPECT_TRUE(uncovered_won) << tag;
+        EXPECT_TRUE(covered_won) << tag;
       }
     }
   }
-  linalg::kern::set_simd_enabled(was_simd);
+  linalg::kern::set_simd_level(was);
 }
 
 TEST(PlacementModel, BatchedWorstNeedsAtLeastOneBlock) {
   const PlacementModel model({}, {}, 0);
-  EXPECT_THROW(model.worst_from_sensor_readings_batch(linalg::Matrix(0, 3)),
+  WorstScratch scratch;
+  WorstBlock worst[3];
+  EXPECT_THROW(model.worst_from_sensor_readings_batch(linalg::Matrix(0, 3), 3,
+                                                      scratch, worst),
+               vmap::ContractError);
+}
+
+TEST(PlacementModel, MalformedCoresAreRejectedAtConstruction) {
+  // The checks the batched decision path relies on run once, when the
+  // model resolves its cores' sensor positions at construction.
+  CoreModel core;
+  core.selected_rows = {3};
+  core.block_rows = {0, 1};
+  core.alpha = linalg::Matrix(2, 1);
+  core.intercept = linalg::Vector(2);
+  EXPECT_NO_THROW(PlacementModel({core}, {30}, 2));
+  EXPECT_THROW(PlacementModel({core}, {30}, 1), vmap::ContractError);
+  CoreModel wrong_shape = core;
+  wrong_shape.alpha = linalg::Matrix(2, 2);
+  EXPECT_THROW(PlacementModel({wrong_shape}, {30}, 2), vmap::ContractError);
+  CoreModel short_intercept = core;
+  short_intercept.intercept = linalg::Vector(1);
+  EXPECT_THROW(PlacementModel({short_intercept}, {30}, 2),
                vmap::ContractError);
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -197,12 +198,34 @@ bool matrices_identical(const linalg::Matrix& x, const linalg::Matrix& y) {
 /// Restores the SIMD dispatch choice when a test ends.
 class SimdGuard {
  public:
-  SimdGuard() : was_(linalg::kern::simd_enabled()) {}
-  ~SimdGuard() { linalg::kern::set_simd_enabled(was_); }
+  SimdGuard() : was_(linalg::kern::simd_level()) {}
+  ~SimdGuard() { linalg::kern::set_simd_level(was_); }
 
  private:
-  bool was_;
+  linalg::kern::SimdLevel was_;
 };
+
+using linalg::kern::simd_level_name;
+using linalg::kern::SimdLevel;
+
+/// Scalar and AVX2: every kernel but affine_min has no other body, so the
+/// AVX-512 level would run these tests' AVX2 path a second time.
+constexpr SimdLevel kOnOff[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
+
+/// Every level this CPU runs, for the affine_min tests. A level it lacks
+/// is left out with a line naming it, so a test log shows what ran.
+std::vector<SimdLevel> host_levels() {
+  std::vector<SimdLevel> levels;
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level <= linalg::kern::max_simd_level())
+      levels.push_back(level);
+    else
+      std::cout << "[ SKIPPED  ] SIMD level " << simd_level_name(level)
+                << ": this CPU lacks it\n";
+  }
+  return levels;
+}
 
 const std::size_t kKernelSizes[] = {0, 1, 2, 3, 5, 7, 8, 13, 16, 17, 31, 64, 97};
 
@@ -222,8 +245,8 @@ bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(SimdKernels, ElementwiseBitIdenticalToScalarOracle) {
   SimdGuard guard;
-  for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
+  for (SimdLevel level : kOnOff) {
+    linalg::kern::set_simd_level(level);
     for (std::size_t n : kKernelSizes) {
       const std::vector<double> x = random_doubles(n, 1000 + n);
       const std::vector<double> y0 = random_doubles(n, 2000 + n);
@@ -231,7 +254,8 @@ TEST(SimdKernels, ElementwiseBitIdenticalToScalarOracle) {
       std::vector<double> got = y0, want = y0;
       linalg::kern::axpy(n, 1.7, x.data(), got.data());
       linalg::kern::ref::axpy(n, 1.7, x.data(), want.data());
-      EXPECT_TRUE(bytes_equal(got, want)) << "axpy n=" << n << " simd=" << simd;
+      EXPECT_TRUE(bytes_equal(got, want))
+          << "axpy n=" << n << " " << simd_level_name(level);
 
       got = y0, want = y0;
       linalg::kern::scale(n, 0.77, got.data());
@@ -253,8 +277,8 @@ TEST(SimdKernels, ElementwiseBitIdenticalToScalarOracle) {
 
 TEST(SimdKernels, PanelKernelsBitIdenticalToScalarOracle) {
   SimdGuard guard;
-  for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
+  for (SimdLevel level : kOnOff) {
+    linalg::kern::set_simd_level(level);
     for (std::size_t n : kKernelSizes) {
       const std::vector<double> r0 = random_doubles(n, 10 + n);
       const std::vector<double> r1 = random_doubles(n, 20 + n);
@@ -269,7 +293,7 @@ TEST(SimdKernels, PanelKernelsBitIdenticalToScalarOracle) {
       linalg::kern::ref::pack_panel(n, r0.data(), r1.data(), r2.data(),
                                     r3.data(), panel_want.data());
       EXPECT_TRUE(bytes_equal(panel_got, panel_want))
-          << "pack_panel n=" << n << " simd=" << simd;
+          << "pack_panel n=" << n << " " << simd_level_name(level);
 
       std::vector<double> d_got(4, -1.0), d_want(4, -1.0);
       linalg::kern::dot_panel(n, a.data(), panel_got.data(), d_got.data());
@@ -326,13 +350,13 @@ void expect_sweeps_match_oracle(const TestEnvelope& e, const char* kind) {
     linalg::kern::lane_forward(e.view(), s, got.data());
     linalg::kern::ref::lane_forward(e.view(), s, want.data());
     EXPECT_TRUE(bytes_equal(got, want))
-        << kind << " lane_forward n=" << n << " s=" << s
-        << " simd=" << linalg::kern::simd_enabled();
+        << kind << " lane_forward n=" << n << " s=" << s << " "
+        << simd_level_name(linalg::kern::simd_level());
     linalg::kern::lane_backward(e.view(), s, got.data());
     linalg::kern::ref::lane_backward(e.view(), s, want.data());
     EXPECT_TRUE(bytes_equal(got, want))
-        << kind << " lane_backward n=" << n << " s=" << s
-        << " simd=" << linalg::kern::simd_enabled();
+        << kind << " lane_backward n=" << n << " s=" << s << " "
+        << simd_level_name(linalg::kern::simd_level());
   }
 }
 
@@ -346,8 +370,8 @@ TEST(SimdKernels, LaneSubstitutionBitIdenticalToScalarOracle) {
   //    width, so blocks straddle both and private prefixes are long.
   SimdGuard guard;
   const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 9, 17, 200, 301, 402, 503};
-  for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
+  for (SimdLevel level : kOnOff) {
+    linalg::kern::set_simd_level(level);
     for (std::size_t n : sizes) {
       Rng rng(90 + n);
       std::vector<std::size_t> random(n), rcm(n), mixed(n);
@@ -399,9 +423,9 @@ TEST(SimdKernels, StepMatrixLaneSolvesBitIdenticalToScalarOracle) {
     for (std::size_t lanes : {1, 5, 8, 20}) {
       const std::vector<double> b = random_doubles(n * lanes, 7 + lanes);
       std::vector<double> got(n * lanes), want(n * lanes);
-      linalg::kern::set_simd_enabled(true);
+      linalg::kern::set_simd_level(linalg::kern::SimdLevel::kAvx2);
       factor.solve_lanes(lanes, b.data(), got.data());
-      linalg::kern::set_simd_enabled(false);
+      linalg::kern::set_simd_level(linalg::kern::SimdLevel::kScalar);
       factor.solve_lanes(lanes, b.data(), want.data());
       EXPECT_TRUE(bytes_equal(got, want))
           << "n=" << n << " two_layer=" << config.two_layer
@@ -412,19 +436,19 @@ TEST(SimdKernels, StepMatrixLaneSolvesBitIdenticalToScalarOracle) {
 
 TEST(SimdKernels, StridedReductionsBitIdenticalToScalarOracle) {
   SimdGuard guard;
-  for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
+  for (SimdLevel level : kOnOff) {
+    linalg::kern::set_simd_level(level);
     for (std::size_t n : kKernelSizes) {
       const std::vector<double> x = random_doubles(n, 70 + n);
       const std::vector<double> y = random_doubles(n, 80 + n);
       const double dot_got = linalg::kern::dot(n, x.data(), y.data());
       const double dot_want = linalg::kern::ref::dot(n, x.data(), y.data());
       EXPECT_EQ(std::memcmp(&dot_got, &dot_want, sizeof(double)), 0)
-          << "dot n=" << n << " simd=" << simd;
+          << "dot n=" << n << " " << simd_level_name(level);
       const double nrm_got = linalg::kern::nrm2sq(n, x.data());
       const double nrm_want = linalg::kern::ref::nrm2sq(n, x.data());
       EXPECT_EQ(std::memcmp(&nrm_got, &nrm_want, sizeof(double)), 0)
-          << "nrm2sq n=" << n << " simd=" << simd;
+          << "nrm2sq n=" << n << " " << simd_level_name(level);
     }
   }
 }
@@ -450,14 +474,16 @@ void expect_affine_min_matches_oracle(
 }
 
 TEST(SimdKernels, AffineMinBitIdenticalToScalarOracle) {
-  // Row counts around the 4-row register block, sensor counts around the
+  // Row counts around the AVX2 4-row and AVX-512 8-row register blocks
+  // (every 4/2/1-row tail of the 8-row one), sensor counts around the
   // vector width, and reading counts around the 8-reading panel (0, one
-  // partial panel, exactly one, one plus a tail, many). Readings are wider
-  // than the block and read through a shuffled in_col, with ldx > n.
+  // partial panel, exactly one, one plus a tail, many), at every level the
+  // CPU runs. Readings are wider than the block and read through a
+  // shuffled in_col, with ldx > n.
   SimdGuard guard;
-  for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
-    for (std::size_t rows : {1, 3, 4, 5, 240}) {
+  for (SimdLevel level : host_levels()) {
+    linalg::kern::set_simd_level(level);
+    for (std::size_t rows : {1, 3, 4, 5, 7, 8, 9, 16, 240}) {
       for (std::size_t cols : {1, 2, 16, 17}) {
         const std::size_t width = cols + 2;
         Rng rng(500 + rows * 31 + cols);
@@ -482,7 +508,7 @@ TEST(SimdKernels, AffineMinBitIdenticalToScalarOracle) {
               rows, blocks, n, x, ldx,
               "rows=" + std::to_string(rows) + " cols=" +
                   std::to_string(cols) + " n=" + std::to_string(n) +
-                  " simd=" + std::to_string(simd));
+                  " " + simd_level_name(level));
         }
       }
     }
@@ -493,9 +519,9 @@ TEST(SimdKernels, AffineMinTiesOverflowAndLayouts) {
   SimdGuard guard;
   constexpr std::size_t kCols = 3;
   const std::vector<std::size_t> in_col = {0, 1, 2};
-  for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
-    const std::string tag = " simd=" + std::to_string(simd);
+  for (SimdLevel level : host_levels()) {
+    linalg::kern::set_simd_level(level);
+    const std::string tag = std::string(" ") + simd_level_name(level);
     bool saw_negative_inf = false;
     for (std::size_t n : {1, 9, 17}) {
       const std::vector<double> x = random_doubles(kCols * n, 950 + n);
@@ -630,13 +656,13 @@ TEST(SimdKernels, MatmulFamilyBitIdenticalAcrossSimdAndThreads) {
         bt(j, i) = b(i, j) = rng.normal();
     const linalg::Matrix want = linalg::matmul_reference(a, b);
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      for (bool simd : {false, true}) {
+      for (SimdLevel level : kOnOff) {
         set_thread_count(threads);
-        linalg::kern::set_simd_enabled(simd);
+        linalg::kern::set_simd_level(level);
         const std::string tag = " shape=" + std::to_string(s.r) + "x" +
                                 std::to_string(s.k) + "x" + std::to_string(s.c) +
-                                " threads=" + std::to_string(threads) +
-                                " simd=" + std::to_string(simd);
+                                " threads=" + std::to_string(threads) + " " +
+                                simd_level_name(level);
         const linalg::Matrix c1 = linalg::matmul(a, b);
         EXPECT_TRUE(matrices_identical(c1, want)) << "matmul" << tag;
         // Aᵀ·B and A·Bᵀ of the transposed operands compute the same

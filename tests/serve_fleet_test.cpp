@@ -1,9 +1,11 @@
 // MonitorFleet integration tests: decisions bit-identical to standalone
-// OnlineMonitors (the fused predict-and-min path, the per-sample path, and
+// OnlineMonitors (the fused predict-and-min path, the per-sample path, two
+// models of different sensor counts taking turns leading the batch, and
 // fault-tolerant monitors losing a sensor mid-stream), overload shed
-// accounting, clean-shutdown drain, watchdog stall failover in threaded
-// mode with plain-ingest and producer-lane backlogs, and workers that
-// sleep between bursts without missing a wake-up.
+// accounting, clean-shutdown drain, a stop() that does not wait out the
+// watchdog's period, watchdog stall failover in threaded mode with
+// plain-ingest and producer-lane backlogs, and workers that sleep between
+// bursts without missing a wake-up.
 
 #include <gtest/gtest.h>
 
@@ -132,6 +134,49 @@ TEST(MonitorFleet, UnbatchedPathMatchesToo) {
   fleet.pump();
   expect_matches_reference(fleet, run_reference(spec, kChips, kSamples),
                            kChips);
+}
+
+TEST(MonitorFleet, ModelsOfDifferentSensorCountsTakeTurnsLeadingTheBatch) {
+  // Two shared models with different sensor counts, and batches whose
+  // leading model flips every time: the worker's reused reading matrices
+  // must stay sized to the batch, however often the order flips.
+  SyntheticFleetSpec spec_a;
+  spec_a.sensors = 6;
+  SyntheticFleetSpec spec_b;
+  spec_b.sensors = 9;
+  spec_b.seed = 7;
+  const SyntheticFleetSpec* specs[2] = {&spec_a, &spec_b};
+  constexpr std::uint64_t kSamples = 300;
+
+  FleetConfig fc;
+  fc.shards = 1;
+  fc.max_batch = 2;
+  fc.queue_capacity = 2 * kSamples;
+  MonitorFleet fleet(fc);
+  for (ChipId chip = 0; chip < 2; ++chip) {
+    auto model = make_synthetic_model(*specs[chip]);
+    fleet.add_chip(make_synthetic_monitor(*specs[chip], model, false), model);
+  }
+  // Batch t holds sample t of both chips, chip t % 2 first.
+  for (std::uint64_t t = 1; t <= kSamples; ++t)
+    for (ChipId k = 0; k < 2; ++k) {
+      const ChipId chip = static_cast<ChipId>((t + k) % 2);
+      ASSERT_TRUE(fleet
+                      .ingest(make_reading(
+                          chip, t, synthetic_reading(*specs[chip], chip, t)))
+                      .accepted);
+    }
+  EXPECT_EQ(fleet.pump(), 2 * kSamples);
+
+  // Chip c's standalone replay is chip c of a reference run on its spec.
+  ReferenceRun ref;
+  for (ChipId chip = 0; chip < 2; ++chip) {
+    ReferenceRun own = run_reference(*specs[chip], chip + 1, kSamples);
+    ref.counters.push_back(own.counters[chip]);
+    ref.transitions[chip] = own.transitions[chip];
+    EXPECT_FALSE(ref.transitions[chip].empty()) << "chip " << chip;
+  }
+  expect_matches_reference(fleet, ref, 2);
 }
 
 // ---- Fault-tolerant fleet ------------------------------------------------
@@ -364,6 +409,29 @@ TEST(MonitorFleet, ThreadedModeDrainsEverythingOnStop) {
   if (enqueued == kChips * kSamples)
     expect_matches_reference(fleet, run_reference(spec, kChips, kSamples),
                              kChips);
+}
+
+TEST(MonitorFleet, StopDoesNotWaitOutTheWatchdogPeriod) {
+  // The watchdog waits out its period on something stop() signals, so a
+  // long period costs stop() nothing; one that slept it out would hold
+  // stop() for about 5 s here.
+  SyntheticFleetSpec spec;
+  FleetConfig fc;
+  fc.shards = 2;
+  fc.watchdog_period_ms = 5000.0;
+  MonitorFleet fleet(fc);
+  auto model = make_synthetic_model(spec);
+  fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  fleet.start();
+  ASSERT_TRUE(fleet.ingest(make_reading(0, 1, synthetic_reading(spec, 0, 1)))
+                  .accepted);
+  const auto begin = std::chrono::steady_clock::now();
+  fleet.stop();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  EXPECT_LT(stop_ms, 1000.0);
+  EXPECT_EQ(fleet.stats().processed, 1u);
 }
 
 TEST(MonitorFleet, WatchdogFailsOverAStalledShardAndSuspendsTheCulprit) {

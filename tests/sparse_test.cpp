@@ -199,11 +199,12 @@ TEST(Skyline, LaneSolvesAreBitIdenticalToOneLaneSolves) {
   // byte for byte, for lane counts covering one lane, padding to the panel
   // width (2, 3, 5-7, 9) and whole 4- and 8-lane panels, on both SIMD
   // dispatch paths.
-  const bool simd_was = linalg::kern::simd_enabled();
+  const linalg::kern::SimdLevel level_was = linalg::kern::simd_level();
   const SkylineCholesky sky(mesh_spd(11, 9));
   const std::size_t n = sky.dim();
   for (bool simd : {false, true}) {
-    linalg::kern::set_simd_enabled(simd);
+    linalg::kern::set_simd_level(simd ? linalg::kern::SimdLevel::kAvx2
+                                      : linalg::kern::SimdLevel::kScalar);
     for (std::size_t lanes = 1; lanes <= 9; ++lanes) {
       vmap::Rng rng(100 + lanes);
       std::vector<linalg::Vector> columns(lanes, linalg::Vector(n));
@@ -224,7 +225,7 @@ TEST(Skyline, LaneSolvesAreBitIdenticalToOneLaneSolves) {
       }
     }
   }
-  linalg::kern::set_simd_enabled(simd_was);
+  linalg::kern::set_simd_level(level_was);
 }
 
 TEST(Skyline, LaneSolveMayRunInPlace) {

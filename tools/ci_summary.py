@@ -148,10 +148,13 @@ def report_section(path, baselines_dir):
     print()
     cal = float(report.get("calibration_ms", 0.0) or 0.0)
     base_cal = float((base or {}).get("calibration_ms", 0.0) or 0.0)
+    simd = f"SIMD level `{report.get('simd', 'unreported')}`"
     if base_cal > 0 and cal > 0:
         print(f"calibration {cal:.1f} ms vs baseline {base_cal:.1f} ms "
-              f"(machine speed ratio {cal / base_cal:.2f}x)")
-        print()
+              f"(machine speed ratio {cal / base_cal:.2f}x), {simd}")
+    else:
+        print(simd)
+    print()
 
     timings = report.get("timings_ms", {})
     if not isinstance(timings, dict) or not timings:

@@ -157,6 +157,19 @@ def main():
         # but say so, to keep additions visible in CI logs.
         print(f"note: scalar not in baseline (ignored): {name}")
 
+    # --- SIMD level: a note, never a failure ---------------------------
+    # A run on another kernel dispatch level (a host without AVX-512, or
+    # VMAP_SIMD=0) times other code; say so next to the timings it
+    # explains. Baselines written before reports carried the level have
+    # none.
+    base_simd, cur_simd = base.get("simd"), cur.get("simd")
+    if base_simd is None:
+        print(f"note: [{bench}] the baseline does not record its SIMD level "
+              f"(current run: {cur_simd or 'unreported'})")
+    elif base_simd != cur_simd:
+        print(f"note: [{bench}] SIMD level differs: baseline {base_simd}, "
+              f"current run {cur_simd or 'unreported'}")
+
     # --- timings: calibration-normalized tolerance --------------------
     try:
         base_cal = float(base.get("calibration_ms", 0.0))
