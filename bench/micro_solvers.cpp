@@ -54,18 +54,18 @@ void BM_GroupLassoBcd(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupLassoBcd)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
+// The solve is serial; M = 174 candidates and K = 30 blocks is the Table-2
+// per-core shape.
 void BM_GroupLassoBudget(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto problem = planted_problem(128, 30, 1000);
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto problem = planted_problem(m, 30, 1000);
   core::GroupLasso solver(problem);
-  set_thread_count(threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve_budget(2.0));
   }
-  set_thread_count(1);
-  state.SetLabel("budget path, M=128 threads=" + std::to_string(threads));
+  state.SetLabel("budget path, M=" + std::to_string(m) + " K=30");
 }
-BENCHMARK(BM_GroupLassoBudget)->Arg(1)->Arg(2);
+BENCHMARK(BM_GroupLassoBudget)->Arg(64)->Arg(174);
 
 grid::GridConfig bench_grid(std::size_t n) {
   grid::GridConfig c;
@@ -226,6 +226,35 @@ BENCHMARK(BM_KernDotAxpy)
     ->Args({1 << 12, 1})
     ->Args({1 << 16, 0})
     ->Args({1 << 16, 1});
+
+// One group update's P = βA refresh: K = 30 rows of width |S| (the
+// working-set block) each take δ_k·A_m, at every dispatch level the CPU
+// runs (an AVX-512 level runs the AVX2 body; see EXPERIMENTS.md).
+void BM_KernRank1Update(benchmark::State& state) {
+  constexpr std::size_t kRows = 30;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto level = static_cast<linalg::kern::SimdLevel>(state.range(1));
+  if (level > linalg::kern::max_simd_level()) {
+    state.SkipWithError("SIMD level not supported by this CPU");
+    return;
+  }
+  Rng rng(17);
+  std::vector<double> a(n), delta(kRows), p(kRows * n);
+  for (double& v : a) v = rng.normal();
+  for (double& v : delta) v = 1e-9 * rng.normal();
+  for (double& v : p) v = rng.normal();
+  const linalg::kern::SimdLevel was = linalg::kern::simd_level();
+  linalg::kern::set_simd_level(level);
+  for (auto _ : state) {
+    linalg::kern::rank1_update(kRows, n, delta.data(), a.data(), p.data(), n);
+    benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
+  }
+  linalg::kern::set_simd_level(was);
+  state.SetLabel("|S|=" + std::to_string(n) + " K=30 " +
+                 linalg::kern::simd_level_name(level));
+}
+BENCHMARK(BM_KernRank1Update)->ArgsProduct({{8, 21, 64}, {0, 1, 2}});
 
 void BM_MatmulScalarDispatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -63,7 +63,8 @@ namespace {
 
 /// Sweep iterates kept for one Anderson extrapolation (Bertrand & Massias,
 /// AISTATS 2021): every kAndersonDepth + 1 working-set sweeps are combined.
-constexpr std::size_t kAndersonDepth = 5;
+/// Depth 5 is the difference-Gram kernel's fixed depth.
+constexpr std::size_t kAndersonDepth = linalg::kern::kDiffGramDepth;
 
 /// A working-set solve stops once its restricted gap is within this
 /// fraction of the full problem's gap at the start of the outer iteration
@@ -145,16 +146,16 @@ bool update_group(const linalg::Matrix& a, const linalg::Matrix& b,
     r_norm_sq += r[k] * r[k];
   }
   if (!std::isfinite(r_norm_sq)) return false;
-  // Group soft threshold, then scale by 1/A_mm.
+  // Group soft threshold, then scale by 1/A_mm. r turns into the deltas,
+  // and every row k with δ_k ≠ 0 then takes P_k += δ_k·A_m in one call.
   const double r_norm = std::sqrt(r_norm_sq);
   const double scale = r_norm <= mu ? 0.0 : (1.0 - mu / r_norm) / amm;
-  const double* arow = a.row_data(m);
   for (std::size_t k = 0; k < k_count; ++k) {
-    const double delta = scale * r[k] - beta(k, m);
-    if (delta == 0.0) continue;
-    beta(k, m) += delta;
-    linalg::kern::axpy(beta.cols(), delta, arow, p.row_data(k));
+    r[k] = scale * r[k] - beta(k, m);
+    if (r[k] != 0.0) beta(k, m) += r[k];
   }
+  linalg::kern::rank1_update(k_count, p.cols(), r, a.row_data(m), p.data(),
+                             p.cols());
   return true;
 }
 
@@ -172,20 +173,10 @@ bool sweep(const linalg::Matrix& a, const linalg::Matrix& b,
 /// false when UᵀU is numerically singular or the weights non-finite.
 bool anderson_weights(const std::vector<linalg::Matrix>& xs, double* c) {
   constexpr std::size_t d = kAndersonDepth;
-  const std::size_t n = xs[0].rows() * xs[0].cols();
+  const double* x[d + 1];
+  for (std::size_t i = 0; i <= d; ++i) x[i] = xs[i].data();
   linalg::Matrix u(d, d);
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double* xi1 = xs[i + 1].data();
-      const double* xi0 = xs[i].data();
-      const double* xj1 = xs[j + 1].data();
-      const double* xj0 = xs[j].data();
-      double acc = 0.0;
-      for (std::size_t e = 0; e < n; ++e)
-        acc += (xi1[e] - xi0[e]) * (xj1[e] - xj0[e]);
-      u(i, j) = u(j, i) = acc;
-    }
-  }
+  linalg::kern::diff_gram(xs[0].rows() * xs[0].cols(), x, u.data());
   const auto chol = linalg::Cholesky::try_factorize(u);
   if (!chol.ok()) return false;
   const linalg::Vector z = chol->solve(linalg::Vector(d, 1.0));

@@ -25,6 +25,18 @@
 //
 // Everything works on Gram matrices A = Z Zᵀ (M×M) and B = G Zᵀ (K×M), so
 // the per-iteration cost is independent of the sample count N.
+//
+// Summation order. A solve is bit-identical at every kernel dispatch level
+// (VMAP_SIMD=0 included): β, the sweep count and the selection do not
+// depend on the CPU. Sums that decide when a solve stops keep their plain
+// order: the certificate's ⟨β,B⟩ and ⟨β,P⟩ run as one chain each over
+// (k, m) in row order, and a group update's ||r||² runs over k ascending.
+// Reordering them moves the gap in its last bits, and with it the sweep
+// count and the model. These chains are the solve's latency floor. The
+// rest runs through linalg::kern kernels that keep every output's own
+// chain and so match the plain loops bit for bit: one kern::rank1_update
+// call refreshes P = βA after each group update, kern::diff_gram builds
+// the Anderson UᵀU in one pass, and A = ZZᵀ comes from 4-row Gram panels.
 
 #include <cstddef>
 #include <optional>

@@ -93,6 +93,30 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
   out_b[3] = b3;
 }
 
+void dot_panel4(std::size_t n, const double* a, std::size_t lda,
+                const double* panel, double* out, std::size_t ldo) {
+  for (std::size_t r = 0; r < 4; ++r)
+    dot_panel(n, a + r * lda, panel, out + r * ldo);
+}
+
+void rank1_update(std::size_t rows, std::size_t n, const double* delta,
+                  const double* a, double* p, std::size_t ldp) {
+  for (std::size_t k = 0; k < rows; ++k)
+    if (delta[k] != 0.0) axpy(n, delta[k], a, p + k * ldp);
+}
+
+void diff_gram(std::size_t n, const double* const* x, double* u) {
+  constexpr std::size_t d = kDiffGramDepth;
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t e = 0; e < n; ++e)
+        acc += (x[i + 1][e] - x[i][e]) * (x[j + 1][e] - x[j][e]);
+      u[i * d + j] = u[j * d + i] = acc;
+    }
+  }
+}
+
 namespace {
 // The scalar sweeps, with the stride fixed at compile time when kStride > 0:
 // the one-lane sweep then compiles to the plain unit-stride loop (a runtime
@@ -137,6 +161,27 @@ void lane_backward(const Envelope& l, std::size_t s, double* y) {
   backward_sweep<0>(l, s, y);
 }
 
+namespace {
+/// Row k of `blk` for a full panel of readings from column j0 on, into
+/// tile row t: one accumulator per reading from 0.0, q ascending, then the
+/// offset. The lane loops have a constant trip count and are unrolled, so
+/// the accumulators live in registers and the loop's speed does not hang
+/// on where the linker puts it.
+void predict_panel_row(const AffineBlock& blk, std::size_t k,
+                       const double* x, std::size_t ldx, std::size_t j0,
+                       double* t) {
+  const double* ck = blk.coef + k * blk.cols;
+  double acc[kAffinePanel] = {};
+  for (std::size_t q = 0; q < blk.cols; ++q) {
+    const double* xq = x + blk.in_col[q] * ldx + j0;
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < kAffinePanel; ++l) acc[l] += ck[q] * xq[l];
+  }
+#pragma GCC unroll 8
+  for (std::size_t l = 0; l < kAffinePanel; ++l) t[l] = acc[l] + blk.offset[k];
+}
+}  // namespace
+
 void affine_min(std::size_t n_rows, const AffineBlock* blocks,
                 std::size_t n_blocks, std::size_t n, const double* x,
                 std::size_t ldx, double* tile, double* worst,
@@ -152,13 +197,17 @@ void affine_min(std::size_t n_rows, const AffineBlock* blocks,
     for (std::size_t b = 0; b < n_blocks; ++b) {
       const AffineBlock& blk = blocks[b];
       for (std::size_t k = 0; k < blk.rows; ++k) {
+        double* t = tile + blk.out_row[k] * P;
+        if (live == P) {
+          predict_panel_row(blk, k, x, ldx, j0, t);
+          continue;
+        }
         const double* ck = blk.coef + k * blk.cols;
         double acc[P] = {};
         for (std::size_t q = 0; q < blk.cols; ++q) {
           const double* xq = x + blk.in_col[q] * ldx + j0;
           for (std::size_t l = 0; l < live; ++l) acc[l] += ck[q] * xq[l];
         }
-        double* t = tile + blk.out_row[k] * P;
         for (std::size_t l = 0; l < live; ++l) t[l] = acc[l] + blk.offset[k];
       }
     }
@@ -304,6 +353,106 @@ VMAP_AVX2 void dot_panel2(std::size_t n, const double* a, const double* b,
   }
   _mm256_storeu_pd(out_a, acc_a);
   _mm256_storeu_pd(out_b, acc_b);
+}
+
+VMAP_AVX2 void dot_panel4(std::size_t n, const double* a, std::size_t lda,
+                          const double* panel, double* out, std::size_t ldo) {
+  const double* a0 = a;
+  const double* a1 = a0 + lda;
+  const double* a2 = a1 + lda;
+  const double* a3 = a2 + lda;
+  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < n; ++k) {
+    const __m256d pk = _mm256_loadu_pd(panel + k * 4);
+    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(a0[k]), pk));
+    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(a1[k]), pk));
+    acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_set1_pd(a2[k]), pk));
+    acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_set1_pd(a3[k]), pk));
+  }
+  _mm256_storeu_pd(out, acc0);
+  _mm256_storeu_pd(out + ldo, acc1);
+  _mm256_storeu_pd(out + 2 * ldo, acc2);
+  _mm256_storeu_pd(out + 3 * ldo, acc3);
+}
+
+// Row by row: every full vector of the row, then its n % 4 tail in scalar
+// code. A masked tail read 2.4x slower at n = 21 (micro_solvers): with
+// ldp == n, as in a working-set block, its 32-byte store overlaps the next
+// row's first load, which then waits for it.
+VMAP_AVX2 void rank1_update(std::size_t rows, std::size_t n,
+                            const double* delta, const double* a, double* p,
+                            std::size_t ldp) {
+  const std::size_t n4 = n & ~std::size_t{3};
+  for (std::size_t k = 0; k < rows; ++k) {
+    const double dk = delta[k];
+    if (dk == 0.0) continue;
+    const __m256d d = _mm256_set1_pd(dk);
+    double* pk = p + k * ldp;
+    for (std::size_t j = 0; j < n4; j += 4) {
+      _mm256_storeu_pd(pk + j,
+                       _mm256_add_pd(_mm256_loadu_pd(pk + j),
+                                     _mm256_mul_pd(d, _mm256_loadu_pd(a + j))));
+    }
+    for (std::size_t j = n4; j < n; ++j) pk[j] += dk * a[j];
+  }
+}
+
+// Four entries at a time: the five difference vectors D_i (lane l holds
+// d_i at entry e + l), D_0..D_3 transposed so that T_l = [d_0..d_3] of
+// entry e + l, and then entries e .. e+3 in order, each adding
+// bcast(d_i)·T_l into acc_i and d_4·d_4 into the scalar s44. The D_i go
+// through a stack tile so that the 20 broadcasts are loads, not shuffles
+// competing with the transpose for the shuffle port.
+VMAP_AVX2 void diff_gram(std::size_t n, const double* const* x, double* u) {
+  constexpr std::size_t d = kDiffGramDepth;
+  static_assert(d == 5, "one vector accumulator per row, four lanes each");
+  __m256d acc[d];
+  for (std::size_t i = 0; i < d; ++i) acc[i] = _mm256_setzero_pd();
+  double s44 = 0.0;
+  std::size_t e = 0;
+  for (; e + 4 <= n; e += 4) {
+    alignas(32) double dv[d][4];
+    __m256d prev = _mm256_loadu_pd(x[0] + e);
+    __m256d dd[d];
+#pragma GCC unroll 5
+    for (std::size_t i = 0; i < d; ++i) {
+      const __m256d next = _mm256_loadu_pd(x[i + 1] + e);
+      dd[i] = _mm256_sub_pd(next, prev);
+      _mm256_store_pd(dv[i], dd[i]);
+      prev = next;
+    }
+    const __m256d t0 = _mm256_unpacklo_pd(dd[0], dd[1]);
+    const __m256d t1 = _mm256_unpackhi_pd(dd[0], dd[1]);
+    const __m256d t2 = _mm256_unpacklo_pd(dd[2], dd[3]);
+    const __m256d t3 = _mm256_unpackhi_pd(dd[2], dd[3]);
+    const __m256d tr[4] = {_mm256_permute2f128_pd(t0, t2, 0x20),
+                           _mm256_permute2f128_pd(t1, t3, 0x20),
+                           _mm256_permute2f128_pd(t0, t2, 0x31),
+                           _mm256_permute2f128_pd(t1, t3, 0x31)};
+#pragma GCC unroll 4
+    for (std::size_t l = 0; l < 4; ++l) {
+#pragma GCC unroll 5
+      for (std::size_t i = 0; i < d; ++i)
+        acc[i] = _mm256_add_pd(
+            acc[i], _mm256_mul_pd(_mm256_broadcast_sd(&dv[i][l]), tr[l]));
+      s44 += dv[4][l] * dv[4][l];
+    }
+  }
+  for (; e < n; ++e) {
+    double di[d];
+    for (std::size_t i = 0; i < d; ++i) di[i] = x[i + 1][e] - x[i][e];
+    const __m256d t = _mm256_setr_pd(di[0], di[1], di[2], di[3]);
+    for (std::size_t i = 0; i < d; ++i)
+      acc[i] = _mm256_add_pd(acc[i], _mm256_mul_pd(_mm256_set1_pd(di[i]), t));
+    s44 += di[4] * di[4];
+  }
+  alignas(32) double lanes[d][4];
+  for (std::size_t i = 0; i < d; ++i) _mm256_store_pd(lanes[i], acc[i]);
+  for (std::size_t i = 0; i < d; ++i)
+    for (std::size_t j = 0; j <= i && j < 4; ++j)
+      u[i * d + j] = u[j * d + i] = lanes[i][j];
+  u[d * d - 1] = s44;
 }
 
 // Envelope sweeps. Every (row, lane) pair keeps the scalar reference's
@@ -861,6 +1010,20 @@ void dot_panel(std::size_t n, const double* a, const double* panel,
 void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b) {
   VMAP_KERN_DISPATCH(dot_panel2(n, a, b, panel, out_a, out_b));
+}
+
+void dot_panel4(std::size_t n, const double* a, std::size_t lda,
+                const double* panel, double* out, std::size_t ldo) {
+  VMAP_KERN_DISPATCH(dot_panel4(n, a, lda, panel, out, ldo));
+}
+
+void rank1_update(std::size_t rows, std::size_t n, const double* delta,
+                  const double* a, double* p, std::size_t ldp) {
+  VMAP_KERN_DISPATCH(rank1_update(rows, n, delta, a, p, ldp));
+}
+
+void diff_gram(std::size_t n, const double* const* x, double* u) {
+  VMAP_KERN_DISPATCH(diff_gram(n, x, u));
 }
 
 #if VMAP_KERN_X86

@@ -1,8 +1,9 @@
 #pragma once
 // SIMD microkernel layer: the raw-pointer primitives under the dense
-// kernels (matmul family, Gram products, vector updates), the skyline
-// solver's multi-RHS substitution, and the serving layer's fused
-// predict-and-min decision kernel.
+// kernels (matmul family, Gram products, vector updates), the group-lasso
+// solve's row update and Anderson Gram, the skyline solver's multi-RHS
+// substitution, and the serving layer's fused predict-and-min decision
+// kernel.
 //
 // Dispatch: one level, chosen once at startup and capped at what the CPU
 // reports — kAvx512 when it has AVX-512F, kAvx2 when it has AVX2, else
@@ -90,6 +91,42 @@ void dot_panel(std::size_t n, const double* a, const double* panel,
 /// k): out_a[l], out_b[l] as dot_panel of a and b respectively.
 void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b);
+/// Four A rows against one panel: row r (r < 4) starts at a + r*lda, and
+/// out[r*ldo + l] is dot_panel of that row. Four accumulator chains share
+/// each panel load, so the sweep is bound by add throughput, not by one
+/// chain's add latency as dot_panel2's two chains are.
+void dot_panel4(std::size_t n, const double* a, std::size_t lda,
+                const double* panel, double* out, std::size_t ldo);
+
+// --- masked rank-1 row update -------------------------------------------
+//
+// The group-lasso update of P = βA after group m's coefficients move by
+// δ: every row k of P with δ_k ≠ 0 takes one axpy of A's row m, in one
+// call. Each element keeps one mul and one add, so the result is
+// kern::axpy's per row; a row whose δ_k is zero (either sign) is not
+// touched, so a −0.0 in it stays −0.0.
+
+/// p[k*ldp + j] += delta[k] * a[j] for j < n, for every k < rows with
+/// delta[k] != 0.
+void rank1_update(std::size_t rows, std::size_t n, const double* delta,
+                  const double* a, double* p, std::size_t ldp);
+
+// --- difference Gram of Anderson snapshots ------------------------------
+//
+// Anderson extrapolation needs UᵀU for the difference matrix U whose
+// column i is x_{i+1} − x_i, over kDiffGramDepth + 1 snapshots. Entry
+// (i, j) sums (x_{i+1}[e] − x_i[e])·(x_{j+1}[e] − x_j[e]) from 0.0 with e
+// ascending, as a separate product and add per e — the plain loop's
+// chain. The AVX2 body runs all 15 lower-triangle chains in one pass over
+// e: five vector accumulators acc_i += bcast(d_i)·[d_0..d_3] and one
+// scalar for (4, 4); a lane (i, j) with j > i repeats (j, i) and is not
+// read.
+
+inline constexpr std::size_t kDiffGramDepth = 5;
+
+/// x[0..kDiffGramDepth] point at the snapshots, n doubles each; writes
+/// the symmetric kDiffGramDepth² matrix UᵀU to u, row-major.
+void diff_gram(std::size_t n, const double* const* x, double* u);
 
 // --- lane-interleaved envelope substitution -----------------------------
 //
@@ -204,6 +241,11 @@ void dot_panel(std::size_t n, const double* a, const double* panel,
                double* out4);
 void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b);
+void dot_panel4(std::size_t n, const double* a, std::size_t lda,
+                const double* panel, double* out, std::size_t ldo);
+void rank1_update(std::size_t rows, std::size_t n, const double* delta,
+                  const double* a, double* p, std::size_t ldp);
+void diff_gram(std::size_t n, const double* const* x, double* u);
 void lane_forward(const Envelope& l, std::size_t s, double* y);
 void lane_backward(const Envelope& l, std::size_t s, double* y);
 void affine_min(std::size_t n_rows, const AffineBlock* blocks,

@@ -207,13 +207,14 @@ void matmul_at_b_rows(const Matrix& a, const Matrix& b, Matrix& c,
 }
 
 /// Row range [i0, i1) of C = A * Bᵀ: packed-panel microkernel. Four B rows
-/// are interleaved into a [k][4] panel once, then every A row (two at a
-/// time) sweeps the panel with one running accumulator per output element,
-/// k strictly ascending — the same per-element chain as a plain sequential
-/// dot, so results are bit-identical to the naive kernel at any SIMD
-/// setting. With `lower` set, row i only meets the panels and tail columns
-/// j ≤ i (a diagonal panel also fills its 4×4 block's upper corner): the
-/// lower triangle of a symmetric A·Aᵀ.
+/// are interleaved into a [k][4] panel once, then the A rows sweep the
+/// panel four at a time (then a 2- and a 1-row tail) with one running
+/// accumulator per output element, k strictly ascending — the same
+/// per-element chain as a plain sequential dot, so results are
+/// bit-identical to the naive kernel at any SIMD setting. With `lower` set,
+/// row i only meets the panels and tail columns j ≤ i (a diagonal panel
+/// also fills its 4×4 block's upper corner): the lower triangle of a
+/// symmetric A·Aᵀ.
 void matmul_a_bt_rows(const Matrix& a, const Matrix& b, Matrix& c,
                       std::size_t i0, std::size_t i1, bool lower = false) {
   const std::size_t nk = a.cols();
@@ -225,6 +226,10 @@ void matmul_a_bt_rows(const Matrix& a, const Matrix& b, Matrix& c,
     if (i >= i1) return;  // so is every later panel and tail column
     kern::pack_panel(nk, b.row_data(jb), b.row_data(jb + 1),
                      b.row_data(jb + 2), b.row_data(jb + 3), panel.data());
+    for (; i + 4 <= i1; i += 4) {
+      kern::dot_panel4(nk, a.row_data(i), a.cols(), panel.data(),
+                       c.row_data(i) + jb, c.cols());
+    }
     for (; i + 2 <= i1; i += 2) {
       kern::dot_panel2(nk, a.row_data(i), a.row_data(i + 1), panel.data(),
                        c.row_data(i) + jb, c.row_data(i + 1) + jb);

@@ -1,17 +1,21 @@
 // Group-lasso solver tests: optimality (KKT), the duality-gap certificate,
 // a closed-form oracle, support recovery on planted problems, budget
-// semantics, candidate-order invariance, and the paper's §2.3 shrinkage
-// example.
+// semantics, candidate-order invariance, the paper's §2.3 shrinkage
+// example, and bit-identical solves at every kernel dispatch level.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <iostream>
 #include <numeric>
+#include <string>
 
 #include "core/group_lasso.hpp"
 #include "core/normalizer.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
@@ -27,16 +31,20 @@ struct Planted {
 };
 
 /// Builds a planted problem: K responses generated from a few of M
-/// regressors plus noise; everything roughly normalized.
+/// regressors plus noise; everything roughly normalized. With rho > 0,
+/// adjacent regressors correlate at about rho (an AR(1) walk over rows).
 Planted make_planted(std::size_t m, std::size_t k, std::size_t n,
                      std::vector<std::size_t> support, double noise,
-                     std::uint64_t seed) {
+                     std::uint64_t seed, double rho = 0.0) {
   vmap::Rng rng(seed);
   Planted p;
   p.support = std::move(support);
   p.z = linalg::Matrix(m, n);
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t c = 0; c < n; ++c) p.z(r, c) = rng.normal();
+  for (std::size_t r = 1; rho > 0.0 && r < m; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      p.z(r, c) = rho * p.z(r - 1, c) + std::sqrt(1.0 - rho * rho) * p.z(r, c);
   linalg::Matrix beta(k, m);
   for (std::size_t s : p.support)
     for (std::size_t kk = 0; kk < k; ++kk)
@@ -506,6 +514,92 @@ TEST(GroupLasso, BudgetSearchLandsInsideTheSlackQuickly) {
     EXPECT_GE(result.budget, lambda * (1.0 - options.budget_slack));
     EXPECT_LT(used, options.budget_bisections) << "lambda " << lambda;
   }
+}
+
+/// Every kernel dispatch level this CPU runs. A level it lacks is left out
+/// with a line naming it, so a test log shows what ran.
+std::vector<linalg::kern::SimdLevel> host_levels() {
+  using linalg::kern::SimdLevel;
+  std::vector<SimdLevel> levels;
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level <= linalg::kern::max_simd_level())
+      levels.push_back(level);
+    else
+      std::cout << "[ SKIPPED  ] SIMD level "
+                << linalg::kern::simd_level_name(level)
+                << ": this CPU lacks it\n";
+  }
+  return levels;
+}
+
+/// A budget solve and the penalized solves and sweeps it took.
+struct BudgetRun {
+  GroupLassoResult result;
+  std::uint64_t solves = 0;
+  std::uint64_t sweeps = 0;
+};
+
+BudgetRun run_budget(const GroupLasso& solver, double lambda) {
+  metrics::Counter& solves = metrics::counter("gl.penalized_solves");
+  metrics::Counter& sweeps = metrics::counter("gl.sweeps");
+  const std::uint64_t solves0 = solves.value(), sweeps0 = sweeps.value();
+  BudgetRun run{solver.solve_budget(lambda)};
+  run.solves = solves.value() - solves0;
+  run.sweeps = sweeps.value() - sweeps0;
+  return run;
+}
+
+bool same_bytes(const double* x, const double* y, std::size_t n) {
+  return n == 0 || std::memcmp(x, y, n * sizeof(double)) == 0;
+}
+
+TEST(GroupLasso, BudgetSolveIsBitIdenticalAtEverySimdLevel) {
+  // Supports of 1–9, 21 and 33 groups, so the working sets along the μ
+  // walk are narrower than one vector, fill whole vectors, and leave every
+  // tail; K = 30 responses as in the Table-2 per-core fit. Adjacent
+  // candidates correlate (ρ ≈ 0.9), so working-set solves run long enough
+  // for Anderson extrapolation. Each level builds its own Gram and must
+  // reproduce the scalar kernels' solve bit for bit.
+  using linalg::kern::SimdLevel;
+  const SimdLevel was = linalg::kern::simd_level();
+  const std::vector<SimdLevel> levels = host_levels();
+  for (std::size_t s : {1, 2, 3, 4, 5, 6, 7, 8, 9, 21, 33}) {
+    std::vector<std::size_t> support(s);
+    for (std::size_t i = 0; i < s; ++i) support[i] = 2 * i;
+    const Planted p =
+        make_planted(2 * s + 4, 30, 200, support, 0.1, 40 + s, 0.9);
+    linalg::kern::set_simd_level(SimdLevel::kScalar);
+    const GroupLasso scalar(GroupLassoProblem::from_data(p.z, p.g));
+    const double lambda =
+        0.6 * scalar.solve_penalized(1e-3 * scalar.mu_max()).budget;
+    const BudgetRun want = run_budget(scalar, lambda);
+    ASSERT_TRUE(want.result.converged) << "|S| = " << s;
+    for (SimdLevel level : levels) {
+      linalg::kern::set_simd_level(level);
+      const std::string tag = "|S| = " + std::to_string(s) + " " +
+                              linalg::kern::simd_level_name(level);
+      const GroupLasso solver(GroupLassoProblem::from_data(p.z, p.g));
+      const BudgetRun got = run_budget(solver, lambda);
+      const linalg::Matrix& beta = got.result.beta;
+      ASSERT_EQ(beta.rows(), want.result.beta.rows()) << tag;
+      ASSERT_EQ(beta.cols(), want.result.beta.cols()) << tag;
+      EXPECT_TRUE(same_bytes(beta.data(), want.result.beta.data(),
+                             beta.rows() * beta.cols()))
+          << "beta " << tag;
+      ASSERT_EQ(got.result.group_norms.size(),
+                want.result.group_norms.size());
+      EXPECT_TRUE(same_bytes(got.result.group_norms.data(),
+                             want.result.group_norms.data(),
+                             got.result.group_norms.size()))
+          << "group norms " << tag;
+      EXPECT_EQ(got.result.iterations, want.result.iterations) << tag;
+      EXPECT_EQ(got.result.working_sets, want.result.working_sets) << tag;
+      EXPECT_EQ(got.solves, want.solves) << "penalized solves " << tag;
+      EXPECT_EQ(got.sweeps, want.sweeps) << "sweeps " << tag;
+    }
+  }
+  linalg::kern::set_simd_level(was);
 }
 
 TEST(GroupLasso, MismatchedDataRejected) {

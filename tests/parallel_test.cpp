@@ -13,6 +13,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chip/floorplan.hpp"
@@ -309,6 +310,76 @@ TEST(SimdKernels, PanelKernelsBitIdenticalToScalarOracle) {
                                     da_want.data(), db_want.data());
       EXPECT_TRUE(bytes_equal(da_got, da_want)) << "dot_panel2 a n=" << n;
       EXPECT_TRUE(bytes_equal(db_got, db_want)) << "dot_panel2 b n=" << n;
+
+      // Four rows n + 1 apart, written into rows 6 apart.
+      const std::size_t lda = n + 1, ldo = 6;
+      const std::vector<double> a4 = random_doubles(4 * lda, 65 + n);
+      std::vector<double> d4_got(4 * ldo, -1.0), d4_want(4 * ldo, -1.0);
+      linalg::kern::dot_panel4(n, a4.data(), lda, panel_got.data(),
+                               d4_got.data(), ldo);
+      linalg::kern::ref::dot_panel4(n, a4.data(), lda, panel_want.data(),
+                                    d4_want.data(), ldo);
+      EXPECT_TRUE(bytes_equal(d4_got, d4_want)) << "dot_panel4 n=" << n;
+    }
+  }
+}
+
+TEST(SimdKernels, RankOneUpdateBitIdenticalToScalarOracle) {
+  // Row widths around the vector width and its tails (0–9, 17) and the
+  // group-lasso shapes (a 21- or 33-group working set, the 174-candidate
+  // full sweep), at K = 30 rows with row stride n + 3, so a kernel that
+  // writes past a row's width shows in the gap. Every third δ is zero, of
+  // either sign, on a row holding −0.0 entries that an update would turn
+  // into +0.0.
+  SimdGuard guard;
+  constexpr std::size_t kRows = 30;
+  for (SimdLevel level : kOnOff) {
+    linalg::kern::set_simd_level(level);
+    for (std::size_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 21, 33, 174}) {
+      const std::size_t ldp = n + 3;
+      const std::vector<double> a = random_doubles(n, 110 + n);
+      std::vector<double> delta = random_doubles(kRows, 120 + n);
+      std::vector<double> p0 = random_doubles(kRows * ldp, 130 + n);
+      for (std::size_t k = 0; k < kRows; k += 3) {
+        delta[k] = k % 2 == 0 ? 0.0 : -0.0;
+        for (std::size_t j = 0; j < ldp; j += 2) p0[k * ldp + j] = -0.0;
+      }
+      std::vector<double> got = p0, want = p0;
+      linalg::kern::rank1_update(kRows, n, delta.data(), a.data(),
+                                 got.data(), ldp);
+      linalg::kern::ref::rank1_update(kRows, n, delta.data(), a.data(),
+                                      want.data(), ldp);
+      EXPECT_TRUE(bytes_equal(got, want))
+          << "rank1_update n=" << n << " " << simd_level_name(level);
+    }
+  }
+}
+
+TEST(SimdKernels, DiffGramBitIdenticalToScalarOracle) {
+  // Snapshot lengths 0, 1, 5 (one block of four and a tail) and 630 (a
+  // 21-group working set at K = 30), plus every tail length around one
+  // block. The snapshots drift like iterates, so the differences span
+  // several magnitudes.
+  SimdGuard guard;
+  constexpr std::size_t d = linalg::kern::kDiffGramDepth;
+  for (SimdLevel level : kOnOff) {
+    linalg::kern::set_simd_level(level);
+    for (std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 630}) {
+      std::vector<std::vector<double>> snaps(d + 1);
+      snaps[0] = random_doubles(n, 140 + n);
+      for (std::size_t i = 1; i <= d; ++i) {
+        const std::vector<double> step = random_doubles(n, 150 + 10 * i + n);
+        snaps[i] = snaps[i - 1];
+        for (std::size_t e = 0; e < n; ++e)
+          snaps[i][e] += std::ldexp(step[e], -static_cast<int>(3 * i));
+      }
+      const double* x[d + 1];
+      for (std::size_t i = 0; i <= d; ++i) x[i] = snaps[i].data();
+      std::vector<double> got(d * d, -1.0), want(d * d, -2.0);
+      linalg::kern::diff_gram(n, x, got.data());
+      linalg::kern::ref::diff_gram(n, x, want.data());
+      EXPECT_TRUE(bytes_equal(got, want))
+          << "diff_gram n=" << n << " " << simd_level_name(level);
     }
   }
 }
@@ -679,6 +750,44 @@ TEST(SimdKernels, MatmulFamilyBitIdenticalAcrossSimdAndThreads) {
             << "matmul_a_at" << tag;
         EXPECT_TRUE(matrices_identical(gram, gram.transposed()))
             << "matmul_a_at symmetry" << tag;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, GramPanelRowTailsBitIdenticalAcrossSimdAndThreads) {
+  // matmul_a_at sweeps each panel 4 rows at a time, then a 2- and a 1-row
+  // tail, from row max(i0, panel) of its chunk [i0, i1). Row counts 1–11
+  // hit every tail in one chunk; 14 rows of 40001 (about 4.2 Mflop) split
+  // into 4 chunks at 2 and 4 threads, whose panels start 2, 3 and 4 rows
+  // before their chunk ends. Each Gram must equal the naive product and
+  // the scalar single-thread one byte for byte.
+  ThreadCountGuard tguard;
+  SimdGuard sguard;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 7},  {2, 7},  {3, 7},  {4, 7},   {5, 9},     {6, 9},
+      {7, 9},  {8, 13}, {9, 13}, {11, 13}, {14, 40001}};
+  for (const auto& [m, k] : shapes) {
+    Rng rng(1000 + m + k);
+    linalg::Matrix a(m, k), at(k, m);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        at(j, i) = a(i, j) = rng.bernoulli(0.1) ? 0.0 : rng.normal();
+    const linalg::Matrix naive = linalg::matmul_reference(a, at);
+    set_thread_count(1);
+    linalg::kern::set_simd_level(SimdLevel::kScalar);
+    const linalg::Matrix scalar = linalg::matmul_a_at(a);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      for (SimdLevel level : kOnOff) {
+        set_thread_count(threads);
+        linalg::kern::set_simd_level(level);
+        const std::string tag = " m=" + std::to_string(m) + " k=" +
+                                std::to_string(k) + " threads=" +
+                                std::to_string(threads) + " " +
+                                simd_level_name(level);
+        const linalg::Matrix gram = linalg::matmul_a_at(a);
+        EXPECT_TRUE(matrices_identical(gram, naive)) << "naive" << tag;
+        EXPECT_TRUE(matrices_identical(gram, scalar)) << "scalar" << tag;
       }
     }
   }
