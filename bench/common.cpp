@@ -1,5 +1,7 @@
 #include "common.hpp"
 
+#include <sys/resource.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -176,6 +178,13 @@ void append_pairs(std::string& json,
   }
 }
 
+/// Peak resident set size of this process so far (MB; ru_maxrss is KiB).
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 }  // namespace
 
 double calibration_ms() {
@@ -219,6 +228,7 @@ void write_report(const CliArgs& args, const Platform* platform,
           std::string(linalg::kern::simd_level_name(
               linalg::kern::simd_level())) +
           "\",\n";
+  json += "  \"peak_rss_mb\": " + json_number(peak_rss_mb()) + ",\n";
 
   json += "  \"tags\": {";
   for (std::size_t i = 0; i < report.tags.size(); ++i) {

@@ -27,11 +27,11 @@ vmap::core::GroupLassoResult solve_core_gl(
   const auto candidate_rows =
       platform.data.candidate_rows_for_core(*platform.floorplan, core);
   const auto block_rows = platform.floorplan->block_ids_in_core(core);
-  const linalg::Matrix x = platform.data.x_train.select_rows(candidate_rows);
-  const linalg::Matrix f = platform.data.f_train.select_rows(block_rows);
-  const core::Normalizer xn(x), fn(f);
-  core::GroupLasso solver(
-      core::GroupLassoProblem::from_data(xn.normalize(x), fn.normalize(f)));
+  const linalg::Matrix& x = platform.data.x_train;
+  const linalg::Matrix& f = platform.data.f_train;
+  const core::Normalizer xn(x, candidate_rows), fn(f, block_rows);
+  core::GroupLasso solver(core::GroupLassoProblem::from_data(
+      xn.normalize(x, candidate_rows), fn.normalize(f, block_rows)));
   vmap::core::GroupLassoResult gl = solver.solve_budget(budget);
   if (!gl.status.ok()) throw StatusError(gl.status);
   if (!gl.converged)

@@ -47,9 +47,9 @@ void gl_coefficients_to_affine(const GroupLassoResult& gl,
   out.raw_intercept = std::move(intercept);
 }
 
-/// Backend #1: the paper's budgeted group lasso (§2.2, Steps 2-5). The
-/// operation sequence is the pre-refactor fit_core verbatim, so routing
-/// through the seam is bit-identical.
+/// Backend #1: the paper's budgeted group lasso (§2.2, Steps 2-5). Every
+/// arithmetic chain is the pre-refactor fit_core's, in the same order, so
+/// routing through the seam is bit-identical.
 class GroupLassoSelection final : public SelectionBackend {
  public:
   const char* name() const override { return "group_lasso"; }
@@ -59,17 +59,20 @@ class GroupLassoSelection final : public SelectionBackend {
     const std::size_t core_index = ctx.core_index;
     ResilienceReport* report = ctx.report;
 
-    // Steps 2-3: restrict + normalize.
-    const linalg::Matrix x = ctx.data.x_train.select_rows(ctx.candidate_rows);
-    const linalg::Matrix f = ctx.data.f_train.select_rows(ctx.block_rows);
-    const Normalizer x_norm(x);
-    const Normalizer f_norm(f);
-    const linalg::Matrix z = x_norm.normalize(x);
-    const linalg::Matrix g = f_norm.normalize(f);
+    // Steps 2-3: restrict + normalize, reading the dataset's rows in place.
+    const linalg::Matrix& x_train = ctx.data.x_train;
+    const linalg::Matrix& f_train = ctx.data.f_train;
+    const Normalizer x_norm(x_train, ctx.candidate_rows);
+    const Normalizer f_norm(f_train, ctx.block_rows);
 
-    // Step 4: budgeted group lasso; a numerical breakdown is thrown.
-    const GroupLasso solver(GroupLassoProblem::from_data(z, g),
-                            config.gl_options);
+    // Step 4: budgeted group lasso; a numerical breakdown is thrown. Z and
+    // G are temporaries, freed once the Gram statistics are built, so the
+    // solve holds only those.
+    const GroupLasso solver(
+        GroupLassoProblem::from_data(
+            x_norm.normalize(x_train, ctx.candidate_rows),
+            f_norm.normalize(f_train, ctx.block_rows)),
+        config.gl_options);
     const GroupLassoResult gl = solver.solve_budget(config.lambda);
     if (!gl.status.ok()) throw StatusError(gl.status);
     if (!gl.converged) {
@@ -91,8 +94,8 @@ class GroupLassoSelection final : public SelectionBackend {
 
     // Step 5: selection. The OLS refit needs more samples than regressors,
     // so selections are capped at N-1 sensors per core.
-    const std::size_t cap = std::min(ctx.candidate_rows.size(),
-                                     ctx.data.x_train.cols() - 1);
+    const std::size_t cap =
+        std::min(ctx.candidate_rows.size(), x_train.cols() - 1);
     SensorSelection selection =
         config.sensors_per_core
             ? select_top_k(gl, std::min<std::size_t>(

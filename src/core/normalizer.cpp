@@ -1,6 +1,7 @@
 #include "core/normalizer.hpp"
 
 #include <cmath>
+#include <numeric>
 
 #include "linalg/stats.hpp"
 #include "util/assert.hpp"
@@ -8,17 +9,39 @@
 namespace vmap::core {
 
 namespace {
+
 constexpr double kDegenerateStddev = 1e-12;
+
+std::vector<std::size_t> all_rows(const linalg::Matrix& data) {
+  std::vector<std::size_t> rows(data.rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return rows;
 }
 
+const double* row_of(const linalg::Matrix& data, std::size_t row) {
+  VMAP_REQUIRE(row < data.rows(), "row index out of range");
+  return data.row_data(row);
+}
+
+}  // namespace
+
 Normalizer::Normalizer(const linalg::Matrix& data)
-    : mean_(linalg::row_means(data)),
-      stddev_(linalg::row_stddevs(data)),
-      degenerate_(data.rows(), false) {
-  for (std::size_t r = 0; r < stddev_.size(); ++r) {
-    if (stddev_[r] < kDegenerateStddev) {
-      degenerate_[r] = true;
-      stddev_[r] = 1.0;  // keeps transforms well-defined; rows map to 0
+    : Normalizer(data, all_rows(data)) {}
+
+Normalizer::Normalizer(const linalg::Matrix& data,
+                       const std::vector<std::size_t>& rows)
+    : mean_(rows.size()),
+      stddev_(rows.size()),
+      degenerate_(rows.size(), false) {
+  VMAP_REQUIRE(data.cols() > 1, "Normalizer needs at least two samples");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const linalg::Moments m = linalg::moments(row_of(data, rows[i]),
+                                              data.cols());
+    mean_[i] = m.mean;
+    stddev_[i] = std::sqrt(m.variance);
+    if (stddev_[i] < kDegenerateStddev) {
+      degenerate_[i] = true;
+      stddev_[i] = 1.0;  // keeps transforms well-defined; rows map to 0
     }
   }
 }
@@ -29,14 +52,19 @@ bool Normalizer::is_degenerate(std::size_t row) const {
 }
 
 linalg::Matrix Normalizer::normalize(const linalg::Matrix& data) const {
-  VMAP_REQUIRE(data.rows() == variables(), "variable count mismatch");
-  linalg::Matrix z(data.rows(), data.cols());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    if (degenerate_[r]) continue;  // stays zero
-    const double mu = mean_[r];
-    const double inv_sd = 1.0 / stddev_[r];
-    const double* src = data.row_data(r);
-    double* dst = z.row_data(r);
+  return normalize(data, all_rows(data));
+}
+
+linalg::Matrix Normalizer::normalize(
+    const linalg::Matrix& data, const std::vector<std::size_t>& rows) const {
+  VMAP_REQUIRE(rows.size() == variables(), "variable count mismatch");
+  linalg::Matrix z(rows.size(), data.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double* src = row_of(data, rows[i]);
+    if (degenerate_[i]) continue;  // stays zero
+    const double mu = mean_[i];
+    const double inv_sd = 1.0 / stddev_[i];
+    double* dst = z.row_data(i);
     for (std::size_t c = 0; c < data.cols(); ++c)
       dst[c] = (src[c] - mu) * inv_sd;
   }

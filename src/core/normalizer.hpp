@@ -6,7 +6,13 @@
 // data (one variable per row, one sample per column) and applies / inverts
 // the transform. Zero-variance variables are mapped to constant zero and
 // flagged, so constant sensor candidates cannot poison the solver.
+//
+// Learning and normalizing can read a row subset of a larger matrix in
+// place (the per-core fit's candidate and block rows of the dataset), so no
+// restricted copy of the data is made; the whole-matrix forms are the
+// all-rows case.
 
+#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -19,6 +25,9 @@ class Normalizer {
  public:
   /// Learns mean/stddev per row; `data` needs >= 2 columns.
   explicit Normalizer(const linalg::Matrix& data);
+  /// Learns from rows `rows` of `data`, in list order: variable i is row
+  /// rows[i]. Rows may repeat; each must be < data.rows().
+  Normalizer(const linalg::Matrix& data, const std::vector<std::size_t>& rows);
 
   std::size_t variables() const { return mean_.size(); }
   const linalg::Vector& means() const { return mean_; }
@@ -28,6 +37,10 @@ class Normalizer {
 
   /// z = (x - mean) / stddev, row-wise. Degenerate rows map to 0.
   linalg::Matrix normalize(const linalg::Matrix& data) const;
+  /// The same from rows `rows` of `data`: row i of the result transforms
+  /// row rows[i] with variable i's statistics.
+  linalg::Matrix normalize(const linalg::Matrix& data,
+                           const std::vector<std::size_t>& rows) const;
   linalg::Vector normalize(const linalg::Vector& sample) const;
 
   /// x = z * stddev + mean, row-wise. Degenerate rows map back to the mean.

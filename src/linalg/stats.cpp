@@ -6,31 +6,47 @@
 
 namespace vmap::linalg {
 
+namespace {
+
+/// One accumulator over the samples in ascending order, then one divide.
+double mean_of(const double* samples, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) acc += samples[i];
+  return acc / static_cast<double>(n);
+}
+
+}  // namespace
+
+Moments moments(const double* samples, std::size_t n) {
+  VMAP_REQUIRE(n > 1, "moments needs at least two samples");
+  Moments m;
+  m.mean = mean_of(samples, n);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = samples[i] - m.mean;
+    acc += d * d;
+  }
+  m.variance = acc / static_cast<double>(n - 1);
+  return m;
+}
+
+Moments moments(const Vector& sample) {
+  return moments(sample.data(), sample.size());
+}
+
 Vector row_means(const Matrix& data) {
   VMAP_REQUIRE(data.cols() > 0, "row_means needs at least one sample");
   Vector mu(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    const double* row = data.row_data(r);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < data.cols(); ++c) acc += row[c];
-    mu[r] = acc / static_cast<double>(data.cols());
-  }
+  for (std::size_t r = 0; r < data.rows(); ++r)
+    mu[r] = mean_of(data.row_data(r), data.cols());
   return mu;
 }
 
 Vector row_stddevs(const Matrix& data) {
   VMAP_REQUIRE(data.cols() > 1, "row_stddevs needs at least two samples");
-  Vector mu = row_means(data);
   Vector sd(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    const double* row = data.row_data(r);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < data.cols(); ++c) {
-      const double d = row[c] - mu[r];
-      acc += d * d;
-    }
-    sd[r] = std::sqrt(acc / static_cast<double>(data.cols() - 1));
-  }
+  for (std::size_t r = 0; r < data.rows(); ++r)
+    sd[r] = std::sqrt(moments(data.row_data(r), data.cols()).variance);
   return sd;
 }
 
@@ -82,19 +98,6 @@ double pearson(const Vector& a, const Vector& b) {
   }
   const double denom = std::sqrt(saa * sbb);
   return denom > 0.0 ? sab / denom : 0.0;
-}
-
-Moments moments(const Vector& sample) {
-  VMAP_REQUIRE(sample.size() > 1, "moments needs at least two samples");
-  Moments m;
-  m.mean = sample.mean();
-  double acc = 0.0;
-  for (double v : sample) {
-    const double d = v - m.mean;
-    acc += d * d;
-  }
-  m.variance = acc / static_cast<double>(sample.size() - 1);
-  return m;
 }
 
 }  // namespace vmap::linalg

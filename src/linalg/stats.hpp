@@ -10,6 +10,18 @@
 
 namespace vmap::linalg {
 
+/// Mean and variance of a flat sample.
+struct Moments {
+  double mean = 0.0;
+  double variance = 0.0;  // unbiased
+};
+Moments moments(const Vector& sample);
+
+/// Moments of `n` >= 2 contiguous samples, e.g. one row of a data matrix.
+/// Each sum is one accumulator over the samples in ascending order; the
+/// mean is computed once and centres the variance pass.
+Moments moments(const double* samples, std::size_t n);
+
 /// Mean of each row (variable) across columns (samples).
 Vector row_means(const Matrix& data);
 
@@ -27,12 +39,5 @@ Matrix correlation(const Matrix& data);
 /// Pearson correlation between two equal-length vectors (samples).
 /// Returns 0 when either has zero variance.
 double pearson(const Vector& a, const Vector& b);
-
-/// Mean and variance of a flat sample.
-struct Moments {
-  double mean = 0.0;
-  double variance = 0.0;  // unbiased
-};
-Moments moments(const Vector& sample);
 
 }  // namespace vmap::linalg

@@ -144,6 +144,54 @@ TEST(PowerGrid, DroopDecaysWithDistanceFromLoad) {
   EXPECT_GT(near, far);
 }
 
+/// Voltage rise from the centre node to the node (dx, dy) away when 1 A is
+/// drawn at the centre and 1 A injected at the other node. The load is net
+/// zero, so the one pad carries no current and the rise is the mesh's
+/// two-point resistance.
+double two_point_resistance(std::size_t n, std::size_t dx, std::size_t dy) {
+  GridConfig c;
+  c.nx = n;
+  c.ny = n;
+  c.pad_spacing = n;  // one pad, at the centre
+  const PowerGrid grid(c);
+  EXPECT_EQ(grid.pad_nodes().size(), 1u);
+  linalg::Vector load(grid.node_count());
+  const std::size_t a = grid.node_id(n / 2, n / 2);
+  const std::size_t b = grid.node_id(n / 2 + dx, n / 2 + dy);
+  load[a] = 1.0;
+  load[b] = -1.0;
+  const linalg::Vector v = grid.dc_solve(load);
+  EXPECT_NEAR(v[grid.pad_nodes()[0]], c.vdd, 1e-12);
+  return v[b] - v[a];
+}
+
+TEST(PowerGrid, DcSolveMatchesInfiniteMeshTwoPointResistance) {
+  // The infinite square mesh of resistors R has R(1,0) = R/2 and
+  // R(1,1) = 2R/π (Atkinson & van Steenwijk, Am. J. Phys. 1999). A finite
+  // n × n die differs by O(1/n²): doubling n cuts the error about 4×. At
+  // R = 0.25 Ω and n = 41 the errors are 8.1e-5 Ω (axis) and 1.6e-4 Ω
+  // (diagonal).
+  const double r = GridConfig{}.segment_resistance;
+  const double pi = std::acos(-1.0);
+  struct Pair {
+    std::size_t dx, dy;
+    double exact;
+    double bound41;
+  };
+  for (const Pair& p :
+       {Pair{1, 0, r / 2.0, 1e-4}, Pair{1, 1, 2.0 * r / pi, 2e-4}}) {
+    SCOPED_TRACE(::testing::Message() << "offset (" << p.dx << ", " << p.dy
+                                      << ")");
+    const double err41 =
+        std::abs(two_point_resistance(41, p.dx, p.dy) - p.exact);
+    const double err81 =
+        std::abs(two_point_resistance(81, p.dx, p.dy) - p.exact);
+    EXPECT_LT(err41, p.bound41);
+    EXPECT_GT(err41 / err81, 3.5);
+    EXPECT_LT(err41 / err81, 4.5);
+  }
+}
+
 TEST(PowerGrid, RejectsBadConfigs) {
   GridConfig c = small_config();
   c.nx = 1;

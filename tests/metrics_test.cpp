@@ -13,6 +13,7 @@
 
 #include "common.hpp"
 #include "linalg/kernels.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -249,6 +250,12 @@ TEST(RunReport, JsonRoundTripThroughWriteReport) {
                           linalg::kern::simd_level()) +
                       "\""),
             std::string::npos);
+  const StatusOr<json::Value> parsed = json::parse(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const json::Value* peak = parsed.value().find("peak_rss_mb");
+  ASSERT_NE(peak, nullptr);
+  ASSERT_TRUE(peak->is_number());
+  EXPECT_GT(peak->as_number(), 0.0);
   EXPECT_NE(json.find("\"resilience\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"test.report.counter\""), std::string::npos);

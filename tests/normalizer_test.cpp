@@ -1,8 +1,11 @@
-// Normalizer tests: z-score invariants, round trips, degenerate rows.
+// Normalizer tests: z-score invariants, round trips, degenerate rows, and
+// the in-place row-subset path against the copy it replaces.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/normalizer.hpp"
 #include "linalg/stats.hpp"
@@ -104,6 +107,81 @@ TEST(Normalizer, ShapeMismatchThrows) {
 
 TEST(Normalizer, RequiresTwoSamples) {
   EXPECT_THROW(Normalizer(linalg::Matrix(3, 1)), vmap::ContractError);
+}
+
+bool same_bytes(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+/// Learning from and normalizing rows `rows` of `data` in place must give
+/// the bytes that select_rows + Normalizer(x) + normalize(x) give, and the
+/// bytes of the two-pass formula.
+void expect_in_place_matches_copy(const linalg::Matrix& data,
+                                  const std::vector<std::size_t>& rows) {
+  const linalg::Matrix x = data.select_rows(rows);
+  const Normalizer from_copy(x);
+  const Normalizer in_place(data, rows);
+  ASSERT_EQ(in_place.variables(), rows.size());
+  EXPECT_TRUE(same_bytes(in_place.means().data(), from_copy.means().data(),
+                         rows.size()));
+  EXPECT_TRUE(same_bytes(in_place.stddevs().data(),
+                         from_copy.stddevs().data(), rows.size()));
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    EXPECT_EQ(in_place.is_degenerate(i), from_copy.is_degenerate(i))
+        << "variable " << i;
+  const linalg::Matrix z_copy = from_copy.normalize(x);
+  const linalg::Matrix z = in_place.normalize(data, rows);
+  ASSERT_EQ(z.rows(), z_copy.rows());
+  ASSERT_EQ(z.cols(), z_copy.cols());
+  EXPECT_TRUE(same_bytes(z.data(), z_copy.data(), z.rows() * z.cols()));
+
+  // Both paths keep the chains written out here: one accumulator with the
+  // samples ascending for the mean, a second pass for the variance, then
+  // (x - mean) * (1 / stddev).
+  const std::size_t n = data.cols();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double* row = data.row_data(rows[i]);
+    double sum = 0.0;
+    for (std::size_t c = 0; c < n; ++c) sum += row[c];
+    const double mu = sum / static_cast<double>(n);
+    double ss = 0.0;
+    for (std::size_t c = 0; c < n; ++c) ss += (row[c] - mu) * (row[c] - mu);
+    const double sd = std::sqrt(ss / static_cast<double>(n - 1));
+    EXPECT_EQ(in_place.means()[i], mu) << "variable " << i;
+    if (in_place.is_degenerate(i)) continue;
+    EXPECT_EQ(in_place.stddevs()[i], sd) << "variable " << i;
+    for (std::size_t c = 0; c < n; ++c)
+      EXPECT_EQ(z(i, c), (row[c] - mu) * (1.0 / sd)) << i << ", " << c;
+  }
+}
+
+TEST(Normalizer, RowSubsetInPlaceIsByteIdenticalToCopy) {
+  vmap::Rng rng(5);
+  linalg::Matrix data = random_data(7, 53, rng);
+  for (std::size_t c = 0; c < data.cols(); ++c) data(3, c) = -2.25;
+  const std::vector<std::vector<std::size_t>> cases = {
+      {5, 0, 6, 2},           // unsorted
+      {4, 1, 4},              // a repeated row
+      {3, 6},                 // a constant (degenerate) row
+      {2},                    // a single row
+      {0, 1, 2, 3, 4, 5, 6},  // all rows
+  };
+  for (const auto& rows : cases) {
+    SCOPED_TRACE(::testing::PrintToString(rows));
+    expect_in_place_matches_copy(data, rows);
+  }
+  EXPECT_TRUE(Normalizer(data, {3, 6}).is_degenerate(0));
+}
+
+TEST(Normalizer, RowSubsetRejectsBadRowsAndTooFewSamples) {
+  vmap::Rng rng(6);
+  const linalg::Matrix data = random_data(3, 20, rng);
+  EXPECT_THROW(Normalizer(data, {0, 3}), vmap::ContractError);
+  const Normalizer norm(data, {0, 2});
+  EXPECT_THROW(norm.normalize(data, {0, 3}), vmap::ContractError);
+  EXPECT_THROW(norm.normalize(data, {0}), vmap::ContractError);
+  EXPECT_THROW(Normalizer(linalg::Matrix(3, 1), {0, 1}),
+               vmap::ContractError);
 }
 
 }  // namespace

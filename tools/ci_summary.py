@@ -18,7 +18,9 @@ Three sections, each emitted only when its input is present:
   tools/perf_gate.py gates on). Baselines are looked up as
   <baselines-dir>/<bench>.json; a missing baseline just drops the
   comparison columns. Report tags (backend names etc.) are shown next
-  to the bench name so ablation rows are self-describing. Reports whose
+  to the bench name so ablation rows are self-describing. A line under
+  the name gives the calibration ratio, the SIMD level and the run's
+  peak RSS (`peak_rss_mb`, reported, not gated). Reports whose
   metrics snapshot holds group-lasso solves also get one line with the
   `gl.cap_hits` count, the `gl.sweeps` and `gl.working_sets` totals and
   the largest final `gl.duality_gap` (the upper edge of its highest
@@ -149,6 +151,9 @@ def report_section(path, baselines_dir):
     cal = float(report.get("calibration_ms", 0.0) or 0.0)
     base_cal = float((base or {}).get("calibration_ms", 0.0) or 0.0)
     simd = f"SIMD level `{report.get('simd', 'unreported')}`"
+    peak = report.get("peak_rss_mb")
+    if isinstance(peak, (int, float)):
+        simd += f", peak RSS {peak:.1f} MB"
     if base_cal > 0 and cal > 0:
         print(f"calibration {cal:.1f} ms vs baseline {base_cal:.1f} ms "
               f"(machine speed ratio {cal / base_cal:.2f}x), {simd}")
