@@ -5,10 +5,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 
 #include "linalg/kernels.hpp"
+#include "util/atomic_file.hpp"
 #include "util/flight_recorder.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -33,8 +33,10 @@ extern "C" void interrupt_flush_handler(int sig) {
       std::fprintf(stderr, "[signal] trace %s\n",
                    st.ok() ? "flushed" : st.to_string().c_str());
     }
+    json::Writer metrics_json;
+    metrics::snapshot_json(metrics_json);
     std::fprintf(stderr, "[signal] interrupted by signal %d; metrics: %s\n",
-                 sig, metrics::snapshot_json().c_str());
+                 sig, metrics_json.str().c_str());
     std::fprintf(stderr, "[signal] flight-recorder tail:\n");
     flight::dump(2);
   }
@@ -160,22 +162,11 @@ double scaled_lambda(const CliArgs& args, double paper_lambda) {
 
 namespace {
 
-/// Full-precision double literal: %.17g round-trips IEEE doubles exactly,
-/// which is what lets perf_gate.py hold correctness scalars byte-identical.
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void append_pairs(std::string& json,
-                  const std::vector<std::pair<std::string, double>>& pairs) {
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (i) json += ",";
-    json += "\"";
-    json::escape_into(json, pairs[i].first);
-    json += "\":" + json_number(pairs[i].second);
-  }
+void write_pairs(json::Writer& w, const char* name,
+                 const std::vector<std::pair<std::string, double>>& pairs) {
+  w.key(name).begin_object();
+  for (const auto& [key, value] : pairs) w.field(key, value);
+  w.end_object();
 }
 
 /// Peak resident set size of this process so far (MB; ru_maxrss is KiB).
@@ -209,86 +200,47 @@ void write_report(const CliArgs& args, const Platform* platform,
   const std::string path = args.get("report");
   if (path.empty()) return;
 
-  std::string json = "{\n";
-  json += "  \"schema\": 1,\n";
-  json += "  \"bench\": \"";
-  json::escape_into(json, report.bench);
-  json += "\",\n";
+  json::Writer w;
+  w.begin_object().field("schema", 1).field("bench", report.bench);
   if (platform) {
     char hash[32];
     std::snprintf(hash, sizeof(hash), "0x%016llx",
                   static_cast<unsigned long long>(platform->data.platform));
-    json += "  \"platform_hash\": \"" + std::string(hash) + "\",\n";
-    json += "  \"seed\": " +
-            std::to_string(platform->setup.data.seed) + ",\n";
+    w.field("platform_hash", hash).field("seed", platform->setup.data.seed);
   }
-  json += "  \"threads\": " + std::to_string(thread_count()) + ",\n";
-  json += "  \"calibration_ms\": " + json_number(calibration_ms()) + ",\n";
-  json += "  \"simd\": \"" +
-          std::string(linalg::kern::simd_level_name(
-              linalg::kern::simd_level())) +
-          "\",\n";
-  json += "  \"peak_rss_mb\": " + json_number(peak_rss_mb()) + ",\n";
+  w.field("threads", thread_count()).field("calibration_ms", calibration_ms());
+  w.field("simd", linalg::kern::simd_level_name(linalg::kern::simd_level()));
+  w.field("peak_rss_mb", peak_rss_mb());
 
-  json += "  \"tags\": {";
-  for (std::size_t i = 0; i < report.tags.size(); ++i) {
-    if (i) json += ",";
-    json += "\"";
-    json::escape_into(json, report.tags[i].first);
-    json += "\":\"";
-    json::escape_into(json, report.tags[i].second);
-    json += "\"";
-  }
-  json += "},\n";
-
-  json += "  \"scalars\": {";
-  append_pairs(json, report.scalars);
-  json += "},\n";
-
-  json += "  \"timings_ms\": {";
-  append_pairs(json, report.timings_ms);
-  json += "},\n";
+  w.key("tags").begin_object();
+  for (const auto& [key, value] : report.tags) w.field(key, value);
+  w.end_object();
+  write_pairs(w, "scalars", report.scalars);
+  write_pairs(w, "timings_ms", report.timings_ms);
 
   // Resilience: the counters the gate watches plus the full event list so
   // a degraded run is diagnosable from the artifact alone.
-  json += "  \"resilience\": {";
-  if (platform && platform->report) {
-    const ResilienceReport& r = *platform->report;
-    json += "\"clean\": " + std::string(r.clean() ? "true" : "false");
-    json += ", \"retries\": " + std::to_string(r.retries());
-    json += ", \"fallbacks\": " + std::to_string(r.fallbacks());
-    json += ", \"recollects\": " + std::to_string(r.recollects());
-    json += ", \"events\": [";
-    const auto events = r.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (i) json += ",";
-      json += "{\"stage\": \"";
-      json::escape_into(json, events[i].stage);
-      json += "\", \"action\": \"";
-      json += resilience_action_name(events[i].action);
-      json += "\", \"detail\": \"";
-      json::escape_into(json, events[i].detail);
-      json += "\"}";
-    }
-    json += "]";
-  } else {
-    json += "\"clean\": true, \"retries\": 0, \"fallbacks\": 0, "
-            "\"recollects\": 0, \"events\": []";
+  const ResilienceReport clean;
+  const ResilienceReport& r =
+      platform && platform->report ? *platform->report : clean;
+  w.key("resilience").begin_object().field("clean", r.clean());
+  w.field("retries", r.retries()).field("fallbacks", r.fallbacks());
+  w.field("recollects", r.recollects()).key("events").begin_array();
+  for (const ResilienceEvent& e : r.events()) {
+    w.begin_object().field("stage", e.stage);
+    w.field("action", resilience_action_name(e.action));
+    w.field("detail", e.detail).end_object();
   }
-  json += "},\n";
+  w.end_array().end_object();
 
-  json += "  \"metrics\": " + metrics::snapshot_json() + ",\n";
-
+  metrics::snapshot_json(w.key("metrics"));
   const char* trace_env = std::getenv("VMAP_TRACE");
-  json += "  \"trace\": \"";
-  json::escape_into(json, trace_env ? trace_env : "");
-  json += "\"\n}\n";
+  w.field("trace", trace_env ? trace_env : "").end_object();
 
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write run report: " + path);
-  out << json;
-  out.flush();
-  if (!out) throw std::runtime_error("run report write failed: " + path);
+  const Status written = write_file_atomic(path, w.str());
+  if (!written.ok())
+    throw std::runtime_error("cannot write run report: " +
+                             written.to_string());
   std::fprintf(stderr, "[report] wrote %s\n", path.c_str());
 }
 

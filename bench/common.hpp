@@ -74,7 +74,9 @@ double calibration_ms();
 /// Writes the run report named by --report (no-op when the flag is
 /// empty/absent): schema version, bench name, platform hash + seed +
 /// thread count (when `platform` is non-null), calibration timing, the
-/// scalars/timings, the full metrics snapshot, and the resilience report.
+/// scalars/timings, the full metrics snapshot, and the resilience report,
+/// as compact JSON written with write_file_atomic. Throws
+/// std::runtime_error when the file cannot be written.
 void write_report(const CliArgs& args, const Platform* platform,
                   const RunReport& report);
 
@@ -101,14 +103,14 @@ Platform load_platform(const CliArgs& args);
 /// refits) are never silently absorbed into the results.
 void print_resilience(const Platform& platform);
 
-/// Registers `--selection` / `--prediction` (model-backend names resolved
-/// through the core registry; see src/core/backend.hpp). Call after
+/// Registers `--selection` / `--prediction` (the built-in model-backend
+/// names of src/core/backend.hpp). Call after
 /// add_common_flags in benches that fit placements.
 void add_backend_flags(CliArgs& args);
 
 /// Copies the backend flags into a pipeline config and tags the report with
 /// the chosen names. Unknown names surface later from fit_placement as
-/// StatusError(kInvalidArgument) listing what is registered.
+/// StatusError(kInvalidArgument) listing the known names.
 void apply_backend_flags(const CliArgs& args, core::PipelineConfig& config,
                          RunReport& report);
 

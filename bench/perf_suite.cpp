@@ -4,8 +4,8 @@
 // GL+OLS placement fit, transient stepping (inherently sequential; its
 // speedup should hover near 1x and any regression is a red flag), and the
 // blocked dense matmul — at each requested thread count, prints a speedup
-// table, and writes machine-readable BENCH_perf.json so future PRs have a
-// perf trajectory to regress against.
+// table, and records every op@threads wall time in its --report so
+// tools/perf_gate.py can gate them against bench/baselines/perf_suite.json.
 //
 // Collection and fitting are re-run at every thread count and the results
 // are compared against the 1-thread run: the suite FAILS (exit 1) if any
@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -129,34 +128,15 @@ bool models_identical(const core::PlacementModel& a,
   return true;
 }
 
-void write_json(const std::string& path,
-                const std::vector<Measurement>& rows) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char line[200];
-    std::snprintf(line, sizeof(line),
-                  "  {\"op\": \"%s\", \"threads\": %zu, \"wall_ms\": %.2f, "
-                  "\"cal_ms\": %.2f, \"speedup\": %.3f}%s\n",
-                  rows[i].op.c_str(), rows[i].threads, rows[i].wall_ms,
-                  rows[i].cal_ms, rows[i].speedup,
-                  i + 1 < rows.size() ? "," : "");
-    out << line;
-  }
-  out << "]\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliArgs args(
       "perf_suite — times collection / GL fit / transient stepping / matmul "
-      "at several thread counts, checks bit-identity to the serial path, "
-      "and writes BENCH_perf.json");
+      "at several thread counts and checks bit-identity to the serial "
+      "path");
   args.add_flag("threads-list", "",
                 "comma-separated thread counts (default: 1,2,<hardware>)");
-  args.add_flag("out", "BENCH_perf.json", "output JSON path");
   args.add_flag("report", "",
                 "write a machine-readable run report (JSON) to this path: "
                 "per-op timings, bit-identity flag, metrics snapshot");
@@ -290,8 +270,8 @@ int main(int argc, char** argv) {
     set_thread_count(0);
 
     // --- kernel instruction mix -----------------------------------------
-    // Scalar vs SIMD vs SIMD+threads per kernel class, so BENCH_perf.json
-    // shows *where* scaling is lost: dispatch-level vectorization (the
+    // Scalar vs SIMD vs SIMD+threads per kernel class, so the report shows
+    // *where* scaling is lost: dispatch-level vectorization (the
     // scalar→simd column), thread-level partitioning (simd→simd_mt), or
     // neither (dot/axpy is sequential by contract — its mt column staying
     // flat is expected, not a regression). Speedups are against the scalar
@@ -370,8 +350,6 @@ int main(int argc, char** argv) {
     std::printf("== perf suite (bit-identity %s) ==\n",
                 identical ? "OK" : "FAILED");
     table.print(std::cout);
-    write_json(args.get("out"), results);
-    std::printf("\nwrote %s\n", args.get("out").c_str());
 
     // Run report: every op@threads wall time (gated with the calibration-
     // normalized tolerance) plus bit_identity, which must stay exactly 1.

@@ -240,21 +240,6 @@ std::vector<std::size_t> Floorplan::ba_candidates_for_core(
   return candidates;
 }
 
-Floorplan::Rect Floorplan::core_region(std::size_t core) const {
-  VMAP_REQUIRE(core < core_count(), "core index out of range");
-  const auto& gc = grid_.config();
-  const std::size_t slot_w = gc.nx / config_.cores_x;
-  const std::size_t slot_h = gc.ny / config_.cores_y;
-  const std::size_t cx = core % config_.cores_x;
-  const std::size_t cy = core / config_.cores_x;
-  Rect r;
-  r.x0 = cx * slot_w + config_.core_margin;
-  r.x1 = (cx + 1) * slot_w - config_.core_margin;
-  r.y0 = cy * slot_h + config_.core_margin;
-  r.y1 = (cy + 1) * slot_h - config_.core_margin;
-  return r;
-}
-
 std::string Floorplan::ascii_map(
     const std::vector<std::size_t>& marked) const {
   const auto& gc = grid_.config();

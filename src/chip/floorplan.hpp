@@ -103,7 +103,6 @@ class Floorplan {
   struct Rect {
     std::size_t x0 = 0, y0 = 0, x1 = 0, y1 = 0;
   };
-  Rect core_region(std::size_t core) const;
 
   /// ASCII rendering of the die: blocks as unit letters, BA as '.', nodes
   /// in `marked` overdrawn with '*' (used by the Fig. 3 harness).

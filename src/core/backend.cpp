@@ -1,8 +1,6 @@
 #include "core/backend.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 #include "core/baselines.hpp"
@@ -170,132 +168,32 @@ class OlsPrediction final : public PredictionBackend {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, SelectionFactory> selection;
-  std::map<std::string, PredictionFactory> prediction;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry();  // leaked: outlives static dtors
-  return *r;
-}
-
-void ensure_builtins() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    r.selection.emplace("group_lasso", [] {
-      return std::unique_ptr<SelectionBackend>(new GroupLassoSelection());
-    });
-    r.selection.emplace("greedy_r2", [] {
-      return std::unique_ptr<SelectionBackend>(new GreedyR2Selection());
-    });
-    r.prediction.emplace("ols", [] {
-      return std::unique_ptr<PredictionBackend>(new OlsPrediction());
-    });
-    r.prediction.emplace("spatial",
-                         [] { return make_spatial_surrogate_backend(); });
-  });
-}
-
-template <typename Factory>
-Status register_backend(std::map<std::string, Factory>& slot,
-                        std::mutex& mutex, const char* kind,
-                        const std::string& name, Factory factory) {
-  if (name.empty())
-    return Status::InvalidArgument(std::string(kind) +
-                                   " backend name must not be empty");
-  if (!factory)
-    return Status::InvalidArgument(std::string(kind) + " backend '" + name +
-                                   "' has a null factory");
-  std::lock_guard<std::mutex> lock(mutex);
-  if (!slot.emplace(name, std::move(factory)).second)
-    return Status::InvalidArgument(std::string(kind) + " backend '" + name +
-                                   "' is already registered");
-  return Status::Ok();
-}
-
-template <typename Backend, typename Factory>
-StatusOr<std::unique_ptr<Backend>> make_backend(
-    const std::map<std::string, Factory>& slot, std::mutex& mutex,
-    const char* kind, const std::string& name) {
-  std::unique_lock<std::mutex> lock(mutex);
-  const auto it = slot.find(name);
-  if (it == slot.end()) {
-    std::string known;
-    for (const auto& [n, f] : slot) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    return Status::InvalidArgument("unknown " + std::string(kind) +
-                                   " backend '" + name + "' (registered: " +
-                                   known + ")");
-  }
-  const Factory factory = it->second;  // copy: call outside the lock
-  lock.unlock();
-  std::unique_ptr<Backend> backend = factory();
-  if (!backend)
-    return Status::InvalidArgument(std::string(kind) + " backend '" + name +
-                                   "' factory returned null");
-  return backend;
-}
-
-template <typename Factory>
-std::vector<std::string> backend_names(
-    const std::map<std::string, Factory>& slot, std::mutex& mutex) {
-  std::lock_guard<std::mutex> lock(mutex);
-  std::vector<std::string> names;
-  names.reserve(slot.size());
-  for (const auto& [name, factory] : slot) names.push_back(name);
-  return names;  // std::map iterates sorted
-}
-
 }  // namespace
-
-Status register_selection_backend(const std::string& name,
-                                  SelectionFactory factory) {
-  ensure_builtins();
-  Registry& r = registry();
-  return register_backend(r.selection, r.mutex, "selection", name,
-                          std::move(factory));
-}
-
-Status register_prediction_backend(const std::string& name,
-                                   PredictionFactory factory) {
-  ensure_builtins();
-  Registry& r = registry();
-  return register_backend(r.prediction, r.mutex, "prediction", name,
-                          std::move(factory));
-}
 
 StatusOr<std::unique_ptr<SelectionBackend>> make_selection_backend(
     const std::string& name) {
-  ensure_builtins();
-  Registry& r = registry();
-  return make_backend<SelectionBackend>(r.selection, r.mutex, "selection",
-                                        name);
+  std::unique_ptr<SelectionBackend> backend;
+  if (name == "group_lasso")
+    backend = std::make_unique<GroupLassoSelection>();
+  else if (name == "greedy_r2")
+    backend = std::make_unique<GreedyR2Selection>();
+  else
+    return Status::InvalidArgument("unknown selection backend '" + name +
+                                   "' (known: greedy_r2, group_lasso)");
+  return backend;
 }
 
 StatusOr<std::unique_ptr<PredictionBackend>> make_prediction_backend(
     const std::string& name) {
-  ensure_builtins();
-  Registry& r = registry();
-  return make_backend<PredictionBackend>(r.prediction, r.mutex, "prediction",
-                                         name);
-}
-
-std::vector<std::string> selection_backend_names() {
-  ensure_builtins();
-  Registry& r = registry();
-  return backend_names(r.selection, r.mutex);
-}
-
-std::vector<std::string> prediction_backend_names() {
-  ensure_builtins();
-  Registry& r = registry();
-  return backend_names(r.prediction, r.mutex);
+  std::unique_ptr<PredictionBackend> backend;
+  if (name == "ols")
+    backend = std::make_unique<OlsPrediction>();
+  else if (name == "spatial")
+    backend = make_spatial_surrogate_backend();
+  else
+    return Status::InvalidArgument("unknown prediction backend '" + name +
+                                   "' (known: ols, spatial)");
+  return backend;
 }
 
 }  // namespace vmap::core

@@ -2,7 +2,7 @@
 // Pluggable model backends for the placement pipeline.
 //
 // The paper hard-wires one selection model (budgeted group lasso, §2.2)
-// and one prediction model (unconstrained OLS refit, §2.3). This registry
+// and one prediction model (unconstrained OLS refit, §2.3). This seam
 // splits the per-core fit into two replaceable components:
 //
 //   * SelectionBackend  — picks which candidate rows become sensors for a
@@ -11,8 +11,7 @@
 //     raw readings to the core's block voltages (the "what do the readings
 //     mean" question).
 //
-// Backends are looked up by name through a process-wide registry; the
-// built-ins self-register on first use:
+// Backends are looked up by name among the four built-ins:
 //
 //   selection:   "group_lasso" (default, bit-identical to the historic
 //                pipeline), "greedy_r2" (forward selection baseline)
@@ -26,7 +25,6 @@
 // constructs one instance per core fit and may run cores concurrently.
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -97,26 +95,11 @@ class PredictionBackend {
       const std::vector<std::size_t>& selected_rows) const = 0;
 };
 
-using SelectionFactory = std::function<std::unique_ptr<SelectionBackend>()>;
-using PredictionFactory = std::function<std::unique_ptr<PredictionBackend>()>;
-
-/// Registers a backend under `name`. Rejects empty names, null factories,
-/// and duplicates (kInvalidArgument) — a name collision is a programming
-/// error worth surfacing, not silently shadowing. Thread-safe.
-Status register_selection_backend(const std::string& name,
-                                  SelectionFactory factory);
-Status register_prediction_backend(const std::string& name,
-                                   PredictionFactory factory);
-
-/// Instantiates a backend by name; unknown names are kInvalidArgument
-/// (listing what is registered), never an abort. Thread-safe.
+/// Instantiates a built-in backend by name; unknown names are
+/// kInvalidArgument (listing the known names), never an abort.
 StatusOr<std::unique_ptr<SelectionBackend>> make_selection_backend(
     const std::string& name);
 StatusOr<std::unique_ptr<PredictionBackend>> make_prediction_backend(
     const std::string& name);
-
-/// Registered names, sorted (built-ins included).
-std::vector<std::string> selection_backend_names();
-std::vector<std::string> prediction_backend_names();
 
 }  // namespace vmap::core

@@ -1,19 +1,17 @@
 #include "core/dataset.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "chip/critical_nodes.hpp"
 #include "grid/transient.hpp"
 #include "util/assert.hpp"
-#include "util/atomic_file.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
+#include "util/sectioned_file.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 #include "workload/activity.hpp"
@@ -36,11 +34,6 @@ linalg::Matrix slice_cols(const linalg::Matrix& m, std::size_t begin,
 linalg::Matrix Dataset::x_train_for(std::size_t bench) const {
   VMAP_REQUIRE(bench < benchmarks.size(), "benchmark index out of range");
   return slice_cols(x_train, benchmarks[bench].train_begin,
-                    benchmarks[bench].train_end);
-}
-linalg::Matrix Dataset::f_train_for(std::size_t bench) const {
-  VMAP_REQUIRE(bench < benchmarks.size(), "benchmark index out of range");
-  return slice_cols(f_train, benchmarks[bench].train_begin,
                     benchmarks[bench].train_end);
 }
 linalg::Matrix Dataset::x_test_for(std::size_t bench) const {
@@ -311,119 +304,61 @@ Dataset DataCollector::collect(
 
 namespace {
 constexpr std::uint64_t kMagic = 0x564D415044534554ULL;  // "VMAPDSET"
-// v7: sectioned layout with a per-section FNV-1a checksum and atomic
-// (write_file_atomic) saves. v6 and older caches fail the version
-// check and are transparently recollected.
+// v7: sectioned layout (util/sectioned_file) with a per-section FNV-1a
+// checksum and atomic saves. v6 and older caches fail the version check
+// and are transparently recollected.
 constexpr std::uint64_t kVersion = 7;
 
-void write_u64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void write_matrix(SectionedWriter& out, const linalg::Matrix& m) {
+  out.put_u64(m.rows());
+  out.put_u64(m.cols());
+  out.put_bytes(m.data(), m.rows() * m.cols() * sizeof(double));
 }
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-void write_f64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-double read_f64(std::istream& in) {
-  double v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-// The readers below allocate from counts stored in a section payload. The
-// section checksum is FNV-1a, which does not stop a forged count, so every
-// count is bounded by the payload bytes left before anything is allocated;
-// a count that cannot fit fails the stream, and the section surfaces as
-// kCorruption instead of an overflowed shape, std::bad_alloc or
-// std::length_error.
-
-/// Bytes left unread in a payload stream.
-std::uint64_t bytes_left(std::istream& in) {
-  const std::streamsize n = in ? in.rdbuf()->in_avail() : 0;
-  return n > 0 ? static_cast<std::uint64_t>(n) : 0;
-}
-/// Reads an element count; fails the stream (and returns 0) unless that
-/// many `element_bytes`-byte elements fit in the bytes left.
-std::uint64_t read_count(std::istream& in, std::uint64_t element_bytes) {
-  const std::uint64_t n = read_u64(in);
-  if (n <= bytes_left(in) / element_bytes) return n;
-  in.setstate(std::ios::failbit);
-  return 0;
-}
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_u64(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::string read_string(std::istream& in) {
-  const std::uint64_t n = read_count(in, 1);
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  return s;
-}
-void write_matrix(std::ostream& out, const linalg::Matrix& m) {
-  write_u64(out, m.rows());
-  write_u64(out, m.cols());
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(m.rows() * m.cols() *
-                                         sizeof(double)));
-}
-linalg::Matrix read_matrix(std::istream& in) {
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
+/// Reads a matrix of `rows` rows; any other shape fails the cursor.
+linalg::Matrix read_matrix(PayloadCursor& in, std::size_t rows) {
+  const std::uint64_t stored_rows = in.u64();
+  const std::uint64_t cols = in.u64();
   // rows <= fit / cols keeps rows * cols (and its byte count) from
   // overflowing.
-  if (cols != 0 && rows > bytes_left(in) / sizeof(double) / cols) {
-    in.setstate(std::ios::failbit);
+  if (stored_rows != rows ||
+      (cols != 0 && rows > in.bytes_left() / sizeof(double) / cols)) {
+    in.fail();
     return {};
   }
   linalg::Matrix m(rows, cols);
-  in.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(rows * cols * sizeof(double)));
+  in.bytes(m.data(), rows * cols * sizeof(double));
   return m;
 }
-void write_indices(std::ostream& out, const std::vector<std::size_t>& v) {
-  write_u64(out, v.size());
-  for (std::size_t x : v) write_u64(out, x);
+void write_config(SectionedWriter& out, const DataConfig& c) {
+  out.put_f64(c.dt);
+  out.put_u64(c.warmup_steps);
+  out.put_u64(c.train_maps_per_benchmark);
+  out.put_u64(c.test_maps_per_benchmark);
+  out.put_u64(c.map_stride);
+  out.put_u64(c.candidate_stride);
+  out.put_u64(c.critical_nodes_per_block);
+  out.put_u64(c.include_fa_candidates ? 1 : 0);
+  out.put_f64(c.target_emergency_rate);
+  out.put_f64(c.target_droop);
+  out.put_f64(c.emergency_threshold);
+  out.put_u64(c.calibration_steps);
+  out.put_u64(c.seed);
 }
-std::vector<std::size_t> read_indices(std::istream& in) {
-  std::vector<std::size_t> v(read_count(in, sizeof(std::uint64_t)));
-  for (auto& x : v) x = read_u64(in);
-  return v;
-}
-
-void write_config(std::ostream& out, const DataConfig& c) {
-  write_f64(out, c.dt);
-  write_u64(out, c.warmup_steps);
-  write_u64(out, c.train_maps_per_benchmark);
-  write_u64(out, c.test_maps_per_benchmark);
-  write_u64(out, c.map_stride);
-  write_u64(out, c.candidate_stride);
-  write_u64(out, c.critical_nodes_per_block);
-  write_u64(out, c.include_fa_candidates ? 1 : 0);
-  write_f64(out, c.target_emergency_rate);
-  write_f64(out, c.target_droop);
-  write_f64(out, c.emergency_threshold);
-  write_u64(out, c.calibration_steps);
-  write_u64(out, c.seed);
-}
-DataConfig read_config(std::istream& in) {
+DataConfig read_config(PayloadCursor& in) {
   DataConfig c;
-  c.dt = read_f64(in);
-  c.warmup_steps = read_u64(in);
-  c.train_maps_per_benchmark = read_u64(in);
-  c.test_maps_per_benchmark = read_u64(in);
-  c.map_stride = read_u64(in);
-  c.candidate_stride = read_u64(in);
-  c.critical_nodes_per_block = read_u64(in);
-  c.include_fa_candidates = read_u64(in) != 0;
-  c.target_emergency_rate = read_f64(in);
-  c.target_droop = read_f64(in);
-  c.emergency_threshold = read_f64(in);
-  c.calibration_steps = read_u64(in);
-  c.seed = read_u64(in);
+  c.dt = in.f64();
+  c.warmup_steps = in.u64();
+  c.train_maps_per_benchmark = in.u64();
+  c.test_maps_per_benchmark = in.u64();
+  c.map_stride = in.u64();
+  c.candidate_stride = in.u64();
+  c.critical_nodes_per_block = in.u64();
+  c.include_fa_candidates = in.u64() != 0;
+  c.target_emergency_rate = in.f64();
+  c.target_droop = in.f64();
+  c.emergency_threshold = in.f64();
+  c.calibration_steps = in.u64();
+  c.seed = in.u64();
   return c;
 }
 
@@ -452,120 +387,42 @@ constexpr std::uint64_t kSecFTrain = 0xD5E70005ULL;
 constexpr std::uint64_t kSecXTest = 0xD5E70006ULL;
 constexpr std::uint64_t kSecFTest = 0xD5E70007ULL;
 constexpr std::uint64_t kSecBenchmarks = 0xD5E70008ULL;
-
-constexpr std::size_t kSectionHeaderBytes = 3 * sizeof(std::uint64_t);
-
-/// Appends one section, [u64 tag][u64 payload bytes][u64 fnv1a64(payload)]
-/// [payload], with the length and checksum left zero for
-/// seal_sections(). Returns the header's offset.
-template <typename WritePayload>
-std::size_t write_section(std::ostringstream& out, std::uint64_t tag,
-                          WritePayload&& write_payload) {
-  const auto header = static_cast<std::size_t>(out.tellp());
-  write_u64(out, tag);
-  write_u64(out, 0);
-  write_u64(out, 0);
-  write_payload(out);
-  return header;
-}
-
-/// Fills in each section's length and checksum; `headers` are the
-/// write_section() offsets in file order.
-void seal_sections(std::string& image, const std::vector<std::size_t>& headers) {
-  for (std::size_t i = 0; i < headers.size(); ++i) {
-    const std::size_t payload = headers[i] + kSectionHeaderBytes;
-    const std::size_t end = i + 1 < headers.size() ? headers[i + 1] : image.size();
-    const std::uint64_t fields[] = {end - payload,
-                                    fnv1a64(image.data() + payload, end - payload)};
-    std::memcpy(image.data() + headers[i] + sizeof(std::uint64_t), fields,
-                sizeof(fields));
-  }
-}
-
-/// Reads and verifies one section. `remaining` bounds the payload length
-/// claim so a corrupted length field cannot trigger a huge allocation or a
-/// silent short read.
-StatusOr<std::string> read_section(std::istream& in, std::uint64_t expected_tag,
-                                   std::uint64_t remaining,
-                                   const std::string& path) {
-  if (remaining < kSectionHeaderBytes)
-    return Status::Corruption("dataset cache truncated before section header: " +
-                              path);
-  const std::uint64_t tag = read_u64(in);
-  const std::uint64_t bytes = read_u64(in);
-  const std::uint64_t checksum = read_u64(in);
-  if (!in)
-    return Status::Corruption("dataset cache section header unreadable: " +
-                              path);
-  if (tag != expected_tag)
-    return Status::Corruption("dataset cache section tag mismatch (got " +
-                              std::to_string(tag) + ", want " +
-                              std::to_string(expected_tag) + "): " + path);
-  if (bytes > remaining - kSectionHeaderBytes)
-    return Status::Corruption(
-        "dataset cache section length exceeds file size: " + path);
-  std::string payload(bytes, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != bytes)
-    return Status::Corruption("dataset cache section payload truncated: " +
-                              path);
-  if (fnv1a64(payload.data(), payload.size()) != checksum)
-    return Status::Corruption("dataset cache section checksum mismatch (tag " +
-                              std::to_string(expected_tag) + "): " + path);
-  return payload;
-}
-
-/// True when the payload stream is healthy and fully consumed — extra or
-/// missing bytes inside a checksummed section indicate a writer/reader
-/// version skew.
-bool payload_consumed(std::istringstream& s) {
-  return !s.fail() && s.peek() == std::istringstream::traits_type::eof();
-}
 }  // namespace
 
 Status Dataset::try_save(const std::string& path) const {
-  // Serialize the whole image to memory first, then write it with
-  // write_file_atomic (tmp + fsync + rename + directory fsync): a crash can
+  // The whole image is built in memory and written atomically: a crash can
   // at worst leave a stale .tmp file behind, never a torn cache under the
   // real name, and a completed save survives the crash.
-  std::ostringstream out;
-  write_u64(out, kMagic);
-  write_u64(out, kVersion);
-  std::vector<std::size_t> headers;
-  headers.push_back(write_section(out, kSecMeta, [&](std::ostream& o) {
-    write_config(o, config);
-    write_u64(o, workload_hash);
-    write_u64(o, platform);
-    write_f64(o, current_scale);
-  }));
-  headers.push_back(write_section(out, kSecCandidates, [&](std::ostream& o) {
-    write_indices(o, candidate_nodes);
-  }));
-  headers.push_back(write_section(out, kSecCriticals, [&](std::ostream& o) {
-    write_indices(o, critical_nodes);
-    write_indices(o, critical_block);
-  }));
+  SectionedWriter out(kMagic, kVersion);
+  out.begin_section(kSecMeta);
+  write_config(out, config);
+  out.put_u64(workload_hash);
+  out.put_u64(platform);
+  out.put_f64(current_scale);
+  out.begin_section(kSecCandidates);
+  out.put_indices(candidate_nodes);
+  out.begin_section(kSecCriticals);
+  out.put_indices(critical_nodes);
+  out.put_indices(critical_block);
   const std::pair<std::uint64_t, const linalg::Matrix*> matrices[] = {
       {kSecXTrain, &x_train},
       {kSecFTrain, &f_train},
       {kSecXTest, &x_test},
       {kSecFTest, &f_test}};
-  for (const auto& [tag, m] : matrices)
-    headers.push_back(write_section(
-        out, tag, [m = m](std::ostream& o) { write_matrix(o, *m); }));
-  headers.push_back(write_section(out, kSecBenchmarks, [&](std::ostream& o) {
-    write_u64(o, benchmarks.size());
-    for (const auto& b : benchmarks) {
-      write_string(o, b.name);
-      write_u64(o, b.train_begin);
-      write_u64(o, b.train_end);
-      write_u64(o, b.test_begin);
-      write_u64(o, b.test_end);
-    }
-  }));
-  std::string image = std::move(out).str();
-  seal_sections(image, headers);
-  return write_file_atomic(path, image);
+  for (const auto& [tag, m] : matrices) {
+    out.begin_section(tag);
+    write_matrix(out, *m);
+  }
+  out.begin_section(kSecBenchmarks);
+  out.put_u64(benchmarks.size());
+  for (const auto& b : benchmarks) {
+    out.put_string(b.name);
+    out.put_u64(b.train_begin);
+    out.put_u64(b.train_end);
+    out.put_u64(b.test_begin);
+    out.put_u64(b.test_end);
+  }
+  return out.write(path);
 }
 
 void Dataset::save(const std::string& path) const {
@@ -574,59 +431,26 @@ void Dataset::save(const std::string& path) const {
 }
 
 StatusOr<Dataset> Dataset::try_load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::Io("cannot read dataset cache: " + path);
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  if (file_size < 2 * sizeof(std::uint64_t))
-    return Status::Corruption("dataset cache too small to hold a header: " +
-                              path);
-  if (read_u64(in) != kMagic)
-    return Status::Corruption("bad dataset cache magic: " + path);
-  if (read_u64(in) != kVersion)
-    return Status::Corruption("dataset cache version mismatch: " + path);
-
-  const auto remaining = [&in, file_size]() {
-    return file_size - static_cast<std::uint64_t>(in.tellg());
-  };
+  StatusOr<SectionedReader> file =
+      SectionedReader::open(path, "dataset cache", kMagic, kVersion);
+  if (!file.ok()) return file.status();
   Dataset d;
-
-  StatusOr<std::string> meta = read_section(in, kSecMeta, remaining(), path);
-  if (!meta.ok()) return meta.status();
-  {
-    std::istringstream s(meta.value());
+  Status st = file->section(kSecMeta, "meta", [&](PayloadCursor& s) {
     d.config = read_config(s);
-    d.workload_hash = read_u64(s);
-    d.platform = read_u64(s);
-    d.current_scale = read_f64(s);
-    if (!payload_consumed(s))
-      return Status::Corruption("dataset cache meta section malformed: " +
-                                path);
-  }
-
-  StatusOr<std::string> cands =
-      read_section(in, kSecCandidates, remaining(), path);
-  if (!cands.ok()) return cands.status();
-  {
-    std::istringstream s(cands.value());
-    d.candidate_nodes = read_indices(s);
-    if (!payload_consumed(s))
-      return Status::Corruption(
-          "dataset cache candidate section malformed: " + path);
-  }
-
-  StatusOr<std::string> crits =
-      read_section(in, kSecCriticals, remaining(), path);
-  if (!crits.ok()) return crits.status();
-  {
-    std::istringstream s(crits.value());
-    d.critical_nodes = read_indices(s);
-    d.critical_block = read_indices(s);
-    if (!payload_consumed(s))
-      return Status::Corruption(
-          "dataset cache critical-node section malformed: " + path);
-  }
+    d.workload_hash = s.u64();
+    d.platform = s.u64();
+    d.current_scale = s.f64();
+  });
+  if (!st.ok()) return st;
+  st = file->section(kSecCandidates, "candidate", [&](PayloadCursor& s) {
+    d.candidate_nodes = s.indices();
+  });
+  if (!st.ok()) return st;
+  st = file->section(kSecCriticals, "critical-node", [&](PayloadCursor& s) {
+    d.critical_nodes = s.indices();
+    d.critical_block = s.indices();
+  });
+  if (!st.ok()) return st;
 
   // Each matrix has one row per candidate (x) or critical node (f), and
   // x and f agree on the sample count: a shape that disagrees is a
@@ -643,45 +467,30 @@ StatusOr<Dataset> Dataset::try_load(const std::string& path) {
       {kSecFTest, &d.f_test, "f_test", d.critical_nodes.size()},
   };
   for (const auto& sec : matrix_sections) {
-    StatusOr<std::string> payload =
-        read_section(in, sec.tag, remaining(), path);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s(payload.value());
-    *sec.dst = read_matrix(s);
-    if (!payload_consumed(s) || sec.dst->rows() != sec.rows)
-      return Status::Corruption("dataset cache " + std::string(sec.name) +
-                                " section malformed: " + path);
+    st = file->section(sec.tag, sec.name, [&](PayloadCursor& s) {
+      *sec.dst = read_matrix(s, sec.rows);
+    });
+    if (!st.ok()) return st;
   }
   if (d.f_train.cols() != d.x_train.cols() ||
       d.f_test.cols() != d.x_test.cols())
     return Status::Corruption("dataset cache sample counts disagree: " + path);
 
-  StatusOr<std::string> benches =
-      read_section(in, kSecBenchmarks, remaining(), path);
-  if (!benches.ok()) return benches.status();
-  {
-    std::istringstream s(benches.value());
-    const std::uint64_t nb = read_u64(s);
-    for (std::uint64_t i = 0; i < nb; ++i) {
+  st = file->section(kSecBenchmarks, "benchmark", [&](PayloadCursor& s) {
+    const std::uint64_t nb = s.u64();
+    for (std::uint64_t i = 0; i < nb && s.ok(); ++i) {
       BenchmarkSlice slice;
-      slice.name = read_string(s);
-      slice.train_begin = read_u64(s);
-      slice.train_end = read_u64(s);
-      slice.test_begin = read_u64(s);
-      slice.test_end = read_u64(s);
-      if (s.fail())
-        return Status::Corruption(
-            "dataset cache benchmark section malformed: " + path);
+      slice.name = s.string();
+      slice.train_begin = s.u64();
+      slice.train_end = s.u64();
+      slice.test_begin = s.u64();
+      slice.test_end = s.u64();
       d.benchmarks.push_back(std::move(slice));
     }
-    if (!payload_consumed(s))
-      return Status::Corruption("dataset cache benchmark section malformed: " +
-                                path);
-  }
-
-  if (remaining() != 0)
-    return Status::Corruption("dataset cache has trailing garbage (" +
-                              std::to_string(remaining()) + " bytes): " + path);
+  });
+  if (!st.ok()) return st;
+  st = file->finish();
+  if (!st.ok()) return st;
   return d;
 }
 

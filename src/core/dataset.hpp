@@ -92,7 +92,6 @@ struct Dataset {
 
   /// Per-benchmark views (copies) of the concatenated matrices.
   linalg::Matrix x_train_for(std::size_t bench) const;
-  linalg::Matrix f_train_for(std::size_t bench) const;
   linalg::Matrix x_test_for(std::size_t bench) const;
   linalg::Matrix f_test_for(std::size_t bench) const;
 

@@ -1,7 +1,6 @@
 #include "core/eagle_eye.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -134,24 +133,6 @@ std::vector<std::size_t> eagle_eye_place(const Dataset& data,
   }
   std::sort(all.begin(), all.end());
   return all;
-}
-
-std::vector<std::size_t> eagle_eye_place_chip(const Dataset& data,
-                                              std::size_t total_sensors,
-                                              EagleEyeOptions options) {
-  VMAP_REQUIRE(total_sensors >= 1, "need at least one sensor");
-  const double threshold = resolve_threshold(data, options);
-  std::vector<std::size_t> candidate_rows(data.num_candidates());
-  std::iota(candidate_rows.begin(), candidate_rows.end(), 0);
-  std::vector<std::size_t> block_rows(data.num_blocks());
-  std::iota(block_rows.begin(), block_rows.end(), 0);
-
-  if (options.strategy == EagleEyeStrategy::kWorstNoise) {
-    return place_worst_noise(data.x_train, candidate_rows, total_sensors,
-                             threshold);
-  }
-  return place_greedy_coverage(data.x_train, data.f_train, candidate_rows,
-                               block_rows, total_sensors, threshold);
 }
 
 }  // namespace vmap::core

@@ -39,10 +39,4 @@ std::vector<std::size_t> eagle_eye_place(const Dataset& data,
                                          std::size_t sensors_per_core,
                                          EagleEyeOptions options = {});
 
-/// Chip-wide variant: ignores core regions and places `total_sensors`
-/// sensors over the entire candidate set.
-std::vector<std::size_t> eagle_eye_place_chip(const Dataset& data,
-                                              std::size_t total_sensors,
-                                              EagleEyeOptions options = {});
-
 }  // namespace vmap::core

@@ -79,29 +79,4 @@ ErrorRates evaluate_sensor_detector(
   return tally(truth, alarm);
 }
 
-ErrorRates evaluate_prediction_detector_per_block(
-    const linalg::Matrix& f_true, const linalg::Matrix& f_pred,
-    double threshold) {
-  VMAP_REQUIRE(f_true.rows() == f_pred.rows() &&
-                   f_true.cols() == f_pred.cols(),
-               "shape mismatch in per-block detector");
-  ErrorRates rates;
-  rates.samples = f_true.rows() * f_true.cols();
-  for (std::size_t k = 0; k < f_true.rows(); ++k) {
-    const double* t = f_true.row_data(k);
-    const double* p = f_pred.row_data(k);
-    for (std::size_t s = 0; s < f_true.cols(); ++s) {
-      const bool truth = t[s] < threshold;
-      const bool alarm = p[s] < threshold;
-      if (truth) {
-        ++rates.emergencies;
-        if (!alarm) ++rates.misses;
-      } else if (alarm) {
-        ++rates.wrong_alarms;
-      }
-    }
-  }
-  return rates;
-}
-
 }  // namespace vmap::core

@@ -47,10 +47,4 @@ ErrorRates evaluate_sensor_detector(const linalg::Matrix& f_true,
                                     const std::vector<std::size_t>& sensor_rows,
                                     double threshold);
 
-/// Per-block variant of the prediction detector: every (block, sample) pair
-/// counts as one decision. Used for finer-grained analysis.
-ErrorRates evaluate_prediction_detector_per_block(
-    const linalg::Matrix& f_true, const linalg::Matrix& f_pred,
-    double threshold);
-
 }  // namespace vmap::core

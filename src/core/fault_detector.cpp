@@ -194,11 +194,4 @@ Status SensorFaultDetector::restore_runtime_state(const RuntimeState& state) {
   return Status::Ok();
 }
 
-void SensorFaultDetector::reset() {
-  std::fill(health_.begin(), health_.end(), SensorHealth::kHealthy);
-  std::fill(out_streak_.begin(), out_streak_.end(), 0);
-  std::fill(in_streak_.begin(), in_streak_.end(), 0);
-  zscores_.fill(0.0);
-}
-
 }  // namespace vmap::core

@@ -91,9 +91,6 @@ class SensorFaultDetector {
   /// Training residual sigma per sensor (after flooring).
   const linalg::Vector& residual_sigma() const { return sigma_; }
 
-  /// Forgets all runtime state (health, streaks); the trained models stay.
-  void reset();
-
   /// Mutable runtime state (health + hysteresis streaks), detached from the
   /// trained cross-prediction models — what a serving checkpoint must carry
   /// so a restart resumes mid-hysteresis instead of re-learning faults.

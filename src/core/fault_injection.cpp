@@ -6,22 +6,6 @@
 
 namespace vmap::core {
 
-const char* fault_type_name(FaultType type) {
-  switch (type) {
-    case FaultType::kStuckAt:
-      return "stuck-at";
-    case FaultType::kDead:
-      return "dead";
-    case FaultType::kDrift:
-      return "drift";
-    case FaultType::kIntermittent:
-      return "intermittent";
-    case FaultType::kSpike:
-      return "spike";
-  }
-  return "unknown";
-}
-
 SensorFault SensorFault::stuck_at(std::size_t sensor, double value,
                                   std::size_t onset, std::size_t duration) {
   SensorFault f;

@@ -30,8 +30,6 @@ enum class FaultType {
   kSpike,         ///< additive spikes at random steps
 };
 
-const char* fault_type_name(FaultType type);
-
 /// One scheduled fault on one sensor. Steps in [onset, onset + duration)
 /// are faulty; duration 0 means permanent.
 struct SensorFault {

@@ -71,38 +71,4 @@ linalg::Matrix Normalizer::normalize(
   return z;
 }
 
-linalg::Vector Normalizer::normalize(const linalg::Vector& sample) const {
-  VMAP_REQUIRE(sample.size() == variables(), "variable count mismatch");
-  linalg::Vector z(sample.size());
-  for (std::size_t r = 0; r < sample.size(); ++r) {
-    if (degenerate_[r]) continue;
-    z[r] = (sample[r] - mean_[r]) / stddev_[r];
-  }
-  return z;
-}
-
-linalg::Matrix Normalizer::denormalize(const linalg::Matrix& data) const {
-  VMAP_REQUIRE(data.rows() == variables(), "variable count mismatch");
-  linalg::Matrix x(data.rows(), data.cols());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    const double mu = mean_[r];
-    const double sd = degenerate_[r] ? 0.0 : stddev_[r];
-    const double* src = data.row_data(r);
-    double* dst = x.row_data(r);
-    for (std::size_t c = 0; c < data.cols(); ++c)
-      dst[c] = src[c] * sd + mu;
-  }
-  return x;
-}
-
-linalg::Vector Normalizer::denormalize(const linalg::Vector& sample) const {
-  VMAP_REQUIRE(sample.size() == variables(), "variable count mismatch");
-  linalg::Vector x(sample.size());
-  for (std::size_t r = 0; r < sample.size(); ++r) {
-    const double sd = degenerate_[r] ? 0.0 : stddev_[r];
-    x[r] = sample[r] * sd + mean_[r];
-  }
-  return x;
-}
-
 }  // namespace vmap::core

@@ -3,8 +3,8 @@
 //
 // Group lasso requires the regressors and responses on a common scale; the
 // Normalizer learns per-variable mean and standard deviation from training
-// data (one variable per row, one sample per column) and applies / inverts
-// the transform. Zero-variance variables are mapped to constant zero and
+// data (one variable per row, one sample per column) and applies the
+// transform. Zero-variance variables are mapped to constant zero and
 // flagged, so constant sensor candidates cannot poison the solver.
 //
 // Learning and normalizing can read a row subset of a larger matrix in
@@ -41,11 +41,6 @@ class Normalizer {
   /// row rows[i] with variable i's statistics.
   linalg::Matrix normalize(const linalg::Matrix& data,
                            const std::vector<std::size_t>& rows) const;
-  linalg::Vector normalize(const linalg::Vector& sample) const;
-
-  /// x = z * stddev + mean, row-wise. Degenerate rows map back to the mean.
-  linalg::Matrix denormalize(const linalg::Matrix& data) const;
-  linalg::Vector denormalize(const linalg::Vector& sample) const;
 
  private:
   linalg::Vector mean_;

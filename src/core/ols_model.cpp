@@ -130,19 +130,4 @@ double rmse(const linalg::Matrix& f_true, const linalg::Matrix& f_pred) {
   return std::sqrt(acc / static_cast<double>(f_true.rows() * f_true.cols()));
 }
 
-double max_abs_error(const linalg::Matrix& f_true,
-                     const linalg::Matrix& f_pred) {
-  VMAP_REQUIRE(f_true.rows() == f_pred.rows() &&
-                   f_true.cols() == f_pred.cols(),
-               "shape mismatch in max_abs_error");
-  double mx = 0.0;
-  for (std::size_t k = 0; k < f_true.rows(); ++k) {
-    const double* t = f_true.row_data(k);
-    const double* p = f_pred.row_data(k);
-    for (std::size_t s = 0; s < f_true.cols(); ++s)
-      mx = std::max(mx, std::abs(p[s] - t[s]));
-  }
-  return mx;
-}
-
 }  // namespace vmap::core

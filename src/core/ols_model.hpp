@@ -68,8 +68,4 @@ double relative_error(const linalg::Matrix& f_true,
 /// Root-mean-square error over all entries.
 double rmse(const linalg::Matrix& f_true, const linalg::Matrix& f_pred);
 
-/// Largest absolute entry error.
-double max_abs_error(const linalg::Matrix& f_true,
-                     const linalg::Matrix& f_pred);
-
 }  // namespace vmap::core

@@ -169,18 +169,4 @@ void OnlineMonitor::restore_counters(const Counters& c) {
   rejected_samples_ = static_cast<std::size_t>(c.rejected_samples);
 }
 
-void OnlineMonitor::reset() {
-  alarm_ = false;
-  degraded_ = false;
-  crossing_streak_ = 0;
-  safe_streak_ = 0;
-  samples_ = 0;
-  alarm_samples_ = 0;
-  alarm_episodes_ = 0;
-  degraded_samples_ = 0;
-  degraded_episodes_ = 0;
-  rejected_samples_ = 0;
-  if (detector_) detector_->reset();
-}
-
 }  // namespace vmap::core

@@ -143,8 +143,6 @@ class OnlineMonitor {
   /// Samples refused with a rejected Decision (plain monitor fed NaN/Inf).
   std::size_t rejected_samples() const { return rejected_samples_; }
 
-  void reset();
-
  private:
   Decision observe_impl(const linalg::Vector& sensor_readings,
                         const WorstBlock* precomputed);

@@ -46,7 +46,7 @@ struct PipelineConfig {
   bool refit_ols = true;   ///< §2.3 refit; false = raw GL coefficients
   bool per_core = true;    ///< false = one chip-wide GL problem
   GroupLassoOptions gl_options;
-  /// Model backends (core/backend.hpp registry names). The defaults route
+  /// Model backends (core/backend.hpp built-in names). The defaults route
   /// the paper's pipeline — group-lasso selection + OLS refit — through
   /// the backend seams bit-identically to the historic hard-wired path.
   std::string selection = "group_lasso";

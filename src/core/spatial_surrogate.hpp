@@ -31,7 +31,7 @@
 
 namespace vmap::core {
 
-/// Factory for the "spatial" prediction backend (registered by default).
+/// Factory for the "spatial" prediction backend.
 std::unique_ptr<PredictionBackend> make_spatial_surrogate_backend();
 
 }  // namespace vmap::core

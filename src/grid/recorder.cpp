@@ -45,11 +45,6 @@ linalg::Vector TraceRecorder::min_per_node() const {
   return mins;
 }
 
-void TraceRecorder::clear() {
-  data_.clear();
-  samples_ = 0;
-}
-
 MapSampler::MapSampler(std::vector<std::size_t> nodes, std::size_t stride,
                        std::size_t phase)
     : nodes_(std::move(nodes)), stride_(stride), phase_(phase) {

@@ -37,8 +37,6 @@ class TraceRecorder {
   /// Minimum voltage each watched node ever reached.
   linalg::Vector min_per_node() const;
 
-  void clear();
-
  private:
   std::vector<std::size_t> nodes_;
   std::vector<double> data_;  // row-major [sample][watched]

@@ -1,8 +1,6 @@
 #include "linalg/cholesky.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/assert.hpp"
 
@@ -42,17 +40,6 @@ StatusOr<Cholesky> Cholesky::try_factorize(const Matrix& a) {
   Status status = chol.factorize(a);
   if (!status.ok()) return status;
   return chol;
-}
-
-double Cholesky::condition_estimate() const {
-  double mx = 0.0, mn = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < dim(); ++i) {
-    mx = std::max(mx, l_(i, i));
-    mn = std::min(mn, l_(i, i));
-  }
-  if (!(mn > 0.0)) return std::numeric_limits<double>::infinity();
-  const double ratio = mx / mn;
-  return ratio * ratio;
 }
 
 Vector Cholesky::solve(const Vector& b) const {

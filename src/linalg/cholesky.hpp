@@ -37,11 +37,6 @@ class Cholesky {
   /// log(det A) computed from the factor (stable for near-singular A).
   double log_det() const;
 
-  /// Cheap 2-norm condition estimate from the factor diagonal:
-  /// (max L_ii / min L_ii)^2. A lower bound on cond_2(A), adequate for
-  /// guardrail decisions and resilience accounting.
-  double condition_estimate() const;
-
  private:
   Cholesky() = default;
   /// Shared factorization core; on failure l_ is unspecified.

@@ -243,8 +243,6 @@ double dot(std::size_t n, const double* x, const double* y) {
   return s;
 }
 
-double nrm2sq(std::size_t n, const double* x) { return dot(n, x, x); }
-
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
@@ -795,10 +793,6 @@ VMAP_AVX2 double dot(std::size_t n, const double* x, const double* y) {
   return s;
 }
 
-VMAP_AVX2 double nrm2sq(std::size_t n, const double* x) {
-  return dot(n, x, x);
-}
-
 #undef VMAP_AVX2
 
 }  // namespace avx2
@@ -1059,10 +1053,6 @@ void affine_min(std::size_t n_rows, const AffineBlock* blocks,
 
 double dot(std::size_t n, const double* x, const double* y) {
   VMAP_KERN_DISPATCH(dot(n, x, y));
-}
-
-double nrm2sq(std::size_t n, const double* x) {
-  VMAP_KERN_DISPATCH(nrm2sq(n, x));
 }
 
 #undef VMAP_KERN_DISPATCH

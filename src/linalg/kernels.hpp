@@ -19,12 +19,11 @@
 // (separate mul + add, two roundings, exactly like the scalar code). So
 // every kernel here is bit-identical to its scalar fallback at every
 // level, and the dense kernels built on them stay bit-identical to
-// matmul_reference at any thread count and any level. The only kernels
-// with a *new* accumulation order are dot()/nrm2sq(), which use a fixed
-// 4-lane strided order (documented below) — they are bit-identical
-// scalar-vs-AVX2 but NOT to the legacy sequential linalg::dot, so the
-// solver paths keep the sequential versions and these serve new code and
-// the kernel benches.
+// matmul_reference at any thread count and any level. The only kernel
+// with a *new* accumulation order is dot(), which uses a fixed 4-lane
+// strided order (documented below) — it is bit-identical scalar-vs-AVX2
+// but NOT to the legacy sequential linalg::dot, so the solver paths keep
+// the sequential version and it serves new code and the kernel benches.
 //
 // No FMA: the AVX2 bodies are compiled for "avx2" without "fma", so the
 // compiler has no fused instruction to contract a mul and an add into.
@@ -225,8 +224,6 @@ void affine_min(std::size_t n_rows, const AffineBlock* blocks,
 
 /// sum_i x[i]*y[i] in the strided-lane order above.
 double dot(std::size_t n, const double* x, const double* y);
-/// sum_i x[i]*x[i] in the strided-lane order above.
-double nrm2sq(std::size_t n, const double* x);
 
 // --- scalar oracles ------------------------------------------------------
 
@@ -253,7 +250,6 @@ void affine_min(std::size_t n_rows, const AffineBlock* blocks,
                 std::size_t ldx, double* tile, double* worst,
                 std::size_t* worst_row);
 double dot(std::size_t n, const double* x, const double* y);
-double nrm2sq(std::size_t n, const double* x);
 }  // namespace ref
 
 }  // namespace vmap::linalg::kern

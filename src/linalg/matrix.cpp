@@ -25,16 +25,6 @@ Matrix Matrix::identity(std::size_t n) {
   return eye;
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  VMAP_REQUIRE(r < rows_ && c < cols_, "matrix index out of range");
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  VMAP_REQUIRE(r < rows_ && c < cols_, "matrix index out of range");
-  return (*this)(r, c);
-}
-
 Vector Matrix::row(std::size_t r) const {
   VMAP_REQUIRE(r < rows_, "row index out of range");
   Vector v(cols_);
@@ -142,11 +132,6 @@ Matrix operator-(Matrix lhs, const Matrix& rhs) {
 }
 
 Matrix operator*(Matrix m, double s) {
-  m *= s;
-  return m;
-}
-
-Matrix operator*(double s, Matrix m) {
   m *= s;
   return m;
 }

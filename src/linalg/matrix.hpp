@@ -36,10 +36,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked access.
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
-
   double* row_data(std::size_t r) { return data_.data() + r * cols_; }
   const double* row_data(std::size_t r) const {
     return data_.data() + r * cols_;
@@ -81,7 +77,6 @@ class Matrix {
 Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(Matrix m, double s);
-Matrix operator*(double s, Matrix m);
 
 /// C = A * B. Inner dimensions must agree. Cache-blocked; row blocks run
 /// on the thread pool above a flop threshold. Accumulation order per

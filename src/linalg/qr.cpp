@@ -97,12 +97,6 @@ Vector QR::solve(const Vector& b) const {
   return std::move(x).value();
 }
 
-Matrix QR::solve(const Matrix& b) const {
-  StatusOr<Matrix> x = try_solve(b);
-  if (!x.ok()) throw ContractError(x.status().to_string());
-  return std::move(x).value();
-}
-
 double QR::condition_estimate() const {
   const std::size_t n = qr_.cols();
   double mx = 0.0, mn = std::numeric_limits<double>::infinity();
@@ -158,11 +152,6 @@ std::size_t QR::rank(double rel_tol) const {
 
 Vector lstsq(const Matrix& a, const Vector& b) {
   VMAP_REQUIRE(a.rows() == b.size(), "lstsq shape mismatch");
-  return QR(a).solve(b);
-}
-
-Matrix lstsq(const Matrix& a, const Matrix& b) {
-  VMAP_REQUIRE(a.rows() == b.rows(), "lstsq shape mismatch");
   return QR(a).solve(b);
 }
 

@@ -28,8 +28,6 @@ class QR {
   /// Least-squares solution of A x = b. Throws if A is rank deficient
   /// (numerically zero diagonal of R).
   Vector solve(const Vector& b) const;
-  /// Column-wise least-squares solve A X = B.
-  Matrix solve(const Matrix& b) const;
 
   /// Non-throwing least-squares solves: Status kNumerical on a rank-
   /// deficient system instead of an exception, so callers can fall back
@@ -59,8 +57,5 @@ class QR {
 
 /// Convenience: least-squares solution of min ||A x - b||_2 via QR.
 Vector lstsq(const Matrix& a, const Vector& b);
-
-/// Multi-RHS least squares: returns X minimizing ||A X - B||_F.
-Matrix lstsq(const Matrix& a, const Matrix& b);
 
 }  // namespace vmap::linalg

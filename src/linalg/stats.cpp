@@ -42,14 +42,6 @@ Vector row_means(const Matrix& data) {
   return mu;
 }
 
-Vector row_stddevs(const Matrix& data) {
-  VMAP_REQUIRE(data.cols() > 1, "row_stddevs needs at least two samples");
-  Vector sd(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r)
-    sd[r] = std::sqrt(moments(data.row_data(r), data.cols()).variance);
-  return sd;
-}
-
 Matrix covariance(const Matrix& data) {
   VMAP_REQUIRE(data.cols() > 1, "covariance needs at least two samples");
   const std::size_t p = data.rows();

@@ -25,9 +25,6 @@ Moments moments(const double* samples, std::size_t n);
 /// Mean of each row (variable) across columns (samples).
 Vector row_means(const Matrix& data);
 
-/// Unbiased (n-1) standard deviation of each row across columns.
-Vector row_stddevs(const Matrix& data);
-
 /// Sample covariance matrix (variables x variables), unbiased.
 Matrix covariance(const Matrix& data);
 

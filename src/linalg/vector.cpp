@@ -13,11 +13,6 @@ double& Vector::at(std::size_t i) {
   return data_[i];
 }
 
-double Vector::at(std::size_t i) const {
-  VMAP_REQUIRE(i < data_.size(), "vector index out of range");
-  return data_[i];
-}
-
 Vector& Vector::operator+=(const Vector& rhs) {
   VMAP_REQUIRE(size() == rhs.size(), "vector size mismatch in +=");
   kern::add(data_.size(), rhs.data_.data(), data_.data());
@@ -91,11 +86,6 @@ Vector operator-(Vector lhs, const Vector& rhs) {
 }
 
 Vector operator*(Vector v, double s) {
-  v *= s;
-  return v;
-}
-
-Vector operator*(double s, Vector v) {
   v *= s;
   return v;
 }

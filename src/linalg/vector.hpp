@@ -30,7 +30,6 @@ class Vector {
 
   /// Bounds-checked access (throws ContractError).
   double& at(std::size_t i);
-  double at(std::size_t i) const;
 
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
@@ -69,7 +68,6 @@ class Vector {
 Vector operator+(Vector lhs, const Vector& rhs);
 Vector operator-(Vector lhs, const Vector& rhs);
 Vector operator*(Vector v, double s);
-Vector operator*(double s, Vector v);
 
 /// Dot product; sizes must match.
 double dot(const Vector& a, const Vector& b);

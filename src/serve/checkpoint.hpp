@@ -6,14 +6,14 @@
 // quarantine probation — losing any of it would re-arm alarms that were
 // already asserted (double-counted episodes) or drop ones mid-assertion
 // (lost episodes). The checkpoint therefore carries the complete mutable
-// state of every ChipDomain and is written with the same integrity idiom as
-// the dataset cache: sections framed as [tag][length][fnv1a64][payload],
-// serialized fully in memory and written by write_file_atomic (tmp file,
-// fsync, rename, directory fsync) — a crash at any instant leaves either
-// the previous checkpoint or the new one, never a torn file. Loads verify magic,
-// version, per-section checksums, and shape against the live fleet, and
-// return kCorruption / kInvalidArgument without modifying any chip on
-// failure.
+// state of every ChipDomain. It is a sectioned file (util/sectioned_file,
+// the dataset cache's format): sections framed as
+// [tag][length][fnv1a64][payload], serialized fully in memory and written
+// by write_file_atomic (tmp file, fsync, rename, directory fsync) — a
+// crash at any instant leaves either the previous checkpoint or the new
+// one, never a torn file. Loads verify magic, version, per-section
+// checksums, and shape against the live fleet, and return kCorruption /
+// kInvalidArgument without modifying any chip on failure.
 
 #include <string>
 

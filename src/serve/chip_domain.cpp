@@ -230,29 +230,4 @@ Status ChipDomain::restore(const PersistedState& state) {
   return Status::Ok();
 }
 
-const char* reject_reason_name(RejectReason reason) {
-  switch (reason) {
-    case RejectReason::kNone: return "none";
-    case RejectReason::kUnknownChip: return "unknown_chip";
-    case RejectReason::kMalformed: return "malformed";
-    case RejectReason::kNonFinite: return "non_finite";
-    case RejectReason::kStale: return "stale";
-    case RejectReason::kSuspended: return "suspended";
-    case RejectReason::kQuarantined: return "quarantined";
-    case RejectReason::kShed: return "shed";
-    case RejectReason::kStopped: return "stopped";
-  }
-  return "unknown";
-}
-
-const char* chip_mode_name(ChipMode mode) {
-  switch (mode) {
-    case ChipMode::kHealthy: return "healthy";
-    case ChipMode::kDegraded: return "degraded";
-    case ChipMode::kQuarantined: return "quarantined";
-    case ChipMode::kSuspended: return "suspended";
-  }
-  return "unknown";
-}
-
 }  // namespace vmap::serve

@@ -568,11 +568,6 @@ ChipMode MonitorFleet::chip_mode(ChipId chip) const {
   return chips_[chip]->mode();
 }
 
-void MonitorFleet::suspend_chip(ChipId chip) {
-  VMAP_REQUIRE(chip < chips_.size(), "unknown chip id");
-  chips_[chip]->suspend();
-}
-
 void MonitorFleet::resume_chip(ChipId chip) {
   VMAP_REQUIRE(chip < chips_.size(), "unknown chip id");
   chips_[chip]->resume();

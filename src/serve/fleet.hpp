@@ -137,7 +137,6 @@ class MonitorFleet {
   FleetStats stats() const;
   ChipStats chip_stats(ChipId chip) const;
   ChipMode chip_mode(ChipId chip) const;
-  void suspend_chip(ChipId chip);
   void resume_chip(ChipId chip);
 
   /// Chaos hook: every reading for `chip` sleeps this long before being

@@ -52,7 +52,6 @@ enum class RejectReason {
   kShed,            ///< lane full: overload shed (reject-newest)
   kStopped,         ///< fleet is not accepting readings
 };
-const char* reject_reason_name(RejectReason reason);
 
 /// Per-chip serving mode. Healthy/degraded follow the monitor's own state;
 /// quarantine and suspension are the fleet's fault-domain overlay.
@@ -62,7 +61,6 @@ enum class ChipMode {
   kQuarantined,  ///< feed misbehaving: readings dropped, probation running
   kSuspended,    ///< fault domain sealed (poison feed or stall poison pill)
 };
-const char* chip_mode_name(ChipMode mode);
 
 /// Outcome of MonitorFleet::ingest — admission only; the decision itself is
 /// made later on the owning shard.

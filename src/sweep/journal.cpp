@@ -85,17 +85,6 @@ Status parse_record_payload(const std::string& payload,
 
 }  // namespace
 
-const char* job_event_name(JobEvent event) {
-  switch (event) {
-    case JobEvent::kDispatched: return "dispatched";
-    case JobEvent::kFailed: return "failed";
-    case JobEvent::kCompleted: return "completed";
-    case JobEvent::kQuarantined: return "quarantined";
-    case JobEvent::kShardWritten: return "shard_written";
-  }
-  return "?";
-}
-
 SweepJournal::SweepJournal(SweepJournal&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
 
@@ -119,17 +108,12 @@ SweepJournal::~SweepJournal() {
 
 StatusOr<SweepJournal> SweepJournal::create(const std::string& path,
                                             std::uint64_t matrix_hash) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
-  if (fd < 0) return Status::Io("cannot create sweep journal: " + path);
-  const std::string header = header_bytes(matrix_hash);
-  if (::write(fd, header.data(), header.size()) !=
-      static_cast<ssize_t>(header.size())) {
-    ::close(fd);
-    return Status::Io("sweep journal header write failed: " + path);
-  }
-  ::fsync(fd);
-  fsync_parent_dir(path);
+  // The header lands atomically (tmp, fsync, rename, directory fsync), so
+  // a crash leaves no journal or a whole header, never a torn one.
+  const Status st = write_file_atomic(path, header_bytes(matrix_hash));
+  if (!st.ok()) return st;
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0) return Status::Io("cannot open sweep journal: " + path);
   SweepJournal j;
   j.fd_ = fd;
   j.path_ = path;

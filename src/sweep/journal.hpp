@@ -40,8 +40,6 @@ enum class JobEvent : std::uint64_t {
   kShardWritten = 5,  ///< job's telemetry shard landed; path in `detail`
 };
 
-const char* job_event_name(JobEvent event);
-
 struct JournalRecord {
   JobEvent event = JobEvent::kDispatched;
   std::uint64_t job_index = 0;

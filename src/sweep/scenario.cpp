@@ -11,21 +11,6 @@ namespace vmap::sweep {
 
 namespace {
 
-/// %.17g round-trips IEEE doubles exactly — specs must be canonical so
-/// spec → Scenario → spec is the identity and hashes are stable.
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string fmt_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 const char* pad_short_name(grid::PadArrangement a) {
   switch (a) {
     case grid::PadArrangement::kSquare: return "sq";
@@ -58,13 +43,28 @@ bool parse_f64(const std::string& v, double& out) {
 
 }  // namespace
 
+// Specs must be canonical, so that spec → Scenario → spec is the identity
+// and hashes are stable: %.17g round-trips IEEE doubles exactly.
+std::string exact_double(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 std::string Scenario::spec() const {
   std::ostringstream s;
   s << "pads=" << grid::pad_arrangement_name(pads)
-    << ";dens=" << fmt_double(density)
+    << ";dens=" << exact_double(density)
     << ";layers=" << (two_layer ? 2 : 1)
     << ";cores=" << cores_x << "x" << cores_y
-    << ";vofs=" << fmt_double(vdd_offset)
+    << ";vofs=" << exact_double(vdd_offset)
     << ";wl=" << workload
     << ";seed=" << seed
     << ";train=" << train_maps
@@ -230,9 +230,9 @@ std::uint64_t ScenarioMatrix::hash() const {
 
 std::string encode_result_payload(const JobResult& result) {
   std::ostringstream s;
-  s << "sensors=" << result.sensors << " placement=" << fmt_hex(result.placement)
-    << " te=" << fmt_double(result.te)
-    << " rel_err=" << fmt_double(result.rel_err);
+  s << "sensors=" << result.sensors << " placement=" << hex64(result.placement)
+    << " te=" << exact_double(result.te)
+    << " rel_err=" << exact_double(result.rel_err);
   return s.str();
 }
 
@@ -283,7 +283,7 @@ StatusOr<JobResult> parse_result_payload(const std::string& payload) {
 std::string encode_result_line(const JobResult& result) {
   const std::string payload = encode_result_payload(result);
   return "RESULT " + payload + " " +
-         fmt_hex(fnv1a64(payload.data(), payload.size()));
+         hex64(fnv1a64(payload.data(), payload.size()));
 }
 
 StatusOr<JobResult> parse_result_output(const std::string& output) {

@@ -104,4 +104,10 @@ std::string encode_result_line(const JobResult& result);
 /// kCorruption when no line is present or the checksum does not match.
 StatusOr<JobResult> parse_result_output(const std::string& output);
 
+/// The spellings the sweep's text artifacts share (scenario specs, result
+/// payloads, the CSV report, telemetry axis keys): %.17g, which
+/// round-trips every double, and 16 lower-case hex digits.
+std::string exact_double(double v);
+std::string hex64(std::uint64_t v);
+
 }  // namespace vmap::sweep

@@ -1,7 +1,6 @@
 #include "sweep/supervisor.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -11,25 +10,13 @@
 #include "sweep/telemetry.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flight_recorder.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/subprocess.hpp"
 
 namespace vmap::sweep {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string fmt_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 StatusOr<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -49,13 +36,13 @@ std::string SweepResult::csv() const {
     const Scenario& sc = row.scenario;
     out += std::to_string(row.job_index) + "," + sc.id() + "," +
            grid::pad_arrangement_name(sc.pads) + "," +
-           fmt_double(sc.density) + "," + (sc.two_layer ? "2" : "1") + "," +
+           exact_double(sc.density) + "," + (sc.two_layer ? "2" : "1") + "," +
            std::to_string(sc.cores_x) + "x" + std::to_string(sc.cores_y) +
-           "," + fmt_double(sc.vdd_offset) + "," + sc.workload + ",";
+           "," + exact_double(sc.vdd_offset) + "," + sc.workload + ",";
     if (row.completed) {
       out += "completed," + std::to_string(row.result.sensors) + "," +
-             fmt_hex(row.result.placement) + "," + fmt_double(row.result.te) +
-             "," + fmt_double(row.result.rel_err);
+             hex64(row.result.placement) + "," + exact_double(row.result.te) +
+             "," + exact_double(row.result.rel_err);
     } else {
       out += "quarantined:" + row.failure_class + ",0,,,";
     }
@@ -68,30 +55,26 @@ std::string SweepResult::json(std::uint64_t matrix_hash,
                               const std::string& telemetry_json) const {
   // Only deterministic fields: no attempt counts, no resume bookkeeping,
   // no timings — the bytes must not depend on how the sweep got here.
-  std::string out = "{\n  \"schema\": 1,\n  \"matrix_hash\": \"0x" +
-                    fmt_hex(matrix_hash) + "\",\n  \"jobs\": " +
-                    std::to_string(jobs_total) + ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    out += "    {\"job\": " + std::to_string(row.job_index) +
-           ", \"scenario\": \"" + row.scenario.id() + "\", \"status\": \"";
-    out += row.completed ? "completed" : "quarantined:" + row.failure_class;
-    out += "\"";
+  json::Writer w;
+  w.begin_object().field("schema", 1).field("matrix_hash",
+                                            "0x" + hex64(matrix_hash));
+  w.field("jobs", jobs_total).key("rows").begin_array();
+  for (const SweepRow& row : rows) {
+    w.begin_object().field("job", row.job_index);
+    w.field("scenario", row.scenario.id());
+    w.field("status", row.completed ? std::string("completed")
+                                    : "quarantined:" + row.failure_class);
     if (row.completed) {
-      out += ", \"sensors\": " + std::to_string(row.result.sensors) +
-             ", \"placement\": \"0x" + fmt_hex(row.result.placement) +
-             "\", \"te\": " + fmt_double(row.result.te) +
-             ", \"rel_err\": " + fmt_double(row.result.rel_err);
+      w.field("sensors", row.result.sensors);
+      w.field("placement", "0x" + hex64(row.result.placement));
+      w.field("te", row.result.te).field("rel_err", row.result.rel_err);
     }
-    out += "}";
-    if (i + 1 < rows.size()) out += ",";
-    out += "\n";
+    w.end_object();
   }
-  out += "  ]";
-  if (!telemetry_json.empty())
-    out += ",\n  \"telemetry\": " + telemetry_json;
-  out += "\n}\n";
-  return out;
+  w.end_array();
+  if (!telemetry_json.empty()) w.key("telemetry").raw(telemetry_json);
+  w.end_object();
+  return w.take();
 }
 
 SweepSupervisor::SweepSupervisor(ScenarioMatrix matrix, SweepOptions options)

@@ -1,6 +1,5 @@
 #include "sweep/telemetry.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -17,12 +16,6 @@
 namespace vmap::sweep {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 // --- worker side ------------------------------------------------------
 
@@ -90,27 +83,27 @@ std::vector<std::pair<std::string, std::string>> axis_values(
     const Scenario& sc) {
   return {
       {"pads", grid::pad_arrangement_name(sc.pads)},
-      {"density", fmt_double(sc.density)},
+      {"density", exact_double(sc.density)},
       {"layers", sc.two_layer ? "2" : "1"},
       {"cores", std::to_string(sc.cores_x) + "x" + std::to_string(sc.cores_y)},
-      {"vdd_offset", fmt_double(sc.vdd_offset)},
+      {"vdd_offset", exact_double(sc.vdd_offset)},
       {"workload", sc.workload},
   };
 }
 
 using CounterMap = std::map<std::string, std::uint64_t>;
 
-void append_counter_map(std::string& out, const CounterMap& counters) {
-  out += "{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    json::escape_into(out, name);
-    out += "\":" + std::to_string(value);
-  }
-  out += "}";
+void write_counter_map(json::Writer& out, const CounterMap& counters) {
+  out.begin_object();
+  for (const auto& [name, value] : counters) out.field(name, value);
+  out.end_object();
+}
+
+/// Opens one merged-trace event and writes its ph, pid, tid and name.
+json::Writer& begin_event(json::Writer& t, const char* ph, std::size_t pid,
+                          int tid, std::string_view name) {
+  t.begin_object().field("ph", ph).field("pid", pid).field("tid", tid);
+  return t.field("name", name);
 }
 
 }  // namespace
@@ -133,13 +126,13 @@ bool init_worker_telemetry_from_env(std::size_t job, std::size_t attempt,
 Status write_telemetry_shard() {
   WorkerShard* s = worker_shard();
   if (!s->armed) return Status::Ok();
-  std::string doc = "{\"schema\":1,\"job\":" + std::to_string(s->job) +
-                    ",\"attempt\":" + std::to_string(s->attempt) +
-                    ",\"scenario\":\"";
-  json::escape_into(doc, s->spec);
-  doc += "\",\"metrics\":" + metrics::snapshot_json() +
-         ",\"trace\":" + trace_events_json() + "}\n";
-  return write_file_atomic(s->path, doc);
+  json::Writer doc;
+  doc.begin_object().field("schema", 1).field("job", s->job);
+  doc.field("attempt", s->attempt).field("scenario", s->spec);
+  metrics::snapshot_json(doc.key("metrics"));
+  trace_events_json(doc.key("trace"));
+  doc.end_object();
+  return write_file_atomic(s->path, doc.str());
 }
 
 std::string shard_path_for_job(const std::string& work_dir, std::size_t job) {
@@ -153,16 +146,11 @@ std::string flight_path_for_job(const std::string& work_dir, std::size_t job) {
 StatusOr<MergeOutput> merge_job_telemetry(
     const std::vector<JobTelemetry>& jobs) {
   MergeOutput out;
-  std::string& t = out.trace_json;
-  t = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  const auto emit = [&](const std::string& row) {
-    if (!first) t += ",\n";
-    first = false;
-    t += row;
-  };
-  emit("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-       "\"args\":{\"name\":\"sweep_supervisor\"}}");
+  json::Writer t;
+  t.begin_object().field("displayTimeUnit", "ms").key("traceEvents");
+  t.begin_array();
+  begin_event(t, "M", 1, 0, "process_name").key("args").begin_object();
+  t.field("name", "sweep_supervisor").end_object().end_object();
 
   CounterMap counters_total;
   // axis -> axis value -> counter name -> summed value. std::map keys
@@ -170,19 +158,13 @@ StatusOr<MergeOutput> merge_job_telemetry(
   std::map<std::string, std::map<std::string, CounterMap>> by_axis;
 
   for (const JobTelemetry& job : jobs) {
-    const std::string pid = std::to_string(job.job_index + 2);
-    std::string row = "{\"ph\":\"M\",\"pid\":" + pid +
-                      ",\"tid\":0,\"name\":\"process_name\",\"args\":"
-                      "{\"name\":\"job_" +
-                      std::to_string(job.job_index) + " ";
-    json::escape_into(row, job.scenario.id());
-    row += "\"}}";
-    emit(row);
-    row = "{\"ph\":\"M\",\"pid\":" + pid +
-          ",\"tid\":0,\"name\":\"process_labels\",\"args\":{\"labels\":\"";
-    json::escape_into(row, job.status);
-    row += "\"}}";
-    emit(row);
+    const std::size_t pid = job.job_index + 2;
+    begin_event(t, "M", pid, 0, "process_name").key("args").begin_object();
+    t.field("name", "job_" + std::to_string(job.job_index) + " " +
+                        job.scenario.id());
+    t.end_object().end_object();
+    begin_event(t, "M", pid, 0, "process_labels").key("args").begin_object();
+    t.field("labels", job.status).end_object().end_object();
 
     json::Value shard;
     if (load_shard(job, shard)) {
@@ -192,17 +174,12 @@ StatusOr<MergeOutput> merge_job_telemetry(
           attempt && attempt->is_number()
               ? static_cast<long long>(attempt->as_number())
               : -1;
-      // One instant event carrying the job metadata the ISSUE wants on
-      // every job row: scenario spec, attempt number, outcome.
-      row = "{\"ph\":\"i\",\"pid\":" + pid +
-            ",\"tid\":0,\"name\":\"job_meta\",\"ts\":0,\"s\":\"p\","
-            "\"args\":{\"scenario\":\"";
-      json::escape_into(row, job.scenario.spec());
-      row += "\",\"attempt\":" + std::to_string(attempt_n) +
-             ",\"status\":\"";
-      json::escape_into(row, job.status);
-      row += "\"}}";
-      emit(row);
+      // One instant event carrying the job metadata every job row shows:
+      // scenario spec, attempt number, outcome.
+      begin_event(t, "i", pid, 0, "job_meta").field("ts", 0).field("s", "p");
+      t.key("args").begin_object().field("scenario", job.scenario.spec());
+      t.field("attempt", attempt_n).field("status", job.status);
+      t.end_object().end_object();
 
       // Re-emit the worker's events under this job's pid. Serialization
       // goes through the parsed values, so the bytes depend only on the
@@ -213,9 +190,8 @@ StatusOr<MergeOutput> merge_job_telemetry(
       for (json::Value& ev : events->mutable_array()) {
         if (!ev.is_object()) continue;
         set_member(ev, "pid",
-                   json::Value::make_number(
-                       static_cast<double>(job.job_index + 2)));
-        emit(json::serialize(ev));
+                   json::Value::make_number(static_cast<double>(pid)));
+        t.value(ev);
       }
 
       const json::Value* metrics_obj = shard.find("metrics");
@@ -245,51 +221,38 @@ StatusOr<MergeOutput> merge_job_telemetry(
           flight::parse_dump(flight_text);
       if (!tail.empty()) {
         ++out.flight_jobs;
-        emit("{\"ph\":\"M\",\"pid\":" + pid +
-             ",\"tid\":9999,\"name\":\"thread_name\",\"args\":{\"name\":"
-             "\"flight_recorder\"}}");
+        begin_event(t, "M", pid, 9999, "thread_name").key("args");
+        t.begin_object().field("name", "flight_recorder").end_object();
+        t.end_object();
         for (std::size_t i = 0; i < tail.size(); ++i) {
           const flight::Event& e = tail[i];
-          row = "{\"ph\":\"i\",\"pid\":" + pid +
-                ",\"tid\":9999,\"name\":\"flight:";
-          json::escape_into(row, flight::event_kind_name(e.kind));
-          row += ":";
-          json::escape_into(row, e.name);
-          row += "\",\"ts\":" + std::to_string(i) +
-                 ",\"s\":\"t\",\"args\":{\"seq\":" + std::to_string(e.seq) +
-                 ",\"tid\":" + std::to_string(e.tid) + ",\"value\":" +
-                 fmt_double(e.value) + "}}";
-          emit(row);
+          begin_event(t, "i", pid, 9999,
+                      std::string("flight:") +
+                          flight::event_kind_name(e.kind) + ":" + e.name);
+          t.field("ts", i).field("s", "t").key("args").begin_object();
+          t.field("seq", e.seq).field("tid", e.tid).field("value", e.value);
+          t.end_object().end_object();
         }
       }
     }
   }
-  t += "\n]}\n";
+  t.end_array().end_object();
+  out.trace_json = t.take();
 
-  std::string& agg = out.aggregates_json;
-  agg = "{\n    \"shards_merged\": " + std::to_string(out.shards_merged) +
-        ",\n    \"shards_missing\": " + std::to_string(out.shards_missing) +
-        ",\n    \"flight_jobs\": " + std::to_string(out.flight_jobs) +
-        ",\n    \"counters_total\": ";
-  append_counter_map(agg, counters_total);
-  agg += ",\n    \"by_axis\": {";
-  bool first_axis = true;
+  json::Writer agg;
+  agg.begin_object().field("shards_merged", out.shards_merged);
+  agg.field("shards_missing", out.shards_missing);
+  agg.field("flight_jobs", out.flight_jobs);
+  write_counter_map(agg.key("counters_total"), counters_total);
+  agg.key("by_axis").begin_object();
   for (const auto& [axis, values] : by_axis) {
-    if (!first_axis) agg += ",";
-    first_axis = false;
-    agg += "\n      \"" + axis + "\": {";
-    bool first_value = true;
-    for (const auto& [value, counters] : values) {
-      if (!first_value) agg += ",";
-      first_value = false;
-      agg += "\n        \"";
-      json::escape_into(agg, value);
-      agg += "\": ";
-      append_counter_map(agg, counters);
-    }
-    agg += "\n      }";
+    agg.key(axis).begin_object();
+    for (const auto& [value, counters] : values)
+      write_counter_map(agg.key(value), counters);
+    agg.end_object();
   }
-  agg += by_axis.empty() ? "}\n  }" : "\n    }\n  }";
+  agg.end_object().end_object();
+  out.aggregates_json = agg.take();
   return out;
 }
 

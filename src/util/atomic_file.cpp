@@ -10,6 +10,9 @@
 
 namespace vmap {
 
+namespace {
+
+/// fsyncs a file by path (no-op on non-POSIX hosts).
 void fsync_path(const std::string& path) {
 #if defined(__unix__) || defined(__APPLE__)
   const int fd = ::open(path.c_str(), O_WRONLY);
@@ -22,6 +25,8 @@ void fsync_path(const std::string& path) {
 #endif
 }
 
+/// fsyncs the directory containing `path`, making a completed rename into
+/// that directory durable (no-op on non-POSIX hosts).
 void fsync_parent_dir(const std::string& path) {
 #if defined(__unix__) || defined(__APPLE__)
   const auto slash = path.find_last_of('/');
@@ -37,6 +42,8 @@ void fsync_parent_dir(const std::string& path) {
   (void)path;
 #endif
 }
+
+}  // namespace
 
 Status write_file_atomic(const std::string& path,
                          const std::string& contents) {

@@ -48,15 +48,6 @@ void CsvWriter::add_row(const std::vector<double>& values) {
   out_ << '\n';
 }
 
-void CsvWriter::add_row(const std::vector<std::string>& cells) {
-  VMAP_REQUIRE(cells.size() == columns_, "csv row width mismatch");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << cells[i];
-  }
-  out_ << '\n';
-}
-
 void CsvWriter::close() {
   if (out_.is_open()) {
     out_.flush();

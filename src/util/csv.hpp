@@ -21,14 +21,13 @@ namespace vmap {
 double parse_csv_number(const std::string& cell, std::size_t line_no,
                         const std::string& context);
 
-/// Streams rows of doubles/strings into a CSV file; throws on I/O failure.
+/// Streams rows of doubles into a CSV file; throws on I/O failure.
 class CsvWriter {
  public:
   /// Opens `path` for writing and emits the header line.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   void add_row(const std::vector<double>& values);
-  void add_row(const std::vector<std::string>& cells);
 
   /// Flushes and closes; called by the destructor as well.
   void close();

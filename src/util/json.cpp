@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -185,80 +186,8 @@ struct Parser {
   }
 };
 
-void serialize_into(std::string& out, const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kNull:
-      out += "null";
-      break;
-    case Value::Kind::kBool:
-      out += v.as_bool() ? "true" : "false";
-      break;
-    case Value::Kind::kNumber: {
-      const double n = v.as_number();
-      char buf[40];
-      if (std::isfinite(n) && n == std::floor(n) && std::fabs(n) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(n));
-      } else {
-        // Shortest precision that round-trips: deterministic output
-        // without the %.17g noise on values like 12.345.
-        for (int prec = 15; prec <= 17; ++prec) {
-          std::snprintf(buf, sizeof(buf), "%.*g", prec, n);
-          if (std::strtod(buf, nullptr) == n) break;
-        }
-      }
-      out += buf;
-      break;
-    }
-    case Value::Kind::kString:
-      out += '"';
-      escape_into(out, v.as_string());
-      out += '"';
-      break;
-    case Value::Kind::kArray: {
-      out += '[';
-      const Array& a = v.as_array();
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (i) out += ',';
-        serialize_into(out, a[i]);
-      }
-      out += ']';
-      break;
-    }
-    case Value::Kind::kObject: {
-      out += '{';
-      const Object& o = v.as_object();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        if (i) out += ',';
-        out += '"';
-        escape_into(out, o[i].first);
-        out += "\":";
-        serialize_into(out, o[i].second);
-      }
-      out += '}';
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-StatusOr<Value> parse(const std::string& text) {
-  Parser p{text};
-  StatusOr<Value> v = p.parse_value(0);
-  if (!v.ok()) return v.status();
-  p.skip_ws();
-  if (p.pos != text.size()) return p.error("trailing characters");
-  return v;
-}
-
-std::string serialize(const Value& value) {
-  std::string out;
-  serialize_into(out, value);
-  return out;
-}
-
-void escape_into(std::string& out, const std::string& in) {
+/// Appends `in` as a JSON string literal body (no surrounding quotes).
+void escape_into(std::string& out, std::string_view in) {
   for (char c : in) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -275,6 +204,141 @@ void escape_into(std::string& out, const std::string& in) {
         }
     }
   }
+}
+
+}  // namespace
+
+StatusOr<Value> parse(const std::string& text) {
+  Parser p{text};
+  StatusOr<Value> v = p.parse_value(0);
+  if (!v.ok()) return v.status();
+  p.skip_ws();
+  if (p.pos != text.size()) return p.error("trailing characters");
+  return v;
+}
+
+std::string serialize(const Value& value) {
+  Writer w;
+  w.value(value);
+  return w.take();
+}
+
+void Writer::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (nonempty_.empty()) return;
+  if (nonempty_.back()) out_ += ',';
+  nonempty_.back() = true;
+}
+
+Writer& Writer::begin_object() {
+  separate();
+  out_ += '{';
+  nonempty_.push_back(false);
+  return *this;
+}
+
+Writer& Writer::end_object() {
+  out_ += '}';
+  nonempty_.pop_back();
+  return *this;
+}
+
+Writer& Writer::begin_array() {
+  separate();
+  out_ += '[';
+  nonempty_.push_back(false);
+  return *this;
+}
+
+Writer& Writer::end_array() {
+  out_ += ']';
+  nonempty_.pop_back();
+  return *this;
+}
+
+Writer& Writer::key(std::string_view name) {
+  separate();
+  out_ += '"';
+  escape_into(out_, name);
+  out_ += "\":";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::null() {
+  separate();
+  out_ += "null";
+  return *this;
+}
+
+Writer& Writer::value(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+Writer& Writer::integer(bool negative, std::uint64_t magnitude) {
+  separate();
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), magnitude).ptr;
+  if (negative) out_ += '-';
+  out_.append(buf, end);
+  return *this;
+}
+
+Writer& Writer::value(double v) {
+  if (!std::isfinite(v)) return null();
+  if (v == std::floor(v) && std::fabs(v) < 1e15)
+    return integer(v < 0, static_cast<std::uint64_t>(std::fabs(v)));
+  separate();
+  // Shortest precision that round-trips: deterministic output without
+  // the %.17g noise on values like 12.345.
+  char buf[40];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  out_ += buf;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  separate();
+  out_ += '"';
+  escape_into(out_, s);
+  out_ += '"';
+  return *this;
+}
+
+Writer& Writer::raw(std::string_view json) {
+  separate();
+  out_ += json;
+  return *this;
+}
+
+Writer& Writer::value(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kNull:
+      return null();
+    case Value::Kind::kBool:
+      return value(v.as_bool());
+    case Value::Kind::kNumber:
+      return value(v.as_number());
+    case Value::Kind::kString:
+      return value(std::string_view(v.as_string()));
+    case Value::Kind::kArray:
+      begin_array();
+      for (const Value& e : v.as_array()) value(e);
+      return end_array();
+    case Value::Kind::kObject:
+      begin_object();
+      for (const auto& [k, e] : v.as_object()) key(k).value(e);
+      return end_object();
+  }
+  return *this;
 }
 
 }  // namespace vmap::json

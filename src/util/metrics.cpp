@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace vmap::metrics {
@@ -58,12 +58,6 @@ double steady_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -155,39 +149,6 @@ Histogram& histogram(const std::string& name,
   return *slot;
 }
 
-std::vector<MetricValue> snapshot() {
-  Registry* r = registry();
-  std::lock_guard<std::mutex> lock(r->mutex);
-  std::vector<MetricValue> out;
-  out.reserve(r->counters.size() + r->gauges.size() + r->histograms.size());
-  for (const auto& [name, c] : r->counters) {
-    MetricValue m;
-    m.name = name;
-    m.kind = MetricValue::Kind::kCounter;
-    m.value = static_cast<double>(c->value());
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, g] : r->gauges) {
-    MetricValue m;
-    m.name = name;
-    m.kind = MetricValue::Kind::kGauge;
-    m.value = g->value();
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, h] : r->histograms) {
-    MetricValue m;
-    m.name = name;
-    m.kind = MetricValue::Kind::kHistogram;
-    m.histogram = h->snapshot();
-    out.push_back(std::move(m));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MetricValue& a, const MetricValue& b) {
-              return a.name < b.name;
-            });
-  return out;
-}
-
 double histogram_quantile(const Histogram::Snapshot& snapshot, double q) {
   if (snapshot.count == 0 || snapshot.counts.empty()) return 0.0;
   if (q < 0.0) q = 0.0;
@@ -216,100 +177,32 @@ double histogram_quantile(const Histogram::Snapshot& snapshot, double q) {
   return snapshot.bounds.empty() ? 0.0 : snapshot.bounds.back();
 }
 
-std::string snapshot_json() {
+void snapshot_json(json::Writer& out) {
   Registry* r = registry();
   std::lock_guard<std::mutex> lock(r->mutex);
-  std::string json = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : r->counters) {
-    if (!first) json += ",";
-    first = false;
-    json += "\"" + name + "\":" + std::to_string(c->value());
-  }
-  json += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : r->gauges) {
-    if (!first) json += ",";
-    first = false;
-    json += "\"" + name + "\":";
-    append_double(json, g->value());
-  }
-  json += "},\"histograms\":{";
-  first = true;
+  out.begin_object().key("counters").begin_object();
+  for (const auto& [name, c] : r->counters) out.field(name, c->value());
+  out.end_object().key("gauges").begin_object();
+  for (const auto& [name, g] : r->gauges) out.field(name, g->value());
+  out.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : r->histograms) {
-    if (!first) json += ",";
-    first = false;
     const Histogram::Snapshot s = h->snapshot();
-    json += "\"" + name + "\":{\"count\":" + std::to_string(s.count) +
-            ",\"sum\":";
-    append_double(json, s.sum);
-    json += ",\"p50\":";
-    append_double(json, histogram_quantile(s, 0.50));
-    json += ",\"p90\":";
-    append_double(json, histogram_quantile(s, 0.90));
-    json += ",\"p99\":";
-    append_double(json, histogram_quantile(s, 0.99));
-    json += ",\"buckets\":[";
+    out.key(name).begin_object().field("count", s.count).field("sum", s.sum);
+    out.field("p50", histogram_quantile(s, 0.50));
+    out.field("p90", histogram_quantile(s, 0.90));
+    out.field("p99", histogram_quantile(s, 0.99));
+    out.key("buckets").begin_array();
     for (std::size_t i = 0; i < s.counts.size(); ++i) {
-      if (i) json += ",";
-      json += "{\"le\":";
-      if (i < s.bounds.size()) append_double(json, s.bounds[i]);
-      else json += "\"+Inf\"";
-      json += ",\"count\":" + std::to_string(s.counts[i]) + "}";
+      out.begin_object().key("le");
+      if (i < s.bounds.size())
+        out.value(s.bounds[i]);
+      else
+        out.value("+Inf");
+      out.field("count", s.counts[i]).end_object();
     }
-    json += "]}";
+    out.end_array().end_object();
   }
-  json += "}}";
-  return json;
-}
-
-namespace {
-
-std::string prom_name(const std::string& name) {
-  std::string out = "vmap_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string metrics_text() {
-  Registry* r = registry();
-  std::lock_guard<std::mutex> lock(r->mutex);
-  std::string out;
-  for (const auto& [name, c] : r->counters) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " counter\n";
-    out += p + " " + std::to_string(c->value()) + "\n";
-  }
-  for (const auto& [name, g] : r->gauges) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " gauge\n";
-    out += p + " ";
-    append_double(out, g->value());
-    out += "\n";
-  }
-  for (const auto& [name, h] : r->histograms) {
-    const std::string p = prom_name(name);
-    const Histogram::Snapshot s = h->snapshot();
-    out += "# TYPE " + p + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < s.counts.size(); ++i) {
-      cumulative += s.counts[i];
-      out += p + "_bucket{le=\"";
-      if (i < s.bounds.size()) append_double(out, s.bounds[i]);
-      else out += "+Inf";
-      out += "\"} " + std::to_string(cumulative) + "\n";
-    }
-    out += p + "_sum ";
-    append_double(out, s.sum);
-    out += "\n" + p + "_count " + std::to_string(s.count) + "\n";
-  }
-  return out;
+  out.end_object().end_object();
 }
 
 void reset_all() {

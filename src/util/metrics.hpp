@@ -22,6 +22,10 @@
 #include <string>
 #include <vector>
 
+namespace vmap::json {
+class Writer;
+}
+
 namespace vmap::metrics {
 
 /// Global recording switch (default on; VMAP_METRICS=0 starts it off).
@@ -113,18 +117,6 @@ Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name,
                      const std::vector<double>& bounds = {});
 
-/// One registered metric, for report emission.
-struct MetricValue {
-  enum class Kind { kCounter, kGauge, kHistogram };
-  std::string name;
-  Kind kind = Kind::kCounter;
-  double value = 0.0;             ///< counter/gauge payload
-  Histogram::Snapshot histogram;  ///< kHistogram payload
-};
-
-/// Every registered metric, sorted by name.
-std::vector<MetricValue> snapshot();
-
 /// Interpolated quantile (q in [0, 1]) from a histogram snapshot:
 /// linear within the bucket that crosses rank q·count, with the first
 /// bucket anchored at 0 and observations in the +Inf overflow bucket
@@ -132,18 +124,12 @@ std::vector<MetricValue> snapshot();
 /// 0 when the histogram is empty.
 double histogram_quantile(const Histogram::Snapshot& snapshot, double q);
 
-/// The snapshot as a JSON object:
+/// Writes every registered metric as one JSON object value:
 /// {"counters":{...},"gauges":{...},
 ///  "histograms":{name:{count,sum,p50,p90,p99,buckets}}}
-/// The overflow bucket is reported with "le":"+Inf" (Prometheus
-/// convention), never folded into the top finite bucket.
-std::string snapshot_json();
-
-/// Prometheus text exposition of every registered metric: counters and
-/// gauges as single samples, histograms as cumulative _bucket{le="..."}
-/// series plus _sum and _count. Names are prefixed "vmap_" and
-/// non-[a-zA-Z0-9_] characters become '_'.
-std::string metrics_text();
+/// sorted by name. The overflow bucket is reported with "le":"+Inf"
+/// (Prometheus convention), never folded into the top finite bucket.
+void snapshot_json(json::Writer& out);
 
 /// Zeroes every registered metric (registrations survive). Benches call
 /// this before a measured phase so reports describe that run alone.

@@ -21,15 +21,6 @@ ChildProcess::ChildProcess(ChildProcess&& other) noexcept
       reaped_(std::exchange(other.reaped_, false)),
       status_(other.status_) {}
 
-ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
-  if (this != &other) {
-    pid_ = std::exchange(other.pid_, -1);
-    reaped_ = std::exchange(other.reaped_, false);
-    status_ = other.status_;
-  }
-  return *this;
-}
-
 #if defined(__unix__) || defined(__APPLE__)
 
 StatusOr<ChildProcess> ChildProcess::spawn(

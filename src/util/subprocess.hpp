@@ -27,13 +27,13 @@ struct ExitStatus {
   bool clean() const { return !signaled && code == 0; }
 };
 
-/// One spawned child. Movable, not copyable; the destructor does not reap —
-/// callers own the lifecycle (run_with_deadline always reaps).
+/// One spawned child. Move-constructible, not copyable or assignable; the
+/// destructor does not reap — callers own the lifecycle
+/// (run_with_deadline always reaps).
 class ChildProcess {
  public:
   ChildProcess() = default;
   ChildProcess(ChildProcess&& other) noexcept;
-  ChildProcess& operator=(ChildProcess&& other) noexcept;
   ChildProcess(const ChildProcess&) = delete;
   ChildProcess& operator=(const ChildProcess&) = delete;
 

@@ -57,6 +57,5 @@ std::string TablePrinter::sci(double value, int precision) {
 std::string TablePrinter::fmt(std::size_t value) {
   return std::to_string(value);
 }
-std::string TablePrinter::fmt(int value) { return std::to_string(value); }
 
 }  // namespace vmap

@@ -33,7 +33,6 @@ class TablePrinter {
   /// Scientific formatting ("1.23e-05").
   static std::string sci(double value, int precision = 2);
   static std::string fmt(std::size_t value);
-  static std::string fmt(int value);
 
  private:
   std::vector<std::string> header_;

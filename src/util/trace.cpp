@@ -2,13 +2,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
@@ -97,42 +98,27 @@ int local_tid_locked(TraceState& s) {
   return t_tid;
 }
 
-/// Serializes the full Chrome trace document. Caller holds the state
-/// mutex.
-std::string render_json_locked(TraceState& s) {
-  std::string json;
-  json.reserve(128 + s.events.size() * 160);
-  json += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
+/// Writes the full Chrome trace document. Caller holds the state mutex.
+void render_json_locked(TraceState& s, json::Writer& w) {
+  // ts and dur are microseconds; rounding them to the nanosecond keeps
+  // the document as compact as the clock is meaningful.
+  const auto ns = [](double us) { return std::round(us * 1e3) / 1e3; };
+  w.begin_object().field("displayTimeUnit", "ms").key("traceEvents");
+  w.begin_array();
   for (const auto& [tid, name] : s.thread_names) {
-    if (!first) json += ",\n";
-    first = false;
-    json += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-            ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + name +
-            "\"}}";
+    w.begin_object().field("ph", "M").field("pid", 1).field("tid", tid);
+    w.field("name", "thread_name").key("args").begin_object();
+    w.field("name", name).end_object().end_object();
   }
-  char buf[96];
   for (const auto& e : s.events) {
-    if (!first) json += ",\n";
-    first = false;
-    json += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(e.tid) +
-            ",\"name\":\"";
-    json::escape_into(json, e.name);
-    std::snprintf(buf, sizeof(buf), "\",\"ts\":%.3f,\"dur\":%.3f,", e.ts_us,
-                  e.dur_us);
-    json += buf;
-    json += "\"args\":{\"id\":" + std::to_string(e.id) +
-            ",\"parent\":" + std::to_string(e.parent);
-    for (int a = 0; a < e.num_args; ++a) {
-      json += ",\"";
-      json::escape_into(json, e.arg_keys[a]);
-      std::snprintf(buf, sizeof(buf), "\":%.17g", e.arg_values[a]);
-      json += buf;
-    }
-    json += "}}";
+    w.begin_object().field("ph", "X").field("pid", 1).field("tid", e.tid);
+    w.field("name", e.name).field("ts", ns(e.ts_us)).field("dur", ns(e.dur_us));
+    w.key("args").begin_object().field("id", e.id).field("parent", e.parent);
+    for (int a = 0; a < e.num_args; ++a)
+      w.field(e.arg_keys[a], e.arg_values[a]);
+    w.end_object().end_object();
   }
-  json += "\n]}\n";
-  return json;
+  w.end_array().end_object();
 }
 
 }  // namespace
@@ -174,27 +160,22 @@ void trace_disable() {
 
 Status trace_flush() {
   TraceState* s = state();
-  std::string json;
+  json::Writer json;
   std::string path;
   {
     std::lock_guard<std::mutex> lock(s->mutex);
     if (s->path.empty())
       return Status::InvalidArgument("trace_flush: tracing was never enabled");
     path = s->path;
-    json = render_json_locked(*s);
+    render_json_locked(*s, json);
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Io("cannot write trace file: " + path);
-  out << json;
-  out.flush();
-  if (!out) return Status::Io("trace file write failed: " + path);
-  return Status::Ok();
+  return write_file_atomic(path, json.str());
 }
 
-std::string trace_events_json() {
+void trace_events_json(json::Writer& out) {
   TraceState* s = state();
   std::lock_guard<std::mutex> lock(s->mutex);
-  return render_json_locked(*s);
+  render_json_locked(*s, out);
 }
 
 namespace trace_detail {

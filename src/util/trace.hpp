@@ -25,6 +25,10 @@
 #include "util/flight_recorder.hpp"
 #include "util/status.hpp"
 
+namespace vmap::json {
+class Writer;
+}
+
 namespace vmap {
 
 /// True when span collection is active. Relaxed atomic load; the inline
@@ -47,15 +51,16 @@ void trace_enable_capture();
 /// Stops collecting (already-collected events are kept for flushing).
 void trace_disable();
 
-/// Writes every collected event to the enabled path as Chrome trace JSON.
-/// Idempotent: rewrites the full file each call. Io error when the path
-/// cannot be written, InvalidArgument when tracing was never enabled.
+/// Writes every collected event to the enabled path as Chrome trace JSON,
+/// atomically (write_file_atomic). Idempotent: rewrites the full file
+/// each call. Io error when the path cannot be written, InvalidArgument
+/// when tracing was never enabled.
 Status trace_flush();
 
-/// The collected events as a complete Chrome trace JSON document — the
-/// exact bytes trace_flush() would write. Usable in capture mode (no
-/// output path) where trace_flush() refuses.
-std::string trace_events_json();
+/// Writes the collected events as one complete Chrome trace JSON object
+/// value, the document trace_flush() would write. Usable in capture mode
+/// (no output path) where trace_flush() refuses.
+void trace_events_json(json::Writer& out);
 
 namespace trace_detail {
 

@@ -1,11 +1,6 @@
 #include "workload/power_model.hpp"
 
-#include <algorithm>
-
-#include "grid/transient.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
-#include "workload/activity.hpp"
 
 namespace vmap::workload {
 
@@ -35,34 +30,6 @@ void PowerModel::to_node_currents(const linalg::Vector& block_activity,
                             per_node_share_[block.id];
     for (std::size_t node : block.nodes) node_currents[node] += per_node;
   }
-}
-
-double calibrate_current_scale(const grid::PowerGrid& grid,
-                               const chip::Floorplan& floorplan,
-                               const BenchmarkProfile& profile,
-                               double target_droop, double dt,
-                               std::size_t steps, std::uint64_t seed) {
-  VMAP_REQUIRE(target_droop > 0.0 && target_droop < grid.config().vdd,
-               "target droop must be within (0, VDD)");
-  VMAP_REQUIRE(steps > 0, "calibration needs at least one step");
-
-  PowerModel unit_model(floorplan, /*current_scale=*/1.0);
-  ActivityGenerator generator(floorplan, profile, Rng(seed));
-  grid::TransientSim sim(grid, dt);
-
-  linalg::Vector node_currents(grid.node_count());
-  double worst_droop = 0.0;
-  for (std::size_t s = 0; s < steps; ++s) {
-    unit_model.to_node_currents(generator.step(), node_currents);
-    const auto& v = sim.step(node_currents);
-    worst_droop = std::max(worst_droop, grid.config().vdd - v.min());
-  }
-  VMAP_REQUIRE(worst_droop > 0.0,
-               "calibration run produced no droop; check the workload");
-  const double scale = target_droop / worst_droop;
-  VMAP_LOG(kInfo) << "calibrated current scale " << scale << " (unit droop "
-                  << worst_droop << " V over " << steps << " steps)";
-  return scale;
 }
 
 }  // namespace vmap::workload

@@ -12,8 +12,6 @@
 #include "chip/floorplan.hpp"
 #include "grid/power_grid.hpp"
 #include "linalg/vector.hpp"
-#include "util/rng.hpp"
-#include "workload/benchmark_suite.hpp"
 
 namespace vmap::workload {
 
@@ -38,16 +36,5 @@ class PowerModel {
   linalg::Vector leakage_;             // per-node constant term
   std::vector<double> per_node_share_;  // 1/nodes-per-block, by block id
 };
-
-/// Calibrates the current scale: simulates `steps` steps of `profile` with
-/// unit scale, measures the deepest droop anywhere on the grid, and returns
-/// the scale that maps it to `target_droop` volts (e.g. 0.18 for a worst
-/// case of VDD - 0.18). Uses its own transient engine; deterministic in
-/// `seed`.
-double calibrate_current_scale(const grid::PowerGrid& grid,
-                               const chip::Floorplan& floorplan,
-                               const BenchmarkProfile& profile,
-                               double target_droop, double dt,
-                               std::size_t steps, std::uint64_t seed);
 
 }  // namespace vmap::workload

@@ -87,15 +87,6 @@ PowerTrace PowerTrace::load_csv(const std::string& path) {
   return trace;
 }
 
-Status PowerTrace::try_save_csv(const std::string& path) const {
-  try {
-    save_csv(path);
-    return Status::Ok();
-  } catch (const std::exception& e) {
-    return Status::Io(e.what());
-  }
-}
-
 StatusOr<PowerTrace> PowerTrace::try_load_csv(const std::string& path) {
   // Wraps (rather than replaces) load_csv: the throwing contract is part
   // of the public API and tests pin its exception types. Classification:

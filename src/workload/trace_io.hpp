@@ -37,12 +37,11 @@ class PowerTrace {
 
   /// CSV interchange: header "block_0,...,block_{K-1}", one row per step.
   /// The throwing variants raise std::runtime_error (malformed file /
-  /// failed write) or ContractError (negative activity); the try_ variants
-  /// map those to Status kIo (filesystem) / kCorruption (content) so batch
+  /// failed write) or ContractError (negative activity); try_load_csv maps
+  /// those to Status kIo (filesystem) / kCorruption (content) so batch
   /// importers can skip bad traces instead of aborting.
   void save_csv(const std::string& path) const;
   static PowerTrace load_csv(const std::string& path);
-  Status try_save_csv(const std::string& path) const;
   static StatusOr<PowerTrace> try_load_csv(const std::string& path);
 
  private:

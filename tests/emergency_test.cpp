@@ -108,17 +108,6 @@ TEST(SensorDetector, RowOutOfRangeThrows) {
                vmap::ContractError);
 }
 
-TEST(PerBlockDetector, CountsEveryDecision) {
-  linalg::Matrix f_true{{0.8, 0.9}, {0.9, 0.8}};
-  linalg::Matrix f_pred{{0.8, 0.9}, {0.9, 0.9}};  // misses block 1 sample 1
-  const auto rates =
-      evaluate_prediction_detector_per_block(f_true, f_pred, 0.85);
-  EXPECT_EQ(rates.samples, 4u);
-  EXPECT_EQ(rates.emergencies, 2u);
-  EXPECT_EQ(rates.misses, 1u);
-  EXPECT_EQ(rates.wrong_alarms, 0u);
-}
-
 TEST(Detectors, ThresholdBoundaryIsExclusive) {
   // Exactly at the threshold is NOT an emergency (strict less-than).
   linalg::Matrix f{{0.85}};

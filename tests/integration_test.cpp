@@ -191,8 +191,6 @@ TEST_F(IntegrationTest, EagleEyePlacementsAreValidCandidates) {
     EXPECT_EQ(rows.size(), 2 * plan_->core_count());
     for (std::size_t row : rows) EXPECT_LT(row, data_->num_candidates());
   }
-  const auto chip_rows = eagle_eye_place_chip(*data_, 5);
-  EXPECT_EQ(chip_rows.size(), 5u);
 }
 
 TEST_F(IntegrationTest, WholeChipModeWorks) {

@@ -124,14 +124,12 @@ TEST(ErrorMetrics, HandComputedValues) {
               (0.1 / 1.0 + 0.1 / 2.0 + 0.3 / 3.0 + 0.4 / 4.0) / 4.0, 1e-12);
   EXPECT_NEAR(rmse(t, p),
               std::sqrt((0.01 + 0.01 + 0.09 + 0.16) / 4.0), 1e-12);
-  EXPECT_NEAR(max_abs_error(t, p), 0.4, 1e-12);
 }
 
 TEST(ErrorMetrics, PerfectPredictionIsZero) {
   linalg::Matrix t{{1.0, 2.0}};
   EXPECT_DOUBLE_EQ(relative_error(t, t), 0.0);
   EXPECT_DOUBLE_EQ(rmse(t, t), 0.0);
-  EXPECT_DOUBLE_EQ(max_abs_error(t, t), 0.0);
 }
 
 TEST(ErrorMetrics, ShapeMismatchThrows) {

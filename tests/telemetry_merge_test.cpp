@@ -13,6 +13,7 @@
 
 #include "sweep/telemetry.hpp"
 #include "util/flight_recorder.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -163,10 +164,18 @@ TEST(TelemetryMerge, AggregatesSumCountersTotalAndPerAxis) {
   EXPECT_NE(agg.find("\"solves\":5"), std::string::npos);   // total
   EXPECT_NE(agg.find("\"steps\":30"), std::string::npos);
   // Per-workload split keeps the per-job values apart.
-  EXPECT_NE(agg.find("\"wl_a\": {\"solves\":2,\"steps\":10}"),
-            std::string::npos);
-  EXPECT_NE(agg.find("\"wl_b\": {\"solves\":3,\"steps\":20}"),
-            std::string::npos);
+  const StatusOr<json::Value> doc = json::parse(agg);
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  const json::Value* by_axis = doc->find("by_axis");
+  ASSERT_NE(by_axis, nullptr);
+  const json::Value* by_workload = by_axis->find("workload");
+  ASSERT_NE(by_workload, nullptr);
+  const json::Value* wl_a = by_workload->find("wl_a");
+  const json::Value* wl_b = by_workload->find("wl_b");
+  ASSERT_NE(wl_a, nullptr);
+  ASSERT_NE(wl_b, nullptr);
+  EXPECT_EQ(json::serialize(*wl_a), "{\"solves\":2,\"steps\":10}");
+  EXPECT_EQ(json::serialize(*wl_b), "{\"solves\":3,\"steps\":20}");
   // Jobs share every other axis, so those aggregate to the totals.
   EXPECT_NE(agg.find("\"pads\""), std::string::npos);
   EXPECT_NE(agg.find("\"density\""), std::string::npos);

@@ -1,16 +1,21 @@
 // Tests for the util layer: RNG statistics and determinism, contract
-// macros, CLI parsing, table/CSV formatting.
+// macros, CLI parsing, table/CSV formatting, the JSON writer.
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -259,6 +264,79 @@ TEST(Csv, RejectsWidthMismatch) {
   EXPECT_THROW(csv.add_row(std::vector<double>{1.0}), ContractError);
   csv.close();
   std::remove(path.c_str());
+}
+
+// ---- JSON writer ------------------------------------------------------
+
+TEST(JsonWriter, PlacesCommasThroughNesting) {
+  json::Writer w;
+  w.begin_object().field("a", 1).key("b").begin_array();
+  w.value(true).null().begin_object().end_object().begin_array().end_array();
+  w.begin_object().field("c", "d").field("e", false).end_object();
+  w.end_array().key("f").begin_object().end_object().end_object();
+  EXPECT_EQ(w.str(),
+            "{\"a\":1,\"b\":[true,null,{},[],{\"c\":\"d\",\"e\":false}],"
+            "\"f\":{}}");
+  json::Writer top;
+  top.begin_array().value(1).value(2).end_array();
+  EXPECT_EQ(top.take(), "[1,2]");
+}
+
+TEST(JsonWriter, EscapesKeysStringsAndControlCharacters) {
+  const std::string nasty = "q\"b\\n\nt\tc\x01\x1f/\xc3\xa9";
+  json::Writer w;
+  w.begin_object().field(nasty, nasty).end_object();
+  EXPECT_EQ(w.str(), "{\"q\\\"b\\\\n\\nt\\tc\\u0001\\u001f/\xc3\xa9\":"
+                     "\"q\\\"b\\\\n\\nt\\tc\\u0001\\u001f/\xc3\xa9\"}");
+  const StatusOr<json::Value> doc = json::parse(w.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  ASSERT_EQ(doc->as_object().size(), 1u);
+  EXPECT_EQ(doc->as_object()[0].first, nasty);
+  EXPECT_EQ(doc->as_object()[0].second.as_string(), nasty);
+}
+
+TEST(JsonWriter, NumbersRoundTripThroughTheParser) {
+  const double doubles[] = {0.1,       1.0 / 3.0, 5e-324, DBL_MAX,  -DBL_MAX,
+                            -2.5,      1e15,      1e300,  12.345,   -0.0,
+                            123456789.0};
+  json::Writer w;
+  w.begin_array();
+  for (double d : doubles) w.value(d);
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  w.value(std::numeric_limits<std::int64_t>::min());
+  w.end_array();
+  const std::string text = w.str();
+  // Integers print exactly, doubles in the shortest spelling that parses
+  // back to the same value.
+  EXPECT_NE(text.find(",18446744073709551615,-9223372036854775808]"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("0.1,"), 1u) << text;
+  EXPECT_NE(text.find(",123456789,"), std::string::npos) << text;
+  const StatusOr<json::Value> doc = json::parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  const json::Array& values = doc->as_array();
+  ASSERT_EQ(values.size(), std::size(doubles) + 2);
+  for (std::size_t i = 0; i < std::size(doubles); ++i)
+    EXPECT_EQ(values[i].as_number(), doubles[i]) << text;
+  EXPECT_EQ(values[std::size(doubles)].as_number(),
+            static_cast<double>(std::numeric_limits<std::uint64_t>::max()));
+  // The parser reads numbers as doubles, so a parse -> serialize round
+  // trip reproduces the writer's bytes for the doubles.
+  json::Writer only_doubles;
+  only_doubles.begin_array();
+  for (double d : doubles) only_doubles.value(d);
+  only_doubles.end_array();
+  const StatusOr<json::Value> again = json::parse(only_doubles.str());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(json::serialize(*again), only_doubles.str());
+}
+
+TEST(JsonWriter, NonFiniteDoublesAreNull) {
+  json::Writer w;
+  w.begin_array().value(std::nan("")).value(HUGE_VAL).value(-HUGE_VAL);
+  w.end_array();
+  EXPECT_EQ(w.str(), "[null,null,null]");
 }
 
 }  // namespace

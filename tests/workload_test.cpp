@@ -265,27 +265,6 @@ TEST_F(WorkloadTest, LeakageAppliesToAllFaNodes) {
     EXPECT_DOUBLE_EQ(currents[node], 0.0);
 }
 
-TEST_F(WorkloadTest, CalibrationHitsTargetDroop) {
-  const auto suite = parsec_like_suite();
-  const double target = 0.15;
-  const double scale = calibrate_current_scale(
-      grid_, plan_, suite[0], target, setup_.data.dt, 200, 99);
-  ASSERT_GT(scale, 0.0);
-
-  // Re-simulate with the calibrated scale; worst droop should be close to
-  // the target (exact for the same seed/steps by linearity).
-  PowerModel model(plan_, scale);
-  ActivityGenerator gen(plan_, suite[0], Rng(99));
-  grid::TransientSim sim(grid_, setup_.data.dt);
-  linalg::Vector currents(grid_.node_count());
-  double worst = 0.0;
-  for (int s = 0; s < 200; ++s) {
-    model.to_node_currents(gen.step(), currents);
-    worst = std::max(worst, 1.0 - sim.step(currents).min());
-  }
-  EXPECT_NEAR(worst, target, 1e-9);
-}
-
 TEST_F(WorkloadTest, PowerModelRejectsBadInputs) {
   EXPECT_THROW(PowerModel(plan_, 0.0), vmap::ContractError);
   EXPECT_THROW(PowerModel(plan_, 1.0, -1.0), vmap::ContractError);
