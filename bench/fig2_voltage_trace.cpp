@@ -131,6 +131,7 @@ int main(int argc, char** argv) {
         csv.add_row(std::vector<double>{static_cast<double>(s),
                                         f_test(block, s), pred_few(block, s),
                                         pred_many(block, s)});
+      csv.close();
       std::printf("\nwrote %s\n", csv.path().c_str());
     }
 

@@ -63,13 +63,12 @@ class GroupLassoSelection final : public SelectionBackend {
     const Normalizer x_norm(x_train, ctx.candidate_rows);
     const Normalizer f_norm(f_train, ctx.block_rows);
 
-    // Step 4: budgeted group lasso; a numerical breakdown is thrown. Z and
-    // G are temporaries, freed once the Gram statistics are built, so the
-    // solve holds only those.
+    // Step 4: budgeted group lasso; a numerical breakdown is thrown. The
+    // Gram statistics are built from the listed rows one column tile at a
+    // time, so Z and G are never formed.
     const GroupLasso solver(
-        GroupLassoProblem::from_data(
-            x_norm.normalize(x_train, ctx.candidate_rows),
-            f_norm.normalize(f_train, ctx.block_rows)),
+        GroupLassoProblem::from_rows(x_train, ctx.candidate_rows, x_norm,
+                                     f_train, ctx.block_rows, f_norm),
         config.gl_options);
     const GroupLassoResult gl = solver.solve_budget(config.lambda);
     if (!gl.status.ok()) throw StatusError(gl.status);
@@ -159,8 +158,7 @@ class OlsPrediction final : public PredictionBackend {
       const CoreFitContext& ctx,
       const std::vector<std::size_t>& selected_rows) const override {
     const linalg::Matrix x_sel = ctx.data.x_train.select_rows(selected_rows);
-    const linalg::Matrix f = ctx.data.f_train.select_rows(ctx.block_rows);
-    OlsModel ols(x_sel, f, ctx.report);
+    OlsModel ols(x_sel, ctx.data.f_train, ctx.block_rows, ctx.report);
     PredictionFit fit;
     fit.alpha = ols.alpha();
     fit.intercept = ols.intercept();

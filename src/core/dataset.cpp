@@ -150,12 +150,16 @@ Dataset DataCollector::collect(
   VMAP_REQUIRE(!data.candidate_nodes.empty(),
                "candidate stride removed every candidate node");
 
+  // One factorization of the step matrix serves the calibration pass and
+  // every chunk's simulator.
+  const auto factor = grid::TransientSim::factorize(grid_, config_.dt);
+
   // --- Calibration pass (unit current scale). The grid is linear, so the
   // per-node droop ranking and the worst-droop magnitude from a unit-scale
   // run determine both the critical nodes and the absolute scale.
   {
     TraceSpan calib_span("dataset.calibration");
-    grid::TransientSim sim(grid_, config_.dt);
+    grid::TransientSim sim(grid_, config_.dt, factor);
     workload::PowerModel unit_model(floorplan_, /*current_scale=*/1.0);
     workload::ActivityGenerator generator(floorplan_, suite.front(),
                                           Rng(config_.seed ^ 0xCA11B8A7E));
@@ -223,7 +227,7 @@ Dataset DataCollector::collect(
   // matrices at offsets fixed by the canonical suite order. Chunking uses
   // the shared work-quantum heuristic capped at one chunk per pool thread,
   // and each chunk steps its benchmarks in lockstep as the lanes of one
-  // transient engine: one factorization, and one pass over it per step for
+  // transient engine on the shared factor: one pass over it per step for
   // all of them. Every lane is bit-identical to a one-lane simulation, so
   // at any thread count (any lane grouping) the dataset is bit-identical to
   // the serial benchmark-by-benchmark loop.
@@ -249,7 +253,7 @@ Dataset DataCollector::collect(
     const std::size_t b_begin = chunk * n_benchmarks / chunks;
     const std::size_t lanes = (chunk + 1) * n_benchmarks / chunks - b_begin;
     TraceSpan chunk_span("dataset.collect_chunk");
-    grid::TransientSim sim(grid_, config_.dt, lanes);
+    grid::TransientSim sim(grid_, config_.dt, factor, lanes);
     std::vector<workload::ActivityGenerator> generators;
     generators.reserve(lanes);
     for (std::size_t c = 0; c < lanes; ++c)

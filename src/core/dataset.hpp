@@ -9,15 +9,16 @@
 // current scale (worst droop = target) and picks each block's worst-noise
 // node as its critical node.
 //
-// Collection is deterministic in the config seed. Benchmarks are split into
-// one chunk per pool thread (util/parallel.hpp); each chunk steps its
-// benchmarks in lockstep as the lanes of one transient simulator (one
-// factorization, one multi-RHS solve per step), each benchmark with its own
-// RNG stream, and every kept map is written straight into the benchmark's
-// column of X / F, at offsets fixed by the canonical suite order. Every
-// lane is bit-identical to a one-lane simulation, so the dataset, and
-// therefore its cache hash, is bit-identical at every thread count (any
-// lane grouping).
+// Collection is deterministic in the config seed. The step matrix is
+// factorized once per collect, and the calibration pass and every chunk's
+// simulator share that factor. Benchmarks are split into one chunk per pool
+// thread (util/parallel.hpp); each chunk steps its benchmarks in lockstep as
+// the lanes of one transient simulator (one multi-RHS solve per step), each
+// benchmark with its own RNG stream, and every kept map is written straight
+// into the benchmark's column of X / F, at offsets fixed by the canonical
+// suite order. Every lane is bit-identical to a one-lane simulation, so the
+// dataset, and therefore its cache hash, is bit-identical at every thread
+// count (any lane grouping).
 // Because full collection costs minutes of simulation, datasets can be
 // saved/loaded in a versioned binary cache keyed by the configuration.
 

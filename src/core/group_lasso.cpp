@@ -16,21 +16,73 @@
 
 namespace vmap::core {
 
+namespace {
+
+/// The tiled Gram pair of `write`'s M x N Z and K x N G, with ||G||²_F
+/// given as `g_sum_sq`, all scaled by 1/N so the Gram entries are O(1)
+/// correlations; the constrained solution path is invariant to this
+/// uniform objective scaling.
+GroupLassoProblem from_tiles(std::size_t m, std::size_t k, std::size_t n,
+                             const linalg::TileWriter& write,
+                             double g_sum_sq) {
+  VMAP_REQUIRE(n >= 2, "need at least two samples");
+  GroupLassoProblem p;
+  p.samples = n;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  linalg::GramPair pair = linalg::tiled_gram(m, k, n, write);
+  p.gram = std::move(pair.zzt);
+  p.gram *= inv_n;
+  p.cross = std::move(pair.gzt);
+  p.cross *= inv_n;
+  p.g_norm_sq = g_sum_sq * inv_n;
+  return p;
+}
+
+}  // namespace
+
 GroupLassoProblem GroupLassoProblem::from_data(const linalg::Matrix& z,
                                                const linalg::Matrix& g) {
   VMAP_REQUIRE(z.cols() == g.cols(), "Z and G must share the sample axis");
-  VMAP_REQUIRE(z.cols() >= 2, "need at least two samples");
-  GroupLassoProblem p;
-  p.samples = z.cols();
-  // Scale by 1/N so the Gram entries are O(1) correlations; the constrained
-  // solution path is invariant to this uniform objective scaling.
-  const double inv_n = 1.0 / static_cast<double>(p.samples);
-  p.gram = linalg::matmul_a_at(z);
-  p.gram *= inv_n;
-  p.cross = linalg::matmul_a_bt(g, z);
-  p.cross *= inv_n;
-  p.g_norm_sq = g.norm_frobenius_squared() * inv_n;
-  return p;
+  const auto copy_tile = [](const linalg::Matrix& a, std::size_t c0,
+                            std::size_t c1, double* out) {
+    for (std::size_t i = 0; i < a.rows(); ++i)
+      std::copy(a.row_data(i) + c0, a.row_data(i) + c1, out + i * (c1 - c0));
+  };
+  return from_tiles(
+      z.rows(), g.rows(), z.cols(),
+      [&](std::size_t c0, std::size_t c1, double* zt, double* gt) {
+        copy_tile(z, c0, c1, zt);
+        copy_tile(g, c0, c1, gt);
+      },
+      g.norm_frobenius_squared());
+}
+
+GroupLassoProblem GroupLassoProblem::from_rows(
+    const linalg::Matrix& x, const std::vector<std::size_t>& x_rows,
+    const Normalizer& x_norm, const linalg::Matrix& f,
+    const std::vector<std::size_t>& f_rows, const Normalizer& f_norm) {
+  VMAP_REQUIRE(x.cols() == f.cols(), "X and F must share the sample axis");
+  VMAP_REQUIRE(x_rows.size() == x_norm.variables() &&
+                   f_rows.size() == f_norm.variables(),
+               "variable count mismatch");
+  const std::size_t n = x.cols();
+  // ||G||²_F as one chain over G's rows in order, as from_data takes it.
+  double g_sum_sq = 0.0;
+  std::vector<double> row(n);
+  for (std::size_t r = 0; r < f_rows.size(); ++r) {
+    f_norm.normalize_row(f, f_rows[r], r, 0, n, row.data());
+    for (double v : row) g_sum_sq += v * v;
+  }
+  return from_tiles(
+      x_rows.size(), f_rows.size(), n,
+      [&](std::size_t c0, std::size_t c1, double* zt, double* gt) {
+        const std::size_t w = c1 - c0;
+        for (std::size_t i = 0; i < x_rows.size(); ++i)
+          x_norm.normalize_row(x, x_rows[i], i, c0, c1, zt + i * w);
+        for (std::size_t r = 0; r < f_rows.size(); ++r)
+          f_norm.normalize_row(f, f_rows[r], r, c0, c1, gt + r * w);
+      },
+      g_sum_sq);
 }
 
 std::vector<std::size_t> GroupLassoResult::active_groups(

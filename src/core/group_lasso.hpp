@@ -24,7 +24,12 @@
 // rebuilt P, does.
 //
 // Everything works on Gram matrices A = Z Zᵀ (M×M) and B = G Zᵀ (K×M), so
-// the per-iteration cost is independent of the sample count N.
+// the per-iteration cost is independent of the sample count N. They are
+// built in column tiles of linalg::kGramTile samples (linalg::tiled_gram),
+// and the per-core fit never forms Z or G: from_rows z-scores each tile of
+// the dataset's listed X and F rows once, into a tile-sized buffer, and
+// adds the tile's products to the running sums. from_data reads a given Z
+// and G in place through the same routine, so there is one Gram path.
 //
 // Summation order. A solve is bit-identical at every kernel dispatch level
 // (VMAP_SIMD=0 included): β, the sweep count and the selection do not
@@ -40,14 +45,17 @@
 
 #include <cstddef>
 #include <optional>
+#include <vector>
 
+#include "core/normalizer.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "util/status.hpp"
 
 namespace vmap::core {
 
-/// Precomputed sufficient statistics of the normalized data.
+/// Precomputed sufficient statistics of the normalized data, each scaled
+/// by 1/N.
 struct GroupLassoProblem {
   linalg::Matrix gram;    ///< A = Z Zᵀ, M x M
   linalg::Matrix cross;   ///< B = G Zᵀ, K x M
@@ -61,6 +69,16 @@ struct GroupLassoProblem {
   /// G (K x N).
   static GroupLassoProblem from_data(const linalg::Matrix& z,
                                      const linalg::Matrix& g);
+  /// The statistics of Z = x_norm.normalize(x, x_rows) and
+  /// G = f_norm.normalize(f, f_rows), bit for bit, without forming either:
+  /// the listed rows are read in place and z-scored one column tile at a
+  /// time.
+  static GroupLassoProblem from_rows(const linalg::Matrix& x,
+                                     const std::vector<std::size_t>& x_rows,
+                                     const Normalizer& x_norm,
+                                     const linalg::Matrix& f,
+                                     const std::vector<std::size_t>& f_rows,
+                                     const Normalizer& f_norm);
 };
 
 struct GroupLassoOptions {

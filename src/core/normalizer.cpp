@@ -1,5 +1,6 @@
 #include "core/normalizer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -55,19 +56,27 @@ linalg::Matrix Normalizer::normalize(const linalg::Matrix& data) const {
   return normalize(data, all_rows(data));
 }
 
+void Normalizer::normalize_row(const linalg::Matrix& data, std::size_t row,
+                               std::size_t var, std::size_t c0,
+                               std::size_t c1, double* out) const {
+  VMAP_REQUIRE(var < variables(), "variable index out of range");
+  VMAP_REQUIRE(c0 <= c1 && c1 <= data.cols(), "column range out of bounds");
+  const double* src = row_of(data, row);
+  if (degenerate_[var]) {
+    std::fill(out, out + (c1 - c0), 0.0);
+    return;
+  }
+  const double mu = mean_[var];
+  const double inv_sd = 1.0 / stddev_[var];
+  for (std::size_t c = c0; c < c1; ++c) out[c - c0] = (src[c] - mu) * inv_sd;
+}
+
 linalg::Matrix Normalizer::normalize(
     const linalg::Matrix& data, const std::vector<std::size_t>& rows) const {
   VMAP_REQUIRE(rows.size() == variables(), "variable count mismatch");
   linalg::Matrix z(rows.size(), data.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const double* src = row_of(data, rows[i]);
-    if (degenerate_[i]) continue;  // stays zero
-    const double mu = mean_[i];
-    const double inv_sd = 1.0 / stddev_[i];
-    double* dst = z.row_data(i);
-    for (std::size_t c = 0; c < data.cols(); ++c)
-      dst[c] = (src[c] - mu) * inv_sd;
-  }
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    normalize_row(data, rows[i], i, 0, data.cols(), z.row_data(i));
   return z;
 }
 

@@ -10,7 +10,10 @@
 // Learning and normalizing can read a row subset of a larger matrix in
 // place (the per-core fit's candidate and block rows of the dataset), so no
 // restricted copy of the data is made; the whole-matrix forms are the
-// all-rows case.
+// all-rows case. Every transform is normalize_row() — one variable over a
+// column range — so the group-lasso Gram build can z-score the dataset's
+// rows one column tile at a time, each element once, and still match the
+// matrix forms bit for bit.
 
 #include <cstddef>
 #include <vector>
@@ -34,6 +37,13 @@ class Normalizer {
   const linalg::Vector& stddevs() const { return stddev_; }
   /// True if the row had (numerically) zero variance in training data.
   bool is_degenerate(std::size_t row) const;
+
+  /// Z-scores columns [c0, c1) of row `row` of `data` as variable `var`
+  /// into out[0, c1 - c0): (x - mean) * (1 / stddev), or zeros when the
+  /// variable is degenerate.
+  void normalize_row(const linalg::Matrix& data, std::size_t row,
+                     std::size_t var, std::size_t c0, std::size_t c1,
+                     double* out) const;
 
   /// z = (x - mean) / stddev, row-wise. Degenerate rows map to 0.
   linalg::Matrix normalize(const linalg::Matrix& data) const;

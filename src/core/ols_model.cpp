@@ -1,6 +1,8 @@
 #include "core/ols_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 #include "linalg/cholesky.hpp"
@@ -9,13 +11,31 @@
 
 namespace vmap::core {
 
+namespace {
+
+std::vector<std::size_t> all_rows(const linalg::Matrix& m) {
+  std::vector<std::size_t> rows(m.rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return rows;
+}
+
+}  // namespace
+
 OlsModel::OlsModel(const linalg::Matrix& x_selected, const linalg::Matrix& f,
+                   ResilienceReport* report, const char* stage)
+    : OlsModel(x_selected, f, all_rows(f), report, stage) {}
+
+OlsModel::OlsModel(const linalg::Matrix& x_selected, const linalg::Matrix& f,
+                   const std::vector<std::size_t>& f_rows,
                    ResilienceReport* report, const char* stage) {
   const std::size_t q = x_selected.rows();
   const std::size_t n = x_selected.cols();
-  const std::size_t k = f.rows();
+  const std::size_t k = f_rows.size();
   VMAP_REQUIRE(f.cols() == n, "X^S and F must share the sample axis");
   VMAP_REQUIRE(n >= q + 1, "need at least Q+1 samples to fit Q sensors");
+  VMAP_REQUIRE(k > 0, "need at least one response");
+  for (std::size_t row : f_rows)
+    VMAP_REQUIRE(row < f.rows(), "response row out of range");
 
   // Augmented design: rows are samples, columns are [sensors | 1].
   linalg::Matrix design(n, q + 1);
@@ -24,18 +44,27 @@ OlsModel::OlsModel(const linalg::Matrix& x_selected, const linalg::Matrix& f,
     for (std::size_t j = 0; j < q; ++j) row[j] = x_selected(j, s);
     row[q] = 1.0;
   }
-  // Responses: one column per block, rows are samples.
-  linalg::Matrix targets = f.transposed();
   linalg::QR qr(design);
   if (report) report->record_condition(stage, qr.condition_estimate());
-  linalg::Matrix coef;  // (q+1) x k
-  StatusOr<linalg::Matrix> solved = qr.try_solve(targets);
-  if (solved.ok()) {
-    coef = std::move(solved).value();
-  } else {
+  linalg::Matrix coef(q + 1, k);
+  Status solved;
+  linalg::Vector target(n);
+  for (std::size_t kk = 0; kk < k && solved.ok(); ++kk) {
+    const double* src = f.row_data(f_rows[kk]);
+    std::copy(src, src + n, target.begin());
+    StatusOr<linalg::Vector> col = qr.try_solve(target);
+    if (col.ok())
+      coef.set_col(kk, col.value());
+    else
+      solved = col.status();
+  }
+  if (!solved.ok()) {
     // Rank-deficient design (duplicate / constant sensor rows). Refit via
     // the normal equations with an escalating ridge jitter scaled to the
     // average Gram diagonal, so the fix is dimensionally sensible.
+    linalg::Matrix targets(n, k);  // one column per response
+    for (std::size_t kk = 0; kk < k; ++kk)
+      for (std::size_t s = 0; s < n; ++s) targets(s, kk) = f(f_rows[kk], s);
     linalg::Matrix gram = linalg::matmul_at_b(design, design);
     const linalg::Matrix rhs = linalg::matmul_at_b(design, targets);
     double trace = 0.0;
@@ -61,7 +90,7 @@ OlsModel::OlsModel(const linalg::Matrix& x_selected, const linalg::Matrix& f,
                        ErrorCode::kNumerical, ridge);
       break;
     }
-    if (!recovered) throw ContractError(solved.status().to_string());
+    if (!recovered) throw ContractError(solved.to_string());
   }
 
   alpha_ = linalg::Matrix(k, q);
@@ -71,8 +100,23 @@ OlsModel::OlsModel(const linalg::Matrix& x_selected, const linalg::Matrix& f,
     intercept_[kk] = coef(q, kk);
   }
 
-  const linalg::Matrix fitted = predict(x_selected);
-  train_rmse_ = rmse(f, fitted);
+  // rmse(F, predict(X^S)) element by element: each fitted value is
+  // matmul's chain (zero coefficients skipped) plus the intercept, and the
+  // squared residuals sum in row-major order.
+  double acc = 0.0;
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double* t = f.row_data(f_rows[kk]);
+    const double* a = alpha_.row_data(kk);
+    for (std::size_t s = 0; s < n; ++s) {
+      double fitted = 0.0;
+      for (std::size_t j = 0; j < q; ++j)
+        if (a[j] != 0.0) fitted += a[j] * x_selected(j, s);
+      fitted += intercept_[kk];
+      const double d = fitted - t[s];
+      acc += d * d;
+    }
+  }
+  train_rmse_ = std::sqrt(acc / static_cast<double>(k * n));
 }
 
 linalg::Vector OlsModel::predict(const linalg::Vector& x_sensors) const {

@@ -8,6 +8,11 @@
 // solved response-by-response through a Householder QR of the augmented
 // design [X^Sᵀ | 1]. Predictions run in raw voltage units — no
 // normalization is needed at runtime.
+//
+// The responses are read in place, as a list of F's rows: each one is
+// solved from a single N-long buffer, and the training RMSE is summed
+// element by element in predict()'s order, so the per-core refit holds no
+// K x N copy of F (only the rare ridge fallback builds its targets).
 
 #include <cstddef>
 #include <vector>
@@ -33,6 +38,12 @@ class OlsModel {
   explicit OlsModel(const linalg::Matrix& x_selected, const linalg::Matrix& f,
                     ResilienceReport* report = nullptr,
                     const char* stage = "ols_refit");
+  /// The same fit with response k read in place from row f_rows[k] of `f`
+  /// (f has N columns); bit-identical to fitting on f.select_rows(f_rows).
+  OlsModel(const linalg::Matrix& x_selected, const linalg::Matrix& f,
+           const std::vector<std::size_t>& f_rows,
+           ResilienceReport* report = nullptr,
+           const char* stage = "ols_refit");
 
   /// True when the ridge fallback (rather than plain QR) produced the fit.
   bool used_ridge_fallback() const { return used_ridge_fallback_; }

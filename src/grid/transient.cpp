@@ -9,11 +9,19 @@
 namespace vmap::grid {
 
 namespace {
+/// The pads' RL companion conductance 1/(R + L/dt); 0 for resistive pads.
+double companion_conductance(const PowerGrid& grid, double dt) {
+  VMAP_REQUIRE(dt > 0.0, "time step must be positive");
+  const GridConfig& c = grid.config();
+  return c.pad_inductance > 0.0
+             ? 1.0 / (c.pad_resistance + c.pad_inductance / dt)
+             : 0.0;
+}
+
 /// Builds G + C/dt, swapping each pad's DC conductance for the RL
 /// companion conductance `g_eff` when the pads are inductive.
 sparse::CsrMatrix build_step_matrix(const PowerGrid& grid, double dt,
                                     bool inductive, double g_eff) {
-  VMAP_REQUIRE(dt > 0.0, "time step must be positive");
   const auto& g = grid.conductance();
   const auto& cap = grid.capacitance();
   std::vector<double> values = g.values();
@@ -48,28 +56,40 @@ sparse::CsrMatrix build_step_matrix(const PowerGrid& grid, double dt,
 }
 }  // namespace
 
+std::shared_ptr<const sparse::SkylineCholesky> TransientSim::factorize(
+    const PowerGrid& grid, double dt) {
+  return std::make_shared<const sparse::SkylineCholesky>(build_step_matrix(
+      grid, dt, grid.config().pad_inductance > 0.0,
+      companion_conductance(grid, dt)));
+}
+
 TransientSim::TransientSim(const PowerGrid& grid, double dt,
                            std::size_t lanes)
+    : TransientSim(grid, dt, factorize(grid, dt), lanes) {}
+
+TransientSim::TransientSim(
+    const PowerGrid& grid, double dt,
+    std::shared_ptr<const sparse::SkylineCholesky> factor, std::size_t lanes)
     : grid_(grid),
       dt_(dt),
       lanes_(lanes),
       stride_(sparse::SkylineCholesky::panel_stride(lanes)),
       inductive_(grid.config().pad_inductance > 0.0),
-      g_eff_(inductive_ ? 1.0 / (grid.config().pad_resistance +
-                                 grid.config().pad_inductance / dt)
-                        : 0.0),
+      g_eff_(companion_conductance(grid, dt)),
       history_gain_(inductive_ ? g_eff_ * (grid.config().pad_inductance / dt)
                                : 0.0),
-      factor_(build_step_matrix(grid, dt, inductive_, g_eff_)),
+      factor_(std::move(factor)),
       c_over_dt_(grid.node_count()),
       rhs_(grid.node_count() * stride_),
       v_(grid.node_count() * lanes, grid.config().vdd),
       pad_currents_(grid.pad_nodes().size() * lanes) {
   VMAP_REQUIRE(lanes >= 1, "a transient simulator needs at least one lane");
+  VMAP_REQUIRE(factor_ && factor_->dim() == grid.node_count(),
+               "step factor does not match the grid");
   const auto& cap = grid_.capacitance();
   for (std::size_t i = 0; i < cap.size(); ++i) c_over_dt_[i] = cap[i] / dt_;
   const std::vector<std::size_t> slot =
-      sparse::invert_permutation(factor_.permutation());
+      sparse::invert_permutation(factor_->permutation());
   for (std::size_t pad : grid_.pad_nodes()) pad_slot_.push_back(slot[pad]);
 }
 
@@ -77,7 +97,7 @@ void TransientSim::assemble_rhs(std::span<const linalg::Vector> loads) {
   // C/dt·v − I (+ the pad term), in the reference's operation order
   // ((C/dt·v) − I) + pad, for node order[r] at row r. Padding lanes are
   // never written: they hold zeros, which the sweeps keep at zero.
-  const std::vector<std::size_t>& order = factor_.permutation();
+  const std::vector<std::size_t>& order = factor_->permutation();
   const std::size_t w = lanes_;
   const std::size_t s = stride_;
   for (std::size_t r = 0; r < order.size(); ++r) {
@@ -128,8 +148,8 @@ const linalg::Vector& TransientSim::step(
   assemble_rhs(load_currents);
   // The sweeps turn the factor-order rhs into the new voltages in place;
   // scatter them back to node order once.
-  factor_.solve_in_factor_order(stride_, rhs_.data());
-  const std::vector<std::size_t>& order = factor_.permutation();
+  factor_->solve_in_factor_order(stride_, rhs_.data());
+  const std::vector<std::size_t>& order = factor_->permutation();
   for (std::size_t r = 0; r < order.size(); ++r)
     for (std::size_t c = 0; c < w; ++c)
       v_[order[r] * w + c] = rhs_[r * stride_ + c];

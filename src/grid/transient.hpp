@@ -5,7 +5,10 @@
 // constant, so it is factorized once and each time step costs only a
 // forward/backward substitution. Backward Euler is L-stable: large current
 // steps (power-gating events) cannot excite spurious numerical
-// oscillations.
+// oscillations. The factor depends only on the grid and dt, and a solve
+// only reads it, so simulators of one grid and step can share one
+// factorization (factorize()), stepping concurrently; dataset collection
+// hands one to its calibration pass and to every chunk.
 //
 // When the grid's pads carry a series inductance L, each pad branch is
 // discretized with its backward-Euler companion model:
@@ -32,6 +35,7 @@
 // and the new voltages are scattered back to node order once.
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,9 +48,18 @@ namespace vmap::grid {
 /// Time-stepping engine over a PowerGrid.
 class TransientSim {
  public:
+  /// The step matrix's factorization for `grid` at step `dt` (seconds,
+  /// positive), to share among simulators of that grid and step.
+  static std::shared_ptr<const sparse::SkylineCholesky> factorize(
+      const PowerGrid& grid, double dt);
+
   /// `dt` is the step in seconds; must be positive. `lanes` (>= 1) is the
-  /// number of lockstep simulations.
+  /// number of lockstep simulations. Builds its own factorization.
   TransientSim(const PowerGrid& grid, double dt, std::size_t lanes = 1);
+  /// The same on a shared `factor`, which must be factorize(grid, dt).
+  TransientSim(const PowerGrid& grid, double dt,
+               std::shared_ptr<const sparse::SkylineCholesky> factor,
+               std::size_t lanes = 1);
 
   double dt() const { return dt_; }
   std::size_t lanes() const { return lanes_; }
@@ -88,9 +101,8 @@ class TransientSim {
   bool inductive_ = false;
   double g_eff_ = 0.0;       ///< effective pad conductance 1/(R + L/dt)
   double history_gain_ = 0.0;  ///< g_eff * L/dt
-  /// Of G (+ pad companion) + C/dt. Built from inductive_ and g_eff_ in
-  /// the constructor's initializer list, so declared after them.
-  sparse::SkylineCholesky factor_;
+  /// Of G (+ pad companion) + C/dt; possibly shared with other simulators.
+  std::shared_ptr<const sparse::SkylineCholesky> factor_;
   linalg::Vector c_over_dt_;
   std::vector<std::size_t> pad_slot_;  ///< pad index -> rhs_ row
   /// Row r of lane c at [r * stride_ + c]; row r is node

@@ -49,7 +49,7 @@ void pack_panel(std::size_t n, const double* r0, const double* r1,
 
 void dot_panel(std::size_t n, const double* a, const double* panel,
                double* out4) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  double s0 = out4[0], s1 = out4[1], s2 = out4[2], s3 = out4[3];
   for (std::size_t k = 0; k < n; ++k) {
     const double ak = a[k];
     s0 += ak * panel[k * 4 + 0];
@@ -65,8 +65,8 @@ void dot_panel(std::size_t n, const double* a, const double* panel,
 
 void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
+  double a0 = out_a[0], a1 = out_a[1], a2 = out_a[2], a3 = out_a[3];
+  double b0 = out_b[0], b1 = out_b[1], b2 = out_b[2], b3 = out_b[3];
   for (std::size_t k = 0; k < n; ++k) {
     const double ak = a[k];
     const double bk = b[k];
@@ -93,10 +93,61 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
   out_b[3] = b3;
 }
 
+// One pass with 16 accumulators, s[r][l] for row r and lane l: each panel
+// entry is loaded once for all four rows, and every chain is dot_panel's.
 void dot_panel4(std::size_t n, const double* a, std::size_t lda,
                 const double* panel, double* out, std::size_t ldo) {
-  for (std::size_t r = 0; r < 4; ++r)
-    dot_panel(n, a + r * lda, panel, out + r * ldo);
+  const double* a0 = a;
+  const double* a1 = a0 + lda;
+  const double* a2 = a1 + lda;
+  const double* a3 = a2 + lda;
+  double* o0 = out;
+  double* o1 = o0 + ldo;
+  double* o2 = o1 + ldo;
+  double* o3 = o2 + ldo;
+  double s00 = o0[0], s01 = o0[1], s02 = o0[2], s03 = o0[3];
+  double s10 = o1[0], s11 = o1[1], s12 = o1[2], s13 = o1[3];
+  double s20 = o2[0], s21 = o2[1], s22 = o2[2], s23 = o2[3];
+  double s30 = o3[0], s31 = o3[1], s32 = o3[2], s33 = o3[3];
+  for (std::size_t k = 0; k < n; ++k) {
+    const double p0 = panel[k * 4 + 0];
+    const double p1 = panel[k * 4 + 1];
+    const double p2 = panel[k * 4 + 2];
+    const double p3 = panel[k * 4 + 3];
+    const double x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];
+    s00 += x0 * p0;
+    s01 += x0 * p1;
+    s02 += x0 * p2;
+    s03 += x0 * p3;
+    s10 += x1 * p0;
+    s11 += x1 * p1;
+    s12 += x1 * p2;
+    s13 += x1 * p3;
+    s20 += x2 * p0;
+    s21 += x2 * p1;
+    s22 += x2 * p2;
+    s23 += x2 * p3;
+    s30 += x3 * p0;
+    s31 += x3 * p1;
+    s32 += x3 * p2;
+    s33 += x3 * p3;
+  }
+  o0[0] = s00;
+  o0[1] = s01;
+  o0[2] = s02;
+  o0[3] = s03;
+  o1[0] = s10;
+  o1[1] = s11;
+  o1[2] = s12;
+  o1[3] = s13;
+  o2[0] = s20;
+  o2[1] = s21;
+  o2[2] = s22;
+  o2[3] = s23;
+  o3[0] = s30;
+  o3[1] = s31;
+  o3[2] = s32;
+  o3[3] = s33;
 }
 
 void rank1_update(std::size_t rows, std::size_t n, const double* delta,
@@ -331,7 +382,7 @@ VMAP_AVX2 void dot_panel(std::size_t n, const double* a, const double* panel,
                          double* out4) {
   // One accumulator per lane (= per output element), ascending k: the
   // per-element accumulation chain is exactly the scalar reference's.
-  __m256d acc = _mm256_setzero_pd();
+  __m256d acc = _mm256_loadu_pd(out4);
   for (std::size_t k = 0; k < n; ++k) {
     const __m256d ak = _mm256_set1_pd(a[k]);
     const __m256d pk = _mm256_loadu_pd(panel + k * 4);
@@ -342,8 +393,8 @@ VMAP_AVX2 void dot_panel(std::size_t n, const double* a, const double* panel,
 
 VMAP_AVX2 void dot_panel2(std::size_t n, const double* a, const double* b,
                           const double* panel, double* out_a, double* out_b) {
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
+  __m256d acc_a = _mm256_loadu_pd(out_a);
+  __m256d acc_b = _mm256_loadu_pd(out_b);
   for (std::size_t k = 0; k < n; ++k) {
     const __m256d pk = _mm256_loadu_pd(panel + k * 4);
     acc_a = _mm256_add_pd(acc_a, _mm256_mul_pd(_mm256_set1_pd(a[k]), pk));
@@ -359,8 +410,10 @@ VMAP_AVX2 void dot_panel4(std::size_t n, const double* a, std::size_t lda,
   const double* a1 = a0 + lda;
   const double* a2 = a1 + lda;
   const double* a3 = a2 + lda;
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
+  __m256d acc0 = _mm256_loadu_pd(out);
+  __m256d acc1 = _mm256_loadu_pd(out + ldo);
+  __m256d acc2 = _mm256_loadu_pd(out + 2 * ldo);
+  __m256d acc3 = _mm256_loadu_pd(out + 3 * ldo);
   for (std::size_t k = 0; k < n; ++k) {
     const __m256d pk = _mm256_loadu_pd(panel + k * 4);
     acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(a0[k]), pk));

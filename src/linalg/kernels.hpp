@@ -76,14 +76,18 @@ void sub(std::size_t n, const double* x, double* y);
 // into panel[k*4 + lane], then dot_panel() keeps one accumulator per lane
 // and walks k ascending — each output element sees exactly the sequential
 // single-accumulator order, so results match the scalar dot per element.
+// Each accumulator starts from the value already in its output, so a dot
+// over k split into consecutive column ranges, one call per range, runs
+// the same chain as one call over all of k; from a zeroed output it is the
+// plain dot.
 
 inline constexpr std::size_t kPanelWidth = 4;
 
 /// panel[k*4 + l] = r_l[k] for l in 0..3; panel must hold 4*n doubles.
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel);
-/// out4[l] = sum_k a[k] * panel[k*4 + l] (ascending k, one accumulator
-/// per lane).
+/// out4[l] += sum_k a[k] * panel[k*4 + l] (ascending k, one accumulator
+/// per lane, starting from out4[l]).
 void dot_panel(std::size_t n, const double* a, const double* panel,
                double* out4);
 /// Two A rows against one panel in a single sweep (panel loaded once per

@@ -191,47 +191,60 @@ void matmul_at_b_rows(const Matrix& a, const Matrix& b, Matrix& c,
   }
 }
 
-/// Row range [i0, i1) of C = A * Bᵀ: packed-panel microkernel. Four B rows
-/// are interleaved into a [k][4] panel once, then the A rows sweep the
-/// panel four at a time (then a 2- and a 1-row tail) with one running
-/// accumulator per output element, k strictly ascending — the same
+/// Borrowed row-major rows: row r at data + r * ld.
+struct Rows {
+  const double* data;
+  std::size_t ld;
+  const double* row(std::size_t r) const { return data + r * ld; }
+};
+
+/// Row range [i0, i1) of C += A * Bᵀ over n columns: packed-panel
+/// microkernel. Four B rows (of nj) are interleaved into a [k][4] panel
+/// once, then the A rows sweep the panel four at a time (then a 2- and a
+/// 1-row tail) with one running accumulator per output element, k strictly
+/// ascending, continuing from the value in C — on a zeroed C the same
 /// per-element chain as a plain sequential dot, so results are
-/// bit-identical to the naive kernel at any SIMD setting. With `lower` set,
-/// row i only meets the panels and tail columns j ≤ i (a diagonal panel
-/// also fills its 4×4 block's upper corner): the lower triangle of a
-/// symmetric A·Aᵀ.
-void matmul_a_bt_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                      std::size_t i0, std::size_t i1, bool lower = false) {
-  const std::size_t nk = a.cols();
-  const std::size_t nj = b.rows();
-  std::vector<double> panel(kern::kPanelWidth * nk);
+/// bit-identical to the naive kernel at any SIMD setting, and a sum over
+/// consecutive column ranges, one call each, is the sum over all of them.
+/// C's (i, j) is at c + i * ldc + j. With `lower` set, row i only meets
+/// the panels and tail columns j ≤ i (a diagonal panel also fills its 4×4
+/// block's upper corner): the lower triangle of a symmetric A·Aᵀ.
+void add_a_bt_rows(std::size_t n, Rows a, Rows b, std::size_t nj, double* c,
+                   std::size_t ldc, std::size_t i0, std::size_t i1,
+                   bool lower = false) {
+  std::vector<double> panel(kern::kPanelWidth * n);
   std::size_t jb = 0;
   for (; jb + kern::kPanelWidth <= nj; jb += kern::kPanelWidth) {
     std::size_t i = lower ? std::max(i0, jb) : i0;
     if (i >= i1) return;  // so is every later panel and tail column
-    kern::pack_panel(nk, b.row_data(jb), b.row_data(jb + 1),
-                     b.row_data(jb + 2), b.row_data(jb + 3), panel.data());
-    for (; i + 4 <= i1; i += 4) {
-      kern::dot_panel4(nk, a.row_data(i), a.cols(), panel.data(),
-                       c.row_data(i) + jb, c.cols());
-    }
+    kern::pack_panel(n, b.row(jb), b.row(jb + 1), b.row(jb + 2),
+                     b.row(jb + 3), panel.data());
+    for (; i + 4 <= i1; i += 4)
+      kern::dot_panel4(n, a.row(i), a.ld, panel.data(), c + i * ldc + jb,
+                       ldc);
     for (; i + 2 <= i1; i += 2) {
-      kern::dot_panel2(nk, a.row_data(i), a.row_data(i + 1), panel.data(),
-                       c.row_data(i) + jb, c.row_data(i + 1) + jb);
+      kern::dot_panel2(n, a.row(i), a.row(i + 1), panel.data(),
+                       c + i * ldc + jb, c + (i + 1) * ldc + jb);
     }
     for (; i < i1; ++i)
-      kern::dot_panel(nk, a.row_data(i), panel.data(), c.row_data(i) + jb);
+      kern::dot_panel(n, a.row(i), panel.data(), c + i * ldc + jb);
   }
   // Ragged tail columns (nj % 4): plain sequential dots.
   for (; jb < nj; ++jb) {
-    const double* brow = b.row_data(jb);
+    const double* brow = b.row(jb);
     for (std::size_t i = lower ? std::max(i0, jb) : i0; i < i1; ++i) {
-      const double* arow = a.row_data(i);
-      double s = 0.0;
-      for (std::size_t k = 0; k < nk; ++k) s += arow[k] * brow[k];
-      c(i, jb) = s;
+      const double* arow = a.row(i);
+      double s = c[i * ldc + jb];
+      for (std::size_t k = 0; k < n; ++k) s += arow[k] * brow[k];
+      c[i * ldc + jb] = s;
     }
   }
+}
+
+/// Copies the strict lower triangle of a square C onto its upper one.
+void mirror_lower(Matrix& c) {
+  for (std::size_t i = 0; i < c.rows(); ++i)
+    for (std::size_t j = i + 1; j < c.cols(); ++j) c(i, j) = c(j, i);
 }
 
 /// Splits [0, rows) into contiguous chunks (sized by the shared
@@ -302,7 +315,8 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
                        static_cast<double>(a.cols()) *
                        static_cast<double>(b.rows());
   dispatch_rows(a.rows(), flops, [&](std::size_t i0, std::size_t i1) {
-    matmul_a_bt_rows(a, b, c, i0, i1);
+    add_a_bt_rows(a.cols(), {a.data(), a.cols()}, {b.data(), b.cols()},
+                  b.rows(), c.data(), c.cols(), i0, i1);
   });
   return c;
 }
@@ -313,12 +327,39 @@ Matrix matmul_a_at(const Matrix& a) {
   const double flops = 0.5 * static_cast<double>(m) *
                        static_cast<double>(m + 1) *
                        static_cast<double>(a.cols());
+  const Rows rows{a.data(), a.cols()};
   dispatch_rows(m, flops, [&](std::size_t i0, std::size_t i1) {
-    matmul_a_bt_rows(a, a, c, i0, i1, /*lower=*/true);
+    add_a_bt_rows(a.cols(), rows, rows, m, c.data(), m, i0, i1,
+                  /*lower=*/true);
   });
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = i + 1; j < m; ++j) c(i, j) = c(j, i);
+  mirror_lower(c);
   return c;
+}
+
+GramPair tiled_gram(std::size_t m, std::size_t k, std::size_t n,
+                    const TileWriter& write) {
+  GramPair out{Matrix(m, m), Matrix(k, m)};
+  std::vector<double> z(m * kGramTile), g(k * kGramTile);
+  for (std::size_t c0 = 0; c0 < n; c0 += kGramTile) {
+    const std::size_t w = std::min(kGramTile, n - c0);
+    write(c0, c0 + w, z.data(), g.data());
+    const Rows zr{z.data(), w}, gr{g.data(), w};
+    // Rows [0, m) of the split are ZZᵀ's, rows [m, m + k) GZᵀ's.
+    const double flops =
+        (0.5 * static_cast<double>(m) * static_cast<double>(m + 1) +
+         static_cast<double>(k) * static_cast<double>(m)) *
+        static_cast<double>(w);
+    dispatch_rows(m + k, flops, [&](std::size_t i0, std::size_t i1) {
+      if (i0 < m)
+        add_a_bt_rows(w, zr, zr, m, out.zzt.data(), m, i0, std::min(i1, m),
+                      /*lower=*/true);
+      if (i1 > m)
+        add_a_bt_rows(w, gr, zr, m, out.gzt.data(), m, std::max(i0, m) - m,
+                      i1 - m);
+    });
+  }
+  mirror_lower(out.zzt);
+  return out;
 }
 
 Vector matvec(const Matrix& a, const Vector& x) {

@@ -4,6 +4,7 @@
 // row/column views as copies, and norms.
 
 #include <cstddef>
+#include <functional>
 #include <initializer_list>
 #include <vector>
 
@@ -94,6 +95,30 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 /// matmul_a_bt's kernel, mirrored. Bit-identical to matmul_a_bt(a, a),
 /// and exactly symmetric.
 Matrix matmul_a_at(const Matrix& a);
+
+/// Column width of tiled_gram's tiles. A 174-row Z tile (one core of the
+/// Table-2 fit) is 356 KB, so it stays in L2 while its panels sweep it.
+inline constexpr std::size_t kGramTile = 256;
+
+/// Writes columns [c0, c1) of Z and of G, row-major at row stride c1 − c0:
+/// Z's row i at z + i·(c1 − c0), G's row r at g + r·(c1 − c0).
+using TileWriter = std::function<void(std::size_t c0, std::size_t c1,
+                                      double* z, double* g)>;
+
+struct GramPair {
+  Matrix zzt;  ///< Z·Zᵀ, m x m
+  Matrix gzt;  ///< G·Zᵀ, k x m
+};
+
+/// The Gram pair of a Z (m x n) and a G (k x n) that are never held whole:
+/// `write` produces them kGramTile columns at a time, in ascending column
+/// order, and each tile's products are added to the running sums. Every
+/// element continues its one chain across the tiles, so the pair is
+/// bit-identical to matmul_a_at(Z) and matmul_a_bt(G, Z), and Z·Zᵀ is
+/// exactly symmetric. Outside a parallel region each tile's rows split
+/// across the pool as those kernels' do.
+GramPair tiled_gram(std::size_t m, std::size_t k, std::size_t n,
+                    const TileWriter& write);
 /// y = A * x.
 Vector matvec(const Matrix& a, const Vector& x);
 /// y = A^T * x.

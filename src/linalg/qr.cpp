@@ -80,17 +80,6 @@ StatusOr<Vector> QR::try_solve(const Vector& b) const {
   return x;
 }
 
-StatusOr<Matrix> QR::try_solve(const Matrix& b) const {
-  VMAP_REQUIRE(b.rows() == qr_.rows(), "rhs rows mismatch in QR::solve");
-  Matrix x(qr_.cols(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    StatusOr<Vector> col = try_solve(b.col(c));
-    if (!col.ok()) return col.status();
-    x.set_col(c, col.value());
-  }
-  return x;
-}
-
 Vector QR::solve(const Vector& b) const {
   StatusOr<Vector> x = try_solve(b);
   if (!x.ok()) throw ContractError(x.status().to_string());

@@ -29,11 +29,10 @@ class QR {
   /// (numerically zero diagonal of R).
   Vector solve(const Vector& b) const;
 
-  /// Non-throwing least-squares solves: Status kNumerical on a rank-
+  /// Non-throwing least-squares solve: Status kNumerical on a rank-
   /// deficient system instead of an exception, so callers can fall back
   /// (e.g. to a ridge-jittered normal-equation refit).
   StatusOr<Vector> try_solve(const Vector& b) const;
-  StatusOr<Matrix> try_solve(const Matrix& b) const;
 
   /// Cheap 2-norm condition estimate from the R diagonal:
   /// max|R_ii| / min|R_ii| (a lower bound on cond_2(A); +inf when some

@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "util/assert.hpp"
+#include "util/atomic_file.hpp"
 
 namespace vmap {
 
@@ -25,34 +27,30 @@ double parse_csv_number(const std::string& cell, std::size_t line_no,
   return value;
 }
 
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : path_(path), out_(path), columns_(header.size()) {
+CsvWriter::CsvWriter(std::string path, const std::vector<std::string>& header)
+    : path_(std::move(path)), columns_(header.size()) {
   VMAP_REQUIRE(!header.empty(), "csv needs at least one column");
-  if (!out_) throw std::runtime_error("cannot open csv file: " + path);
   for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << header[i];
+    if (i) text_ += ',';
+    text_ += header[i];
   }
-  out_ << '\n';
+  text_ += '\n';
 }
 
-void CsvWriter::add_row(const std::vector<double>& values) {
+void CsvWriter::add_row(std::span<const double> values) {
   VMAP_REQUIRE(values.size() == columns_, "csv row width mismatch");
-  char buf[64];
+  char buf[32];
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out_ << ',';
-    std::snprintf(buf, sizeof(buf), "%.9g", values[i]);
-    out_ << buf;
+    if (i) text_ += ',';
+    std::snprintf(buf, sizeof(buf), "%.17g", values[i]);
+    text_ += buf;
   }
-  out_ << '\n';
+  text_ += '\n';
 }
 
 void CsvWriter::close() {
-  if (out_.is_open()) {
-    out_.flush();
-    out_.close();
-  }
+  const Status st = write_file_atomic(path_, text_);
+  if (!st.ok()) throw std::runtime_error(st.to_string());
 }
 
 }  // namespace vmap

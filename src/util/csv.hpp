@@ -3,10 +3,14 @@
 // parser every CSV *reader* in the repo must use.
 //
 // Benches optionally dump their series to CSV (e.g. Fig. 2 voltage traces)
-// so they can be re-plotted outside the repo.
+// so they can be re-plotted outside the repo, and activity traces are
+// exported as CSV (workload/trace_io.hpp). Both go through CsvWriter, which
+// builds the whole text in memory and publishes it with write_file_atomic:
+// a crash or a failed write leaves the previous file or the new one under
+// the real name, never a prefix.
 
 #include <cstddef>
-#include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,22 +25,25 @@ namespace vmap {
 double parse_csv_number(const std::string& cell, std::size_t line_no,
                         const std::string& context);
 
-/// Streams rows of doubles into a CSV file; throws on I/O failure.
+/// Collects rows of doubles, each cell printed with %.17g (which reads
+/// back as the same double), and writes the file at close().
 class CsvWriter {
  public:
-  /// Opens `path` for writing and emits the header line.
-  CsvWriter(const std::string& path, const std::vector<std::string>& header);
+  /// Starts the text with the header line. Nothing touches `path` until
+  /// close(); a writer destroyed without it writes nothing.
+  CsvWriter(std::string path, const std::vector<std::string>& header);
 
-  void add_row(const std::vector<double>& values);
+  void add_row(std::span<const double> values);
 
-  /// Flushes and closes; called by the destructor as well.
+  /// Writes the file with write_file_atomic (tmp, fsync, rename, directory
+  /// fsync). Throws std::runtime_error when that fails.
   void close();
 
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
-  std::ofstream out_;
+  std::string text_;
   std::size_t columns_ = 0;
 };
 

@@ -1,8 +1,10 @@
 #include "workload/trace_io.hpp"
 
-#include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/csv.hpp"
@@ -32,23 +34,13 @@ PowerTrace PowerTrace::capture(ActivityGenerator& generator,
 }
 
 void PowerTrace::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write trace csv: " + path);
-  for (std::size_t b = 0; b < blocks_; ++b) {
-    if (b) out << ',';
-    out << "block_" << b;
-  }
-  out << '\n';
-  char buf[64];
-  for (std::size_t s = 0; s < steps(); ++s) {
-    for (std::size_t b = 0; b < blocks_; ++b) {
-      if (b) out << ',';
-      std::snprintf(buf, sizeof(buf), "%.17g", data_[s * blocks_ + b]);
-      out << buf;
-    }
-    out << '\n';
-  }
-  if (!out) throw std::runtime_error("trace csv write failed: " + path);
+  std::vector<std::string> header;
+  for (std::size_t b = 0; b < blocks_; ++b)
+    header.push_back("block_" + std::to_string(b));
+  CsvWriter csv(path, header);
+  for (std::size_t s = 0; s < steps(); ++s)
+    csv.add_row(std::span<const double>(data_.data() + s * blocks_, blocks_));
+  csv.close();
 }
 
 PowerTrace PowerTrace::load_csv(const std::string& path) {

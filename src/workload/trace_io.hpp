@@ -35,7 +35,8 @@ class PowerTrace {
   /// Captures `steps` steps from a generator.
   static PowerTrace capture(ActivityGenerator& generator, std::size_t steps);
 
-  /// CSV interchange: header "block_0,...,block_{K-1}", one row per step.
+  /// CSV interchange: header "block_0,...,block_{K-1}", one row per step,
+  /// written whole by CsvWriter (atomically, every value exact).
   /// The throwing variants raise std::runtime_error (malformed file /
   /// failed write) or ContractError (negative activity); try_load_csv maps
   /// those to Status kIo (filesystem) / kCorruption (content) so batch

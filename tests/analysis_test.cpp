@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "chip/floorplan.hpp"
@@ -180,6 +181,28 @@ TEST_F(TraceTest, CsvRoundTrips) {
   for (std::size_t s = 0; s < trace.steps(); ++s)
     for (std::size_t b = 0; b < trace.blocks(); ++b)
       EXPECT_NEAR(loaded.at(s, b), trace.at(s, b), 1e-9);
+  std::remove(path.c_str());
+}
+
+TEST_F(TraceTest, FailedSaveKeepsThePreviousTrace) {
+  // save_csv writes atomically: when the write fails (its temporary name is
+  // taken by a directory), the trace already under the real name stays
+  // whole and loadable.
+  const auto suite = workload::parsec_like_suite();
+  workload::ActivityGenerator gen(plan_, suite[2], Rng(11));
+  const auto first = workload::PowerTrace::capture(gen, 6);
+  const auto second = workload::PowerTrace::capture(gen, 9);
+  const std::string path = testing::TempDir() + "vmap_trace_atomic.csv";
+  std::filesystem::remove(path + ".tmp");  // a previous run's, if any
+  first.save_csv(path);
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_THROW(second.save_csv(path), std::runtime_error);
+  std::filesystem::remove(path + ".tmp");
+  const auto loaded = workload::PowerTrace::load_csv(path);
+  ASSERT_EQ(loaded.steps(), first.steps());
+  for (std::size_t s = 0; s < first.steps(); ++s)
+    for (std::size_t b = 0; b < first.blocks(); ++b)
+      EXPECT_EQ(loaded.at(s, b), first.at(s, b));
   std::remove(path.c_str());
 }
 

@@ -480,6 +480,56 @@ TEST(TransientLanes, RejectsWrongLaneCount) {
                vmap::ContractError);
 }
 
+TEST(TransientLanes, SharedFactorMatchesPrivateFactors) {
+  // DataCollector::collect factorizes once and hands the factor to its
+  // calibration pass and to every chunk's simulator. A one-lane and a
+  // three-lane simulator on one shared factor, stepped interleaved, must
+  // match two that each built their own, byte for byte, over every step:
+  // a solve only reads the factor. Inductive pads carry state across steps.
+  GridConfig c = small_config();
+  c.pad_inductance = 5e-10;
+  const PowerGrid grid(c);
+  SimdGuard guard;
+  const auto same = [](const linalg::Vector& a, const linalg::Vector& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_level(simd ? linalg::kern::SimdLevel::kAvx2
+                                      : linalg::kern::SimdLevel::kScalar);
+    const auto factor = TransientSim::factorize(grid, 1e-11);
+    TransientSim shared_one(grid, 1e-11, factor);
+    TransientSim shared_three(grid, 1e-11, factor, 3);
+    TransientSim own_one(grid, 1e-11);
+    TransientSim own_three(grid, 1e-11, 3);
+    Rng rng(13 + (simd ? 1 : 0));
+    for (int step = 0; step < 40; ++step) {
+      const linalg::Vector load = random_load(grid.node_count(), rng, 0.05);
+      std::vector<linalg::Vector> loads;
+      for (int lane = 0; lane < 3; ++lane)
+        loads.push_back(random_load(grid.node_count(), rng, 0.05));
+      EXPECT_TRUE(same(shared_one.step(load), own_one.step(load)))
+          << "one lane, step " << step << " simd=" << simd;
+      EXPECT_TRUE(same(shared_three.step(loads), own_three.step(loads)))
+          << "three lanes, step " << step << " simd=" << simd;
+      EXPECT_TRUE(same(shared_one.pad_currents(), own_one.pad_currents()));
+      EXPECT_TRUE(
+          same(shared_three.pad_currents(), own_three.pad_currents()));
+    }
+  }
+}
+
+TEST(TransientLanes, RejectsAFactorOfAnotherGrid) {
+  const PowerGrid grid(small_config());
+  GridConfig bigger = small_config();
+  bigger.nx = 10;
+  const PowerGrid other(bigger);
+  EXPECT_THROW(
+      TransientSim(grid, 1e-11, TransientSim::factorize(other, 1e-11)),
+      vmap::ContractError);
+  EXPECT_THROW(TransientSim(grid, 1e-11, nullptr), vmap::ContractError);
+}
+
 /// Steps the same random loads through a `lanes`-wide simulator with the
 /// SIMD kernels on and through one with them off (the kern::ref sweeps);
 /// voltages and pad currents must agree byte for byte at every step.

@@ -602,9 +602,72 @@ TEST(GroupLasso, BudgetSolveIsBitIdenticalAtEverySimdLevel) {
   linalg::kern::set_simd_level(was);
 }
 
+TEST(GroupLassoProblem, RowListedTilesMatchWholeMatrixProducts) {
+  // from_rows z-scores the listed rows one column tile at a time and never
+  // forms Z or G; from_data reads a given Z and G through the same tiles.
+  // Both must equal the whole-matrix products of explicitly normalized Z
+  // and G byte for byte: A = matmul_a_at(Z)/N, B = matmul_a_bt(G, Z)/N and
+  // ||G||²_F/N. N = 2.5 tiles leaves a partial last tile, 23 candidates
+  // leave 3 tail columns past the 4-wide panels, one listed candidate row
+  // is constant (degenerate, so z = 0), and the rows are listed out of
+  // order with a repeat.
+  using linalg::kern::SimdLevel;
+  const SimdLevel was = linalg::kern::simd_level();
+  const std::size_t n = 2 * linalg::kGramTile + linalg::kGramTile / 2 + 3;
+  vmap::Rng rng(77);
+  linalg::Matrix x(30, n), f(12, n);
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      x(r, c) = r == 7 ? 0.93 : rng.normal(0.9, 0.02);
+  for (std::size_t r = 0; r < f.rows(); ++r)
+    for (std::size_t c = 0; c < n; ++c) f(r, c) = rng.normal(0.85, 0.03);
+  const std::vector<std::size_t> x_rows = {29, 3, 7,  0,  11, 12, 5,  6,
+                                           8,  9, 10, 1,  2,  13, 14, 15,
+                                           16, 4, 20, 21, 22, 23, 3};
+  const std::vector<std::size_t> f_rows = {11, 0, 4, 5, 6, 1, 2, 9, 0};
+  const Normalizer x_norm(x, x_rows), f_norm(f, f_rows);
+  ASSERT_TRUE(x_norm.is_degenerate(2));
+  const linalg::Matrix z = x_norm.normalize(x, x_rows);
+  const linalg::Matrix g = f_norm.normalize(f, f_rows);
+  for (SimdLevel level : host_levels()) {
+    linalg::kern::set_simd_level(level);
+    const std::string tag = linalg::kern::simd_level_name(level);
+    const double inv_n = 1.0 / static_cast<double>(n);
+    linalg::Matrix gram = linalg::matmul_a_at(z);
+    gram *= inv_n;
+    linalg::Matrix cross = linalg::matmul_a_bt(g, z);
+    cross *= inv_n;
+    const double g_norm_sq = g.norm_frobenius_squared() * inv_n;
+    const GroupLassoProblem tiled[] = {
+        GroupLassoProblem::from_rows(x, x_rows, x_norm, f, f_rows, f_norm),
+        GroupLassoProblem::from_data(z, g)};
+    for (const GroupLassoProblem& p : tiled) {
+      ASSERT_EQ(p.gram.rows(), x_rows.size()) << tag;
+      ASSERT_EQ(p.cross.rows(), f_rows.size()) << tag;
+      EXPECT_TRUE(same_bytes(p.gram.data(), gram.data(),
+                             gram.rows() * gram.cols()))
+          << "A " << tag;
+      EXPECT_TRUE(same_bytes(p.cross.data(), cross.data(),
+                             cross.rows() * cross.cols()))
+          << "B " << tag;
+      EXPECT_TRUE(same_bytes(&p.g_norm_sq, &g_norm_sq, 1)) << "||G||² " << tag;
+      EXPECT_EQ(p.samples, n);
+    }
+  }
+  linalg::kern::set_simd_level(was);
+}
+
 TEST(GroupLasso, MismatchedDataRejected) {
   linalg::Matrix z(3, 10), g(2, 11);
   EXPECT_THROW(GroupLassoProblem::from_data(z, g), vmap::ContractError);
+  const Normalizer z_norm(z), g_norm(g);
+  const std::vector<std::size_t> z_rows = {0, 1, 2}, g_rows = {0, 1};
+  EXPECT_THROW(
+      GroupLassoProblem::from_rows(z, z_rows, z_norm, g, g_rows, g_norm),
+      vmap::ContractError);
+  EXPECT_THROW(GroupLassoProblem::from_rows(z, {0, 1}, z_norm, z, z_rows,
+                                            z_norm),
+               vmap::ContractError);
 }
 
 }  // namespace

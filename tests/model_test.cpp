@@ -88,6 +88,56 @@ TEST(OlsModel, NeedsEnoughSamples) {
   EXPECT_THROW(OlsModel(x, f), vmap::ContractError);
 }
 
+TEST(OlsModel, RowListedResponsesMatchTheSelectedCopy) {
+  // The per-core refit reads its responses in place as a list of F's rows.
+  // It must fit what a fit on the copy f.select_rows(rows) fits, and its
+  // training RMSE must be rmse(copy, predict(X)) — predict()'s chain per
+  // element — byte for byte. The second design repeats a sensor row, so
+  // both fits take the ridge fallback.
+  const auto same = [](const double* a, const double* b, std::size_t n) {
+    return std::memcmp(a, b, n * sizeof(double)) == 0;
+  };
+  vmap::Rng rng(5);
+  const std::size_t n = 120;
+  linalg::Matrix f(9, n);
+  for (std::size_t r = 0; r < f.rows(); ++r)
+    for (std::size_t c = 0; c < n; ++c) f(r, c) = rng.normal(0.9, 0.05);
+  const std::vector<std::size_t> rows = {7, 2, 2, 5, 0};
+  const linalg::Matrix f_sel = f.select_rows(rows);
+  const linalg::kern::SimdLevel was = linalg::kern::simd_level();
+  for (bool repeated : {false, true}) {
+    linalg::Matrix x(3, n);
+    for (std::size_t r = 0; r < x.rows(); ++r)
+      for (std::size_t c = 0; c < n; ++c)
+        x(r, c) = repeated && r == 2 ? x(0, c) : rng.normal(0.9, 0.05);
+    for (auto level :
+         {linalg::kern::SimdLevel::kScalar, linalg::kern::SimdLevel::kAvx2}) {
+      linalg::kern::set_simd_level(level);
+      const std::string tag =
+          std::string(linalg::kern::simd_level_name(level)) +
+          (repeated ? " repeated sensor" : "");
+      const OlsModel listed(x, f, rows);
+      const OlsModel copied(x, f_sel);
+      EXPECT_EQ(listed.used_ridge_fallback(), repeated) << tag;
+      EXPECT_EQ(copied.used_ridge_fallback(), repeated) << tag;
+      ASSERT_EQ(listed.responses(), rows.size());
+      ASSERT_EQ(listed.sensors(), x.rows());
+      EXPECT_TRUE(same(listed.alpha().data(), copied.alpha().data(),
+                       rows.size() * x.rows()))
+          << "alpha " << tag;
+      EXPECT_TRUE(same(listed.intercept().data(), copied.intercept().data(),
+                       rows.size()))
+          << "intercept " << tag;
+      const double want = rmse(f_sel, copied.predict(x));
+      const double got[] = {listed.train_rmse(), copied.train_rmse()};
+      EXPECT_TRUE(same(&got[0], &want, 1)) << "train_rmse " << tag;
+      EXPECT_TRUE(same(&got[1], &want, 1)) << "train_rmse of the copy " << tag;
+    }
+  }
+  linalg::kern::set_simd_level(was);
+  EXPECT_THROW(OlsModel(linalg::Matrix(3, n), f, {9}), vmap::ContractError);
+}
+
 TEST(OlsModel, OlsRefitBeatsShrunkGlCoefficients) {
   // The §2.3 argument end-to-end: fit GL with a tight budget, then compare
   // prediction error of (a) shrunk GL coefficients vs (b) OLS refit on the

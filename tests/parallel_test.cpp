@@ -277,49 +277,76 @@ TEST(SimdKernels, ElementwiseBitIdenticalToScalarOracle) {
 }
 
 TEST(SimdKernels, PanelKernelsBitIdenticalToScalarOracle) {
+  // The dot kernels continue each output's chain from the value already
+  // in it: from random nonzero outputs every body must match kern::ref,
+  // and a dot split at k1 into two calls, the second continuing from the
+  // first's output, must be the one call over all of k from zero, as the
+  // tiled Gram build relies on.
   SimdGuard guard;
   for (SimdLevel level : kOnOff) {
     linalg::kern::set_simd_level(level);
     for (std::size_t n : kKernelSizes) {
+      const std::string tag =
+          " n=" + std::to_string(n) + " " + simd_level_name(level);
       const std::vector<double> r0 = random_doubles(n, 10 + n);
       const std::vector<double> r1 = random_doubles(n, 20 + n);
       const std::vector<double> r2 = random_doubles(n, 30 + n);
       const std::vector<double> r3 = random_doubles(n, 40 + n);
-      const std::vector<double> a = random_doubles(n, 50 + n);
-      const std::vector<double> b = random_doubles(n, 60 + n);
 
-      std::vector<double> panel_got(4 * n, -1.0), panel_want(4 * n, -1.0);
+      std::vector<double> panel(4 * n, -1.0), panel_want(4 * n, -1.0);
       linalg::kern::pack_panel(n, r0.data(), r1.data(), r2.data(), r3.data(),
-                               panel_got.data());
+                               panel.data());
       linalg::kern::ref::pack_panel(n, r0.data(), r1.data(), r2.data(),
                                     r3.data(), panel_want.data());
-      EXPECT_TRUE(bytes_equal(panel_got, panel_want))
-          << "pack_panel n=" << n << " " << simd_level_name(level);
+      EXPECT_TRUE(bytes_equal(panel, panel_want)) << "pack_panel" << tag;
 
-      std::vector<double> d_got(4, -1.0), d_want(4, -1.0);
-      linalg::kern::dot_panel(n, a.data(), panel_got.data(), d_got.data());
-      linalg::kern::ref::dot_panel(n, a.data(), panel_want.data(),
-                                   d_want.data());
-      EXPECT_TRUE(bytes_equal(d_got, d_want)) << "dot_panel n=" << n;
+      // Four A rows n + 1 apart; outputs in rows 6 apart.
+      const std::size_t lda = n + 1, ldo = 6, k1 = n / 3;
+      const std::vector<double> a = random_doubles(4 * lda, 65 + n);
+      const double* a1 = a.data() + lda;
+      const double* p1 = panel.data() + 4 * k1;
+      const std::vector<double> start = random_doubles(4 * ldo, 90 + n);
+      const std::vector<double> zero(4 * ldo, 0.0);
 
-      std::vector<double> da_got(4, -1.0), db_got(4, -1.0);
-      std::vector<double> da_want(4, -1.0), db_want(4, -1.0);
-      linalg::kern::dot_panel2(n, a.data(), b.data(), panel_got.data(),
-                               da_got.data(), db_got.data());
-      linalg::kern::ref::dot_panel2(n, a.data(), b.data(), panel_want.data(),
-                                    da_want.data(), db_want.data());
-      EXPECT_TRUE(bytes_equal(da_got, da_want)) << "dot_panel2 a n=" << n;
-      EXPECT_TRUE(bytes_equal(db_got, db_want)) << "dot_panel2 b n=" << n;
+      std::vector<double> got = start, want = start;
+      linalg::kern::dot_panel(n, a.data(), panel.data(), got.data());
+      linalg::kern::ref::dot_panel(n, a.data(), panel.data(), want.data());
+      EXPECT_TRUE(bytes_equal(got, want)) << "dot_panel" << tag;
+      got = zero, want = zero;
+      linalg::kern::dot_panel(k1, a.data(), panel.data(), got.data());
+      linalg::kern::dot_panel(n - k1, a.data() + k1, p1, got.data());
+      linalg::kern::ref::dot_panel(n, a.data(), panel.data(), want.data());
+      EXPECT_TRUE(bytes_equal(got, want)) << "dot_panel split" << tag;
 
-      // Four rows n + 1 apart, written into rows 6 apart.
-      const std::size_t lda = n + 1, ldo = 6;
-      const std::vector<double> a4 = random_doubles(4 * lda, 65 + n);
-      std::vector<double> d4_got(4 * ldo, -1.0), d4_want(4 * ldo, -1.0);
-      linalg::kern::dot_panel4(n, a4.data(), lda, panel_got.data(),
-                               d4_got.data(), ldo);
-      linalg::kern::ref::dot_panel4(n, a4.data(), lda, panel_want.data(),
-                                    d4_want.data(), ldo);
-      EXPECT_TRUE(bytes_equal(d4_got, d4_want)) << "dot_panel4 n=" << n;
+      got = start, want = start;
+      linalg::kern::dot_panel2(n, a.data(), a1, panel.data(), got.data(),
+                               got.data() + ldo);
+      linalg::kern::ref::dot_panel2(n, a.data(), a1, panel.data(),
+                                    want.data(), want.data() + ldo);
+      EXPECT_TRUE(bytes_equal(got, want)) << "dot_panel2" << tag;
+      got = zero, want = zero;
+      linalg::kern::dot_panel2(k1, a.data(), a1, panel.data(), got.data(),
+                               got.data() + ldo);
+      linalg::kern::dot_panel2(n - k1, a.data() + k1, a1 + k1, p1,
+                               got.data(), got.data() + ldo);
+      linalg::kern::ref::dot_panel2(n, a.data(), a1, panel.data(),
+                                    want.data(), want.data() + ldo);
+      EXPECT_TRUE(bytes_equal(got, want)) << "dot_panel2 split" << tag;
+
+      got = start, want = start;
+      linalg::kern::dot_panel4(n, a.data(), lda, panel.data(), got.data(),
+                               ldo);
+      linalg::kern::ref::dot_panel4(n, a.data(), lda, panel.data(),
+                                    want.data(), ldo);
+      EXPECT_TRUE(bytes_equal(got, want)) << "dot_panel4" << tag;
+      got = zero, want = zero;
+      linalg::kern::dot_panel4(k1, a.data(), lda, panel.data(), got.data(),
+                               ldo);
+      linalg::kern::dot_panel4(n - k1, a.data() + k1, lda, p1, got.data(),
+                               ldo);
+      linalg::kern::ref::dot_panel4(n, a.data(), lda, panel.data(),
+                                    want.data(), ldo);
+      EXPECT_TRUE(bytes_equal(got, want)) << "dot_panel4 split" << tag;
     }
   }
 }
@@ -784,6 +811,60 @@ TEST(SimdKernels, GramPanelRowTailsBitIdenticalAcrossSimdAndThreads) {
         const linalg::Matrix gram = linalg::matmul_a_at(a);
         EXPECT_TRUE(matrices_identical(gram, naive)) << "naive" << tag;
         EXPECT_TRUE(matrices_identical(gram, scalar)) << "scalar" << tag;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, TiledGramBitIdenticalAcrossSimdAndThreads) {
+  // tiled_gram adds each kGramTile-column tile's products to running sums,
+  // so Z·Zᵀ and G·Zᵀ must equal matmul_a_at(Z) and matmul_a_bt(G, Z) byte
+  // for byte. Shapes: one partial tile; 2.5 tiles with m % 4 = 3 tail
+  // columns; and two whose tiles (about 2.8 and 2.3 Mflop) split across
+  // the pool at 2 and 4 threads, one with the chunk boundary inside the
+  // Gram rows and one inside the cross rows.
+  ThreadCountGuard tguard;
+  SimdGuard sguard;
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  const std::size_t t = linalg::kGramTile;
+  const Shape shapes[] = {{5, 3, 7},
+                          {23, 9, 2 * t + t / 2 + 3},
+                          {120, 30, t + 1},
+                          {40, 200, 2 * t}};
+  for (const Shape& s : shapes) {
+    Rng rng(1100 + s.m + s.k + s.n);
+    linalg::Matrix z(s.m, s.n), g(s.k, s.n);
+    for (std::size_t i = 0; i < s.m; ++i)
+      for (std::size_t j = 0; j < s.n; ++j)
+        z(i, j) = rng.bernoulli(0.1) ? 0.0 : rng.normal();
+    for (std::size_t i = 0; i < s.k; ++i)
+      for (std::size_t j = 0; j < s.n; ++j) g(i, j) = rng.normal();
+    const auto write = [&](std::size_t c0, std::size_t c1, double* zt,
+                           double* gt) {
+      const std::size_t w = c1 - c0;
+      for (std::size_t i = 0; i < s.m; ++i)
+        for (std::size_t j = c0; j < c1; ++j) zt[i * w + j - c0] = z(i, j);
+      for (std::size_t i = 0; i < s.k; ++i)
+        for (std::size_t j = c0; j < c1; ++j) gt[i * w + j - c0] = g(i, j);
+    };
+    set_thread_count(1);
+    linalg::kern::set_simd_level(SimdLevel::kScalar);
+    const linalg::Matrix zzt = linalg::matmul_a_at(z);
+    const linalg::Matrix gzt = linalg::matmul_a_bt(g, z);
+    for (std::size_t threads : {1, 2, 4}) {
+      for (SimdLevel level : kOnOff) {
+        set_thread_count(threads);
+        linalg::kern::set_simd_level(level);
+        const std::string tag = " m=" + std::to_string(s.m) + " k=" +
+                                std::to_string(s.k) + " n=" +
+                                std::to_string(s.n) + " threads=" +
+                                std::to_string(threads) + " " +
+                                simd_level_name(level);
+        const linalg::GramPair pair = linalg::tiled_gram(s.m, s.k, s.n, write);
+        EXPECT_TRUE(matrices_identical(pair.zzt, zzt)) << "Z·Zᵀ" << tag;
+        EXPECT_TRUE(matrices_identical(pair.gzt, gzt)) << "G·Zᵀ" << tag;
       }
     }
   }

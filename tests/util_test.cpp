@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -246,7 +247,7 @@ TEST(Csv, WritesHeaderAndRows) {
   {
     CsvWriter csv(path, {"t", "v"});
     csv.add_row(std::vector<double>{0.0, 1.0});
-    csv.add_row(std::vector<double>{1.0, 0.95});
+    csv.add_row(std::vector<double>{1.0 / 3.0, 0.95});
     csv.close();
   }
   std::ifstream in(path);
@@ -255,6 +256,11 @@ TEST(Csv, WritesHeaderAndRows) {
   EXPECT_EQ(line, "t,v");
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "0,1");
+  // Every cell reads back as the same double.
+  ASSERT_TRUE(std::getline(in, line));
+  const std::size_t comma = line.find(',');
+  EXPECT_EQ(parse_csv_number(line.substr(0, comma), 3, "csv"), 1.0 / 3.0);
+  EXPECT_EQ(parse_csv_number(line.substr(comma + 1), 3, "csv"), 0.95);
   std::remove(path.c_str());
 }
 
@@ -264,6 +270,32 @@ TEST(Csv, RejectsWidthMismatch) {
   EXPECT_THROW(csv.add_row(std::vector<double>{1.0}), ContractError);
   csv.close();
   std::remove(path.c_str());
+}
+
+TEST(Csv, FailedWriteLeavesNoPartialFile) {
+  // The writer publishes through write_file_atomic. Here its temporary name
+  // is taken by a directory, so the write fails: the file under the real
+  // name keeps its previous contents instead of a truncated prefix, a
+  // fresh name stays absent, and close() throws.
+  const std::string path = testing::TempDir() + "vmap_csv_atomic.csv";
+  const std::string fresh = testing::TempDir() + "vmap_csv_atomic_new.csv";
+  std::filesystem::remove(fresh);  // a previous run's, if any
+  { std::ofstream(path) << "old,contents\n"; }
+  std::filesystem::create_directory(path + ".tmp");
+  std::filesystem::create_directory(fresh + ".tmp");
+  for (const std::string& target : {path, fresh}) {
+    CsvWriter csv(target, {"a", "b"});
+    csv.add_row(std::vector<double>{1.0, 2.0});
+    EXPECT_THROW(csv.close(), std::runtime_error) << target;
+  }
+  std::ifstream in(path);
+  std::stringstream kept;
+  kept << in.rdbuf();
+  EXPECT_EQ(kept.str(), "old,contents\n");
+  EXPECT_FALSE(std::filesystem::exists(fresh));
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::remove(fresh + ".tmp");
+  std::filesystem::remove(path);
 }
 
 // ---- JSON writer ------------------------------------------------------
