@@ -9,6 +9,7 @@
 // where noise sensors may be placed.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,6 +86,8 @@ class Floorplan {
   bool is_fa_node(std::size_t node) const;
   /// Block covering a node, if any.
   std::optional<std::size_t> block_of_node(std::size_t node) const;
+  /// Block covering each device-layer node, -1 for blank-area nodes.
+  const std::vector<std::int32_t>& node_blocks() const { return node_block_; }
 
   /// Mean block power density (power weight per tile) over the
   /// (2·radius+1)²-tile window centered on `node`'s tile, clipped to the

@@ -1,11 +1,16 @@
 #include "core/dataset.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <span>
 
 #include "chip/critical_nodes.hpp"
 #include "grid/transient.hpp"
+#include "linalg/kernels.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -48,6 +53,35 @@ linalg::Matrix Dataset::f_test_for(std::size_t bench) const {
 }
 
 namespace {
+/// Steps a panel advances in one turn on a thread before it goes back to
+/// the queue: enough to amortize reloading its state into the thread's
+/// cache, few enough that the last turns end close together.
+constexpr std::size_t kTurnSteps = 32;
+
+/// Lanes of a full panel: the multiple of the solve's lane width nearest
+/// n / threads (at least one width), so the panels split evenly over the
+/// threads.
+std::size_t panel_width(std::size_t benchmarks, std::size_t threads) {
+  constexpr std::size_t w = linalg::kern::kPanelWidth;
+  return w * std::max<std::size_t>(
+                 1, (benchmarks + w * threads / 2) / (w * threads));
+}
+
+/// Consecutive benchmarks stepped as the lanes of one simulator.
+struct Panel {
+  Panel(const grid::PowerGrid& grid, double dt,
+        std::shared_ptr<const sparse::SkylineCholesky> factor,
+        std::size_t lanes)
+      : sim(grid, dt, std::move(factor), lanes) {}
+
+  std::size_t first = 0;  ///< suite index of lane 0
+  grid::TransientSim sim;
+  std::vector<workload::ActivityGenerator> generators;  ///< one per lane
+  std::vector<linalg::Vector> currents;  ///< per-lane block currents
+  std::size_t steps = 0;                 ///< steps taken so far
+  double busy_s = 0.0;                   ///< time spent in its turns
+};
+
 /// Core slot owning a grid node (nodes are partitioned into slot
 /// rectangles, margins included).
 std::size_t core_of_node(const chip::Floorplan& floorplan, std::size_t node) {
@@ -151,8 +185,12 @@ Dataset DataCollector::collect(
                "candidate stride removed every candidate node");
 
   // One factorization of the step matrix serves the calibration pass and
-  // every chunk's simulator.
+  // every panel's simulator. Every simulator reads its loads per block and
+  // keeps its voltages in the factor's row order, so the sampled nodes are
+  // read by factor row.
   const auto factor = grid::TransientSim::factorize(grid_, config_.dt);
+  const std::vector<std::size_t>& row_of = factor->inverse_permutation();
+  const std::size_t n_nodes = grid_.node_count();
 
   // --- Calibration pass (unit current scale). The grid is linear, so the
   // per-node droop ranking and the worst-droop magnitude from a unit-scale
@@ -160,20 +198,25 @@ Dataset DataCollector::collect(
   {
     TraceSpan calib_span("dataset.calibration");
     grid::TransientSim sim(grid_, config_.dt, factor);
-    workload::PowerModel unit_model(floorplan_, /*current_scale=*/1.0);
+    const workload::PowerModel unit_model(floorplan_, /*current_scale=*/1.0);
+    sim.set_block_loads(floorplan_.node_blocks(), unit_model.leakage());
     workload::ActivityGenerator generator(floorplan_, suite.front(),
                                           Rng(config_.seed ^ 0xCA11B8A7E));
-    linalg::Vector currents(grid_.node_count());
-    linalg::Vector min_voltage(grid_.node_count(),
-                               std::numeric_limits<double>::infinity());
+    linalg::Vector currents(floorplan_.block_count());
+    std::vector<double> row_min(n_nodes,
+                                std::numeric_limits<double>::infinity());
     std::vector<double> droop_per_step;
     droop_per_step.reserve(config_.calibration_steps);
     for (std::size_t s = 0; s < config_.calibration_steps; ++s) {
-      unit_model.to_node_currents(generator.step(), currents);
-      const auto& v = sim.step(currents);
-      for (std::size_t i = 0; i < v.size(); ++i)
-        if (v[i] < min_voltage[i]) min_voltage[i] = v[i];
-      droop_per_step.push_back(grid_.config().vdd - v.min());
+      unit_model.to_block_currents(generator.step(), currents);
+      sim.step_blocks(std::span<const linalg::Vector>(&currents, 1));
+      const double* v = sim.rows();  // one lane: row r at [r]
+      double lowest = std::numeric_limits<double>::infinity();
+      for (std::size_t r = 0; r < n_nodes; ++r) {
+        if (v[r] < row_min[r]) row_min[r] = v[r];
+        if (v[r] < lowest) lowest = v[r];
+      }
+      droop_per_step.push_back(grid_.config().vdd - lowest);
     }
     std::sort(droop_per_step.begin(), droop_per_step.end());
     const double worst_droop = droop_per_step.back();
@@ -198,6 +241,9 @@ Dataset DataCollector::collect(
     } else {
       data.current_scale = config_.target_droop / worst_droop;
     }
+    linalg::Vector min_voltage(n_nodes);
+    for (std::size_t node = 0; node < n_nodes; ++node)
+      min_voltage[node] = row_min[row_of[node]];
     const chip::CriticalSet critical = chip::select_critical_nodes_n(
         floorplan_, min_voltage, config_.critical_nodes_per_block);
     data.critical_nodes = critical.nodes;
@@ -207,8 +253,8 @@ Dataset DataCollector::collect(
   }
 
   const std::size_t n_benchmarks = suite.size();
-  const std::size_t train_total =
-      n_benchmarks * config_.train_maps_per_benchmark;
+  const std::size_t train_maps = config_.train_maps_per_benchmark;
+  const std::size_t train_total = n_benchmarks * train_maps;
   const std::size_t test_total =
       n_benchmarks * config_.test_maps_per_benchmark;
   const std::size_t m_count = data.candidate_nodes.size();
@@ -219,81 +265,119 @@ Dataset DataCollector::collect(
   data.x_test = linalg::Matrix(m_count, test_total);
   data.f_test = linalg::Matrix(k_count, test_total);
 
-  workload::PowerModel model(floorplan_, data.current_scale);
+  const workload::PowerModel model(floorplan_, data.current_scale);
+  std::vector<std::size_t> candidate_rows, critical_rows;
+  for (std::size_t node : data.candidate_nodes)
+    candidate_rows.push_back(row_of[node]);
+  for (std::size_t node : data.critical_nodes)
+    critical_rows.push_back(row_of[node]);
 
   // Benchmarks are mutually independent: each gets its own activity RNG
   // (derived from the seed and the benchmark index alone), its own
   // simulator lane, and writes a disjoint column range of the shared
-  // matrices at offsets fixed by the canonical suite order. Chunking uses
-  // the shared work-quantum heuristic capped at one chunk per pool thread,
-  // and each chunk steps its benchmarks in lockstep as the lanes of one
-  // transient engine on the shared factor: one pass over it per step for
-  // all of them. Every lane is bit-identical to a one-lane simulation, so
-  // at any thread count (any lane grouping) the dataset is bit-identical to
-  // the serial benchmark-by-benchmark loop.
+  // matrices at offsets fixed by the canonical suite order.
   std::vector<BenchmarkSlice> slices(n_benchmarks);
   for (std::size_t b = 0; b < n_benchmarks; ++b) {
     BenchmarkSlice& slice = slices[b];
     slice.name = suite[b].name;
-    slice.train_begin = b * config_.train_maps_per_benchmark;
-    slice.train_end = slice.train_begin + config_.train_maps_per_benchmark;
+    slice.train_begin = b * train_maps;
+    slice.train_end = slice.train_begin + train_maps;
     slice.test_begin = b * config_.test_maps_per_benchmark;
     slice.test_end = slice.test_begin + config_.test_maps_per_benchmark;
   }
+  // Keep every map_stride-th step after the warm-up, starting with the
+  // first; each kept map goes straight into its benchmark's column.
+  // Time-split: earlier maps train, later maps test (no leakage).
   const std::size_t maps_needed =
-      config_.train_maps_per_benchmark + config_.test_maps_per_benchmark;
-  const std::size_t steps_per_benchmark =
-      config_.warmup_steps + maps_needed * config_.map_stride;
-  const double bench_flops = static_cast<double>(steps_per_benchmark) *
-                             static_cast<double>(grid_.node_count()) * 100.0;
-  const std::size_t chunks =
-      recommended_chunks(n_benchmarks, bench_flops, /*max_per_thread=*/1);
-  parallel_for(0, chunks, [&](std::size_t chunk) {
-    Timer chunk_timer;
-    const std::size_t b_begin = chunk * n_benchmarks / chunks;
-    const std::size_t lanes = (chunk + 1) * n_benchmarks / chunks - b_begin;
-    TraceSpan chunk_span("dataset.collect_chunk");
-    grid::TransientSim sim(grid_, config_.dt, factor, lanes);
-    std::vector<workload::ActivityGenerator> generators;
-    generators.reserve(lanes);
+      train_maps + config_.test_maps_per_benchmark;
+  const std::size_t total_steps =
+      config_.warmup_steps + (maps_needed - 1) * config_.map_stride + 1;
+
+  // Consecutive benchmarks form panels stepped in lockstep as the lanes of
+  // one simulator on the shared factor, one pass over it per step for all
+  // of them. Full panels hold a multiple of the solve's lane width, sized
+  // so the panels split evenly over the pool's threads; the last panel
+  // takes the remainder.
+  const std::size_t threads = thread_count();
+  const std::size_t width = panel_width(n_benchmarks, threads);
+  std::vector<Panel> panels;
+  panels.reserve((n_benchmarks + width - 1) / width);
+  for (std::size_t first = 0; first < n_benchmarks; first += width) {
+    const std::size_t lanes = std::min(width, n_benchmarks - first);
+    Panel& panel = panels.emplace_back(grid_, config_.dt, factor, lanes);
+    panel.first = first;
+    panel.sim.set_block_loads(floorplan_.node_blocks(), model.leakage());
+    panel.generators.reserve(lanes);
     for (std::size_t c = 0; c < lanes; ++c)
-      generators.emplace_back(
-          floorplan_, suite[b_begin + c],
-          Rng(config_.seed + 0x9E3779B9 * (b_begin + c + 1)));
-    std::vector<linalg::Vector> currents(lanes,
-                                         linalg::Vector(grid_.node_count()));
-    const auto advance = [&]() -> const linalg::Vector& {
+      panel.generators.emplace_back(
+          floorplan_, suite[first + c],
+          Rng(config_.seed + 0x9E3779B9 * (first + c + 1)));
+    panel.currents.assign(lanes, linalg::Vector(floorplan_.block_count()));
+  }
+
+  // One turn advances a panel by up to kTurnSteps steps.
+  const auto take_turn = [&](Panel& panel) {
+    TraceSpan turn_span("dataset.collect_turn");
+    Timer turn_timer;
+    const std::size_t lanes = panel.sim.lanes();
+    const std::size_t end =
+        std::min(panel.steps + kTurnSteps, total_steps);
+    std::vector<std::size_t> dst(lanes);
+    for (; panel.steps < end; ++panel.steps) {
       for (std::size_t c = 0; c < lanes; ++c)
-        model.to_node_currents(generators[c].step(), currents[c]);
-      return sim.step(currents);
-    };
-
-    for (std::size_t s = 0; s < config_.warmup_steps; ++s) advance();
-
-    // Keep every map_stride-th step, starting with the first; each kept map
-    // goes straight into its benchmark's column. Time-split: earlier maps
-    // train, later maps test (no leakage).
-    for (std::size_t map = 0; map < maps_needed; ++map) {
-      if (map > 0)
-        for (std::size_t s = 1; s < config_.map_stride; ++s) advance();
-      const linalg::Vector& v = advance();
-      const bool train = map < config_.train_maps_per_benchmark;
+        model.to_block_currents(panel.generators[c].step(),
+                                panel.currents[c]);
+      panel.sim.step_blocks(panel.currents);
+      if (panel.steps < config_.warmup_steps ||
+          (panel.steps - config_.warmup_steps) % config_.map_stride != 0)
+        continue;
+      const std::size_t map =
+          (panel.steps - config_.warmup_steps) / config_.map_stride;
+      const bool train = map < train_maps;
       linalg::Matrix& x = train ? data.x_train : data.x_test;
       linalg::Matrix& f = train ? data.f_train : data.f_test;
       for (std::size_t c = 0; c < lanes; ++c) {
-        const BenchmarkSlice& slice = slices[b_begin + c];
-        const std::size_t dst =
-            train ? slice.train_begin + map
-                  : slice.test_begin + map - config_.train_maps_per_benchmark;
-        for (std::size_t r = 0; r < m_count; ++r)
-          x(r, dst) = v[data.candidate_nodes[r] * lanes + c];
-        for (std::size_t r = 0; r < k_count; ++r)
-          f(r, dst) = v[data.critical_nodes[r] * lanes + c];
+        const BenchmarkSlice& slice = slices[panel.first + c];
+        dst[c] = train ? slice.train_begin + map
+                       : slice.test_begin + map - train_maps;
       }
+      const double* v = panel.sim.rows();
+      const std::size_t stride = panel.sim.stride();
+      for (std::size_t r = 0; r < m_count; ++r)
+        for (std::size_t c = 0; c < lanes; ++c)
+          x(r, dst[c]) = v[candidate_rows[r] * stride + c];
+      for (std::size_t r = 0; r < k_count; ++r)
+        for (std::size_t c = 0; c < lanes; ++c)
+          f(r, dst[c]) = v[critical_rows[r] * stride + c];
     }
-    VMAP_LOG(kInfo) << suite[b_begin].name << " + " << lanes - 1
-                    << " more: " << maps_needed << " maps each in "
-                    << chunk_timer.seconds() << " s";
+    panel.busy_s += turn_timer.seconds();
+    if (panel.steps == total_steps)
+      VMAP_LOG(kInfo) << suite[panel.first].name << " + " << lanes - 1
+                      << " more: " << maps_needed << " maps each in "
+                      << panel.busy_s << " s";
+  };
+
+  // Threads take panels from a shared queue a turn at a time and put an
+  // unfinished one back at the end, so every thread stays busy to the end
+  // however the lanes divide. A panel only ever runs on one thread at a
+  // time and its steps run in order, so every lane is bit-identical to a
+  // one-lane simulation and the dataset is the same at every thread count.
+  std::mutex queue_mutex;
+  std::deque<std::size_t> queue;
+  for (std::size_t p = 0; p < panels.size(); ++p) queue.push_back(p);
+  parallel_for(0, std::min(threads, panels.size()), [&](std::size_t) {
+    std::size_t p = panels.size();  // none yet
+    for (;;) {
+      {
+        const std::lock_guard<std::mutex> lock(queue_mutex);
+        if (p < panels.size() && panels[p].steps < total_steps)
+          queue.push_back(p);
+        if (queue.empty()) return;
+        p = queue.front();
+        queue.pop_front();
+      }
+      take_turn(panels[p]);
+    }
   });
   data.benchmarks = std::move(slices);
 

@@ -10,15 +10,20 @@
 // node as its critical node.
 //
 // Collection is deterministic in the config seed. The step matrix is
-// factorized once per collect, and the calibration pass and every chunk's
-// simulator share that factor. Benchmarks are split into one chunk per pool
-// thread (util/parallel.hpp); each chunk steps its benchmarks in lockstep as
-// the lanes of one transient simulator (one multi-RHS solve per step), each
-// benchmark with its own RNG stream, and every kept map is written straight
-// into the benchmark's column of X / F, at offsets fixed by the canonical
-// suite order. Every lane is bit-identical to a one-lane simulation, so the
-// dataset, and therefore its cache hash, is bit-identical at every thread
-// count (any lane grouping).
+// factorized once per collect, and the calibration pass and every panel's
+// simulator share that factor. Every simulator takes its loads per block
+// (workload::PowerModel::to_block_currents) and keeps its voltages in the
+// factor's row order, and the collect reads its sampled nodes by factor
+// row. Consecutive benchmarks form panels of a multiple of the solve's lane
+// width, sized from the pool's thread count (util/parallel.hpp) so that the
+// panels split evenly over the threads; each panel steps its benchmarks in
+// lockstep as the lanes of one transient simulator (one multi-RHS solve per
+// step), each benchmark with its own RNG stream. Threads take panels from a
+// shared queue and advance each by a fixed number of steps per turn, and
+// every kept map is written straight into the benchmark's column of X / F,
+// at offsets fixed by the canonical suite order. Every lane is
+// bit-identical to a one-lane simulation, so the dataset, and therefore its
+// cache hash, is bit-identical at every thread count (any lane grouping).
 // Because full collection costs minutes of simulation, datasets can be
 // saved/loaded in a versioned binary cache keyed by the configuration.
 

@@ -1,7 +1,9 @@
 #include "grid/transient.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "sparse/csr.hpp"
-#include "sparse/ordering.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -80,50 +82,26 @@ TransientSim::TransientSim(
                                : 0.0),
       factor_(std::move(factor)),
       c_over_dt_(grid.node_count()),
-      rhs_(grid.node_count() * stride_),
-      v_(grid.node_count() * lanes, grid.config().vdd),
+      state_(grid.node_count() * stride_),
+      next_(grid.node_count() * stride_),
       pad_currents_(grid.pad_nodes().size() * lanes) {
   VMAP_REQUIRE(lanes >= 1, "a transient simulator needs at least one lane");
   VMAP_REQUIRE(factor_ && factor_->dim() == grid.node_count(),
                "step factor does not match the grid");
   const auto& cap = grid_.capacitance();
-  for (std::size_t i = 0; i < cap.size(); ++i) c_over_dt_[i] = cap[i] / dt_;
-  const std::vector<std::size_t> slot =
-      sparse::invert_permutation(factor_->permutation());
-  for (std::size_t pad : grid_.pad_nodes()) pad_slot_.push_back(slot[pad]);
-}
-
-void TransientSim::assemble_rhs(std::span<const linalg::Vector> loads) {
-  // C/dt·v − I (+ the pad term), in the reference's operation order
-  // ((C/dt·v) − I) + pad, for node order[r] at row r. Padding lanes are
-  // never written: they hold zeros, which the sweeps keep at zero.
   const std::vector<std::size_t>& order = factor_->permutation();
-  const std::size_t w = lanes_;
-  const std::size_t s = stride_;
-  for (std::size_t r = 0; r < order.size(); ++r) {
-    const std::size_t node = order[r];
-    const double g = c_over_dt_[node];
-    const double* v = v_.data() + node * w;
-    double* y = rhs_.data() + r * s;
-    for (std::size_t c = 0; c < w; ++c) {
-      const linalg::Vector& load = loads[c];
-      y[c] = node < load.size() ? g * v[c] - load[node] : g * v[c];
-    }
-  }
-  const double vdd = grid_.config().vdd;
-  const auto& pads = grid_.pad_nodes();
-  const auto& injection = grid_.pad_injection();
-  for (std::size_t p = 0; p < pads.size(); ++p) {
-    double* y = rhs_.data() + pad_slot_[p] * s;
-    for (std::size_t c = 0; c < w; ++c)
-      y[c] += inductive_
-                  ? g_eff_ * vdd + history_gain_ * pad_currents_[p * w + c]
-                  : injection[pads[p]];
-  }
+  for (std::size_t r = 0; r < order.size(); ++r)
+    c_over_dt_[r] = cap[order[r]] / dt_;
+  for (std::size_t pad : grid_.pad_nodes()) pad_row_.push_back(row_of(pad));
+  reset();
 }
 
 void TransientSim::reset() {
-  v_.fill(grid_.config().vdd);
+  // Only the live lanes: the padding lanes stay zero, which the sweeps
+  // keep at zero.
+  const double vdd = grid_.config().vdd;
+  for (std::size_t r = 0; r < grid_.node_count(); ++r)
+    for (std::size_t c = 0; c < lanes_; ++c) state_[r * stride_ + c] = vdd;
   pad_currents_.fill(0.0);
   steps_ = 0;
 }
@@ -142,28 +120,108 @@ const linalg::Vector& TransientSim::step(
                      load.size() == grid_.device_node_count(),
                  "load current vector size mismatch");
   TraceSpan span("transient.step");
-  static metrics::Counter& steps_total = metrics::counter("transient.steps");
-  steps_total.add(w);
-
-  assemble_rhs(load_currents);
-  // The sweeps turn the factor-order rhs into the new voltages in place;
-  // scatter them back to node order once.
-  factor_->solve_in_factor_order(stride_, rhs_.data());
+  // C/dt·v − I, in the reference's operation order, for node order[r] at
+  // row r; finish_step() adds the pad terms.
   const std::vector<std::size_t>& order = factor_->permutation();
+  const std::size_t s = stride_;
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    const std::size_t node = order[r];
+    const double g = c_over_dt_[r];
+    const double* v = state_.data() + r * s;
+    double* y = next_.data() + r * s;
+    for (std::size_t c = 0; c < w; ++c) {
+      const linalg::Vector& load = load_currents[c];
+      y[c] = node < load.size() ? g * v[c] - load[node] : g * v[c];
+    }
+  }
+  finish_step();
+  if (nodes_.empty()) nodes_ = linalg::Vector(order.size() * w);
   for (std::size_t r = 0; r < order.size(); ++r)
     for (std::size_t c = 0; c < w; ++c)
-      v_[order[r] * w + c] = rhs_[r * stride_ + c];
+      nodes_[order[r] * w + c] = state_[r * s + c];
+  return nodes_;
+}
 
+void TransientSim::set_block_loads(std::span<const std::int32_t> node_block,
+                                   const linalg::Vector& leakage) {
+  const std::size_t n = grid_.node_count();
+  VMAP_REQUIRE(node_block.size() == n ||
+                   node_block.size() == grid_.device_node_count(),
+               "node-to-block map size mismatch");
+  VMAP_REQUIRE(
+      leakage.size() == n || leakage.size() == grid_.device_node_count(),
+      "leakage vector size mismatch");
+  const std::vector<std::size_t>& order = factor_->permutation();
+  row_block_.assign(n, kNoBlock);
+  row_leakage_.assign(n, 0.0);
+  blocks_ = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t node = order[r];
+    if (node < node_block.size() && node_block[node] >= 0) {
+      row_block_[r] = node_block[node];
+      blocks_ = std::max(blocks_,
+                         static_cast<std::size_t>(node_block[node]) + 1);
+    }
+    if (node < leakage.size()) row_leakage_[r] = leakage[node];
+  }
+}
+
+void TransientSim::step_blocks(
+    std::span<const linalg::Vector> block_currents) {
+  const std::size_t w = lanes_;
+  VMAP_REQUIRE(!row_block_.empty(), "step_blocks() needs set_block_loads()");
+  VMAP_REQUIRE(block_currents.size() == w,
+               "need one block-current vector per lane");
+  for (const linalg::Vector& currents : block_currents)
+    VMAP_REQUIRE(currents.size() >= blocks_,
+                 "block current vector size mismatch");
+  TraceSpan span("transient.step");
+  // C/dt·v − (leakage + block current): a row outside every block draws
+  // its leakage alone, as PowerModel::to_node_currents leaves it.
+  const std::size_t s = stride_;
+  for (std::size_t r = 0; r < row_block_.size(); ++r) {
+    const double g = c_over_dt_[r];
+    const double leak = row_leakage_[r];
+    const std::int32_t b = row_block_[r];
+    const double* v = state_.data() + r * s;
+    double* y = next_.data() + r * s;
+    if (b == kNoBlock) {
+      for (std::size_t c = 0; c < w; ++c) y[c] = g * v[c] - leak;
+    } else {
+      for (std::size_t c = 0; c < w; ++c)
+        y[c] = g * v[c] - (leak + block_currents[c][b]);
+    }
+  }
+  finish_step();
+}
+
+void TransientSim::finish_step() {
+  static metrics::Counter& steps_total = metrics::counter("transient.steps");
+  const std::size_t w = lanes_;
+  const std::size_t s = stride_;
   const double vdd = grid_.config().vdd;
   const auto& pads = grid_.pad_nodes();
+  const auto& injection = grid_.pad_injection();
+  for (std::size_t p = 0; p < pads.size(); ++p) {
+    double* y = next_.data() + pad_row_[p] * s;
+    for (std::size_t c = 0; c < w; ++c)
+      y[c] += inductive_
+                  ? g_eff_ * vdd + history_gain_ * pad_currents_[p * w + c]
+                  : injection[pads[p]];
+  }
+  // The sweeps turn the assembled right-hand side into the new voltages in
+  // place; the old state's buffer takes the next step's.
+  factor_->solve_in_factor_order(s, next_.data());
+  std::swap(state_, next_);
   if (inductive_) {
     for (std::size_t p = 0; p < pads.size(); ++p)
       for (std::size_t c = 0; c < w; ++c)
-        pad_currents_[p * w + c] = g_eff_ * (vdd - v_[pads[p] * w + c]) +
-                                   history_gain_ * pad_currents_[p * w + c];
+        pad_currents_[p * w + c] =
+            g_eff_ * (vdd - state_[pad_row_[p] * s + c]) +
+            history_gain_ * pad_currents_[p * w + c];
   }
   ++steps_;
-  return v_;
+  steps_total.add(w);
 }
 
 }  // namespace vmap::grid

@@ -8,7 +8,7 @@
 // oscillations. The factor depends only on the grid and dt, and a solve
 // only reads it, so simulators of one grid and step can share one
 // factorization (factorize()), stepping concurrently; dataset collection
-// hands one to its calibration pass and to every chunk.
+// hands one to its calibration pass and to every panel.
 //
 // When the grid's pads carry a series inductance L, each pad branch is
 // discretized with its backward-Euler companion model:
@@ -22,19 +22,24 @@
 //
 // A simulator carries a fixed number of lanes: independent simulations of
 // the same grid that advance in lockstep, one load vector each, through the
-// one factorization. Node voltages and pad currents are stored
-// lane-interleaved (node i of lane c at [i*lanes + c]), so the one-lane
-// simulator is the plain per-node layout. Every lane is bit-identical to a
-// one-lane simulator fed the same loads; dataset collection uses this to
-// step a chunk's benchmarks together.
+// one factorization. Every lane is bit-identical to a one-lane simulator fed
+// the same loads; dataset collection uses this to step a panel of
+// benchmarks together.
 //
-// A step assembles C/dt·v − I + pad terms in one pass straight into a
-// buffer the simulator owns, already in the factor's permuted row order
-// and padded to the solve's lane panel width
-// (SkylineCholesky::solve_in_factor_order); the sweeps run in place on it
-// and the new voltages are scattered back to node order once.
+// The state lives in the factor's row order: row r holds node
+// permutation()[r], lane c at [r * stride() + c], the lanes padded to the
+// solve's panel width (SkylineCholesky::solve_in_factor_order). A step is
+// one linear pass that assembles C/dt·v − I + pad terms from the state into
+// a second buffer, the sweeps in place on it, and a swap of the two
+// buffers. Loads come per block (step_blocks(): node i draws its leakage
+// plus its block's current, the sum workload::PowerModel::to_node_currents
+// forms), and such a step touches nothing through the permutation: its
+// callers read the nodes they sample by factor row (row_of(), rows()). Or
+// loads come per node (step()), gathered into factor order, and step()
+// scatters the new voltages back to node order for its result.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -77,38 +82,65 @@ class TransientSim {
   const linalg::Vector& step(const linalg::Vector& load_currents);
 
   /// Advances every lane one step: `load_currents[c]` drives lane c, sized
-  /// as for step(). Returns the lane-interleaved node voltages. The
-  /// transient.steps counter grows by lanes().
+  /// as for step(). Returns the lane-interleaved node voltages (node i of
+  /// lane c at [i * lanes() + c]). The transient.steps counter grows by
+  /// lanes().
   const linalg::Vector& step(std::span<const linalg::Vector> load_currents);
 
-  /// Current node voltages, lane-interleaved (node i of lane c at
-  /// [i * lanes() + c]).
-  const linalg::Vector& voltages() const { return v_; }
+  /// Sets the per-block loads step_blocks() applies: node i draws
+  /// leakage[i] plus the current of block node_block[i], or leakage[i]
+  /// alone where node_block[i] is negative. Either may cover only the
+  /// device layer (the nodes past it draw nothing).
+  void set_block_loads(std::span<const std::int32_t> node_block,
+                       const linalg::Vector& leakage);
 
-  /// Current per-pad branch currents (A), aligned with grid.pad_nodes() and
-  /// lane-interleaved like voltages(); all zeros when the pads have no
+  /// Advances every lane one step on per-block currents (A):
+  /// `block_currents[c][b]` is what each node of block b draws in lane c
+  /// on top of its leakage (set_block_loads()). Leaves the voltages in
+  /// rows(); the transient.steps counter grows by lanes().
+  void step_blocks(std::span<const linalg::Vector> block_currents);
+
+  /// Row stride of rows(): lanes() padded to the solve's panel width.
+  std::size_t stride() const { return stride_; }
+  /// The factor row holding `node`'s voltages in rows().
+  std::size_t row_of(std::size_t node) const {
+    return factor_->inverse_permutation()[node];
+  }
+  /// Current voltages in factor order: node n of lane c at
+  /// [row_of(n) * stride() + c].
+  const double* rows() const { return state_.data(); }
+
+  /// Current per-pad branch currents (A), aligned with grid.pad_nodes(),
+  /// pad p of lane c at [p * lanes() + c]; all zeros when the pads have no
   /// inductance.
   const linalg::Vector& pad_currents() const { return pad_currents_; }
 
  private:
-  /// Writes every lane's step right-hand side into rhs_, in factor order.
-  void assemble_rhs(std::span<const linalg::Vector> loads);
+  /// Adds the pad terms to next_, solves it into the new state, swaps the
+  /// buffers and advances the pad currents and the step count.
+  void finish_step();
+
+  static constexpr std::int32_t kNoBlock = -1;
 
   const PowerGrid& grid_;
   double dt_;
   std::size_t lanes_;
-  std::size_t stride_;  ///< rhs_ row stride: lanes padded to the panel width
+  std::size_t stride_;  ///< row stride: lanes padded to the panel width
   bool inductive_ = false;
   double g_eff_ = 0.0;       ///< effective pad conductance 1/(R + L/dt)
   double history_gain_ = 0.0;  ///< g_eff * L/dt
   /// Of G (+ pad companion) + C/dt; possibly shared with other simulators.
   std::shared_ptr<const sparse::SkylineCholesky> factor_;
-  linalg::Vector c_over_dt_;
-  std::vector<std::size_t> pad_slot_;  ///< pad index -> rhs_ row
-  /// Row r of lane c at [r * stride_ + c]; row r is node
-  /// factor_.permutation()[r].
-  linalg::Vector rhs_;
-  linalg::Vector v_;
+  linalg::Vector c_over_dt_;             ///< by factor row
+  std::vector<std::size_t> pad_row_;     ///< pad index -> factor row
+  std::vector<std::int32_t> row_block_;  ///< block per factor row
+  std::vector<double> row_leakage_;      ///< leakage per factor row
+  std::size_t blocks_ = 0;  ///< 1 + the largest block in row_block_
+  /// The voltages, row r of lane c at [r * stride_ + c]; next_ is the step
+  /// being assembled and solved. Padding lanes hold zeros.
+  linalg::Vector state_;
+  linalg::Vector next_;
+  linalg::Vector nodes_;  ///< step()'s node-order result
   linalg::Vector pad_currents_;
   std::size_t steps_ = 0;
 };

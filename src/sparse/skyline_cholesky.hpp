@@ -64,6 +64,10 @@ class SkylineCholesky {
 
   /// The permutation used (new index -> old index).
   const std::vector<std::size_t>& permutation() const { return perm_; }
+  /// Its inverse (old index -> new index): the factor row of each entry.
+  const std::vector<std::size_t>& inverse_permutation() const {
+    return inv_perm_;
+  }
 
  private:
   // Row i of L occupies columns [first_col_[i], i], stored contiguously in

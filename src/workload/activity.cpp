@@ -18,6 +18,7 @@ ActivityGenerator::ActivityGenerator(const chip::Floorplan& floorplan,
       profile_(profile),
       rng_(rng),
       activity_(floorplan.block_count()),
+      core_phase_(floorplan.core_count()),
       gate_(floorplan.core_count() * chip::kUnitKindCount),
       burst_(floorplan.block_count()),
       noise_(floorplan.block_count(), 0.0) {
@@ -80,13 +81,18 @@ const linalg::Vector& ActivityGenerator::step() {
     }
   }
 
-  for (const auto& block : floorplan_.blocks()) {
-    const std::size_t core = block.core;
+  // Each core's phase mixes the shared phase with its own.
+  for (std::size_t c = 0; c < floorplan_.core_count(); ++c) {
     const double own_phase = std::sin(
         2.0 * std::numbers::pi * tau / profile_.phase_period +
-        core_phase_offset_[core]);
-    const double phase = profile_.core_correlation * shared_phase +
-                         (1.0 - profile_.core_correlation) * own_phase;
+        core_phase_offset_[c]);
+    core_phase_[c] = profile_.core_correlation * shared_phase +
+                     (1.0 - profile_.core_correlation) * own_phase;
+  }
+
+  for (const auto& block : floorplan_.blocks()) {
+    const std::size_t core = block.core;
+    const double phase = core_phase_[core];
 
     // Intensity scaling by unit class.
     double intensity = 1.0;

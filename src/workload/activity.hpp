@@ -57,6 +57,7 @@ class ActivityGenerator {
   linalg::Vector activity_;
 
   std::vector<double> core_phase_offset_;      // per core
+  std::vector<double> core_phase_;             // this step's phase per core
   std::vector<GateState> gate_;                // per (core, unit kind)
   std::vector<BurstState> burst_;              // per block
   std::vector<double> noise_;                  // AR(1) state per block

@@ -32,4 +32,15 @@ void PowerModel::to_node_currents(const linalg::Vector& block_activity,
   }
 }
 
+void PowerModel::to_block_currents(const linalg::Vector& block_activity,
+                                   linalg::Vector& block_currents) const {
+  const std::size_t blocks = floorplan_.block_count();
+  VMAP_REQUIRE(block_activity.size() == blocks,
+               "block activity size mismatch");
+  VMAP_REQUIRE(block_currents.size() == blocks,
+               "block current size mismatch");
+  for (std::size_t b = 0; b < blocks; ++b)
+    block_currents[b] = scale_ * block_activity[b] * per_node_share_[b];
+}
+
 }  // namespace vmap::workload

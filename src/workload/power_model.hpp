@@ -30,6 +30,16 @@ class PowerModel {
   void to_node_currents(const linalg::Vector& block_activity,
                         linalg::Vector& node_currents) const;
 
+  /// The same loads per block: fills `block_currents` (size = block count)
+  /// with what each node of the block draws on top of its leakage(), so
+  /// node i of block b draws leakage()[i] + block_currents[b], the sum
+  /// to_node_currents() forms.
+  void to_block_currents(const linalg::Vector& block_activity,
+                         linalg::Vector& block_currents) const;
+
+  /// Per-node leakage current (A), size = grid nodes; zero off the FA.
+  const linalg::Vector& leakage() const { return leakage_; }
+
  private:
   const chip::Floorplan& floorplan_;
   double scale_;

@@ -1,21 +1,29 @@
 // Focused unit tests for dataset collection options and pipeline edge
 // cases (beyond the end-to-end integration suite): multi-node monitoring,
-// FA candidates, column slicing, selection fallbacks, and config guards.
+// FA candidates, column slicing, selection fallbacks, config guards, and
+// the collect's independence of the thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
+#include "chip/critical_nodes.hpp"
 #include "chip/floorplan.hpp"
 #include "core/dataset.hpp"
 #include "core/experiment.hpp"
 #include "core/ols_model.hpp"
 #include "core/pipeline.hpp"
 #include "grid/power_grid.hpp"
+#include "grid/transient.hpp"
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
+#include "workload/activity.hpp"
 #include "workload/benchmark_suite.hpp"
+#include "workload/power_model.hpp"
 
 namespace vmap::core {
 namespace {
@@ -201,6 +209,117 @@ TEST_F(DatasetPipelineTest, DeterministicAcrossCollections) {
   for (std::size_t r = 0; r < a.x_train.rows(); r += 17)
     for (std::size_t c = 0; c < a.x_train.cols(); c += 7)
       EXPECT_DOUBLE_EQ(a.x_train(r, c), b.x_train(r, c));
+}
+
+/// The dataset DataCollector::collect promises, computed the plain way: the
+/// unit-scale calibration (by target emergency rate, as tiny_config()
+/// sets), then one benchmark after another, each on its own one-lane
+/// simulator fed per-node loads (PowerModel::to_node_currents,
+/// TransientSim::step()) and read in node order.
+Dataset collect_one_lane(const grid::PowerGrid& grid,
+                         const chip::Floorplan& plan, const DataConfig& config,
+                         const std::vector<workload::BenchmarkProfile>& suite) {
+  Dataset d;
+  for (std::size_t node = 0; node < grid.device_node_count(); ++node) {
+    if (plan.is_fa_node(node) && !config.include_fa_candidates) continue;
+    const auto [x, y] = grid.node_xy(node);
+    if (x % config.candidate_stride == 0 && y % config.candidate_stride == 0)
+      d.candidate_nodes.push_back(node);
+  }
+  linalg::Vector currents(grid.node_count());
+  {
+    grid::TransientSim sim(grid, config.dt);
+    const workload::PowerModel unit(plan, 1.0);
+    workload::ActivityGenerator generator(plan, suite.front(),
+                                          Rng(config.seed ^ 0xCA11B8A7E));
+    linalg::Vector min_voltage(grid.node_count(),
+                               std::numeric_limits<double>::infinity());
+    std::vector<double> droop;
+    for (std::size_t s = 0; s < config.calibration_steps; ++s) {
+      unit.to_node_currents(generator.step(), currents);
+      const linalg::Vector& v = sim.step(currents);
+      for (std::size_t i = 0; i < v.size(); ++i)
+        min_voltage[i] = std::min(min_voltage[i], v[i]);
+      droop.push_back(grid.config().vdd - v.min());
+    }
+    std::sort(droop.begin(), droop.end());
+    const double margin = grid.config().vdd - config.emergency_threshold;
+    const auto index = static_cast<std::size_t>(
+        (1.0 - config.target_emergency_rate) *
+        static_cast<double>(droop.size() - 1));
+    d.current_scale =
+        margin / std::max(droop[index], 0.05 * droop.back());
+    const chip::CriticalSet critical = chip::select_critical_nodes_n(
+        plan, min_voltage, config.critical_nodes_per_block);
+    d.critical_nodes = critical.nodes;
+  }
+  const std::size_t train = config.train_maps_per_benchmark;
+  const std::size_t test = config.test_maps_per_benchmark;
+  const std::size_t m = d.candidate_nodes.size(), k = d.critical_nodes.size();
+  d.x_train = linalg::Matrix(m, suite.size() * train);
+  d.f_train = linalg::Matrix(k, suite.size() * train);
+  d.x_test = linalg::Matrix(m, suite.size() * test);
+  d.f_test = linalg::Matrix(k, suite.size() * test);
+  const workload::PowerModel model(plan, d.current_scale);
+  for (std::size_t b = 0; b < suite.size(); ++b) {
+    grid::TransientSim sim(grid, config.dt);
+    workload::ActivityGenerator generator(
+        plan, suite[b], Rng(config.seed + 0x9E3779B9 * (b + 1)));
+    const auto advance = [&]() -> const linalg::Vector& {
+      model.to_node_currents(generator.step(), currents);
+      return sim.step(currents);
+    };
+    for (std::size_t s = 0; s < config.warmup_steps; ++s) advance();
+    for (std::size_t map = 0; map < train + test; ++map) {
+      if (map > 0)
+        for (std::size_t s = 1; s < config.map_stride; ++s) advance();
+      const linalg::Vector& v = advance();
+      linalg::Matrix& x = map < train ? d.x_train : d.x_test;
+      linalg::Matrix& f = map < train ? d.f_train : d.f_test;
+      const std::size_t col =
+          map < train ? b * train + map : b * test + map - train;
+      for (std::size_t r = 0; r < m; ++r) x(r, col) = v[d.candidate_nodes[r]];
+      for (std::size_t r = 0; r < k; ++r) f(r, col) = v[d.critical_nodes[r]];
+    }
+  }
+  return d;
+}
+
+bool same_bytes(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+TEST_F(DatasetPipelineTest, CollectIsIndependentOfTheThreadCount) {
+  // Seven benchmarks run as one panel of seven lanes at one thread and as
+  // panels of four and three lanes at two to five threads, so one panel is
+  // always partial. Nine run as panels of eight and one at one thread and
+  // of four, four and one at two, which the two threads share turn by
+  // turn. Every thread count must reproduce the serial one-lane dataset
+  // byte for byte.
+  const DataConfig config = tiny_config();
+  for (std::size_t benchmarks : {7, 9}) {
+    auto suite = workload::parsec_like_suite();
+    suite.resize(benchmarks);
+    const Dataset want = collect_one_lane(grid_, plan_, config, suite);
+    for (std::size_t threads = 1; threads <= 5; ++threads) {
+      SCOPED_TRACE(std::to_string(benchmarks) + " benchmarks, threads=" +
+                   std::to_string(threads));
+      set_thread_count(threads);
+      const Dataset got = DataCollector(grid_, plan_, config).collect(suite);
+      EXPECT_EQ(std::memcmp(&got.current_scale, &want.current_scale,
+                            sizeof(double)),
+                0);
+      EXPECT_EQ(got.candidate_nodes, want.candidate_nodes);
+      EXPECT_EQ(got.critical_nodes, want.critical_nodes);
+      EXPECT_TRUE(same_bytes(got.x_train, want.x_train));
+      EXPECT_TRUE(same_bytes(got.f_train, want.f_train));
+      EXPECT_TRUE(same_bytes(got.x_test, want.x_test));
+      EXPECT_TRUE(same_bytes(got.f_test, want.f_test));
+    }
+  }
+  set_thread_count(0);
 }
 
 }  // namespace

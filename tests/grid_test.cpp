@@ -1,6 +1,7 @@
 // Power-grid physics tests: DC operating points, transient behaviour,
-// voltage bounds, lockstep lanes against one-lane simulators, a dense-solve
-// and a closed-form backward-Euler oracle, and recorders.
+// voltage bounds, lockstep lanes against one-lane simulators (node-order
+// and factor-row reads, per-node and per-block loads), a dense-solve and a
+// closed-form backward-Euler oracle, and recorders.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "chip/floorplan.hpp"
 #include "grid/power_grid.hpp"
 #include "grid/recorder.hpp"
 #include "grid/transient.hpp"
@@ -16,6 +18,9 @@
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "workload/activity.hpp"
+#include "workload/benchmark_suite.hpp"
+#include "workload/power_model.hpp"
 
 namespace vmap::grid {
 namespace {
@@ -30,6 +35,12 @@ GridConfig small_config() {
   c.vdd = 1.0;
   c.pad_spacing = 4;
   return c;
+}
+
+/// Lane `lane`'s voltage at `node`, read by factor row.
+double voltage(const TransientSim& sim, std::size_t node,
+               std::size_t lane = 0) {
+  return sim.rows()[sim.row_of(node) * sim.stride() + lane];
 }
 
 TEST(PowerGrid, GeometryRoundTrips) {
@@ -264,11 +275,11 @@ TEST(Transient, RecoveryAfterLoadRemoval) {
   load[victim] = 0.3;
   TransientSim sim(grid, 1e-11);
   for (int s = 0; s < 50; ++s) sim.step(load);
-  const double drooped = sim.voltages()[victim];
+  const double drooped = voltage(sim, victim);
   const linalg::Vector no_load(grid.node_count());
   for (int s = 0; s < 400; ++s) sim.step(no_load);
-  EXPECT_GT(sim.voltages()[victim], drooped);
-  EXPECT_NEAR(sim.voltages()[victim], 1.0, 1e-6);
+  EXPECT_GT(voltage(sim, victim), drooped);
+  EXPECT_NEAR(voltage(sim, victim), 1.0, 1e-6);
 }
 
 TEST(Transient, ResetRestoresQuiescentState) {
@@ -281,7 +292,7 @@ TEST(Transient, ResetRestoresQuiescentState) {
   sim.reset();
   EXPECT_EQ(sim.steps_taken(), 0u);
   for (std::size_t i = 0; i < grid.node_count(); ++i)
-    EXPECT_DOUBLE_EQ(sim.voltages()[i], 1.0);
+    EXPECT_DOUBLE_EQ(voltage(sim, i), 1.0);
 }
 
 TEST(Transient, SmallerTimeStepTracksFasterDynamics) {
@@ -295,7 +306,7 @@ TEST(Transient, SmallerTimeStepTracksFasterDynamics) {
   TransientSim fine(grid, 1e-12);
   coarse.step(load);
   fine.step(load);
-  EXPECT_LT(coarse.voltages()[victim], fine.voltages()[victim]);
+  EXPECT_LT(voltage(coarse, victim), voltage(fine, victim));
 }
 
 TEST(Transient, InductivePadsProduceFirstDroopUndershoot) {
@@ -320,7 +331,7 @@ TEST(Transient, InductivePadsProduceFirstDroopUndershoot) {
   EXPECT_LT(transient_min, dc_value - 1e-4);
   // After settling, the inductive grid reaches the same DC point (the
   // inductor is a DC short).
-  EXPECT_NEAR(sim.voltages()[victim], dc_value, 1e-4);
+  EXPECT_NEAR(voltage(sim, victim), dc_value, 1e-4);
 }
 
 TEST(Transient, PadCurrentsSatisfyKclAtSteadyState) {
@@ -371,8 +382,10 @@ linalg::Vector random_load(std::size_t size, Rng& rng, double amps) {
 }
 
 /// Steps a `lanes`-wide simulator and one one-lane simulator per lane on
-/// the same random loads; every lane's voltages and pad currents must equal
-/// its one-lane twin byte for byte at every step.
+/// the same random loads, resetting all of them part-way; every lane's
+/// voltages, read in node order from step() and by factor row from rows(),
+/// and its pad currents must equal its one-lane twin's byte for byte at
+/// every step.
 void expect_lanes_match_one_lane_sims(const PowerGrid& grid,
                                       std::size_t lanes,
                                       std::size_t load_size, double amps) {
@@ -388,29 +401,37 @@ void expect_lanes_match_one_lane_sims(const PowerGrid& grid,
     const std::size_t n = grid.node_count();
     const std::size_t pads = grid.pad_nodes().size();
     for (int step = 0; step < 60; ++step) {
+      if (step == 37) {
+        multi.reset();
+        for (TransientSim& single : singles) single.reset();
+      }
       std::vector<linalg::Vector> loads;
       for (std::size_t c = 0; c < lanes; ++c)
         loads.push_back(random_load(load_size, rng, amps));
       const linalg::Vector& v = multi.step(loads);
       for (std::size_t c = 0; c < lanes; ++c) {
         const linalg::Vector& want = singles[c].step(loads[c]);
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < n; ++i) {
           ASSERT_TRUE(same_bits(v[i * lanes + c], want[i]))
               << "lanes=" << lanes << " lane " << c << " node " << i
               << " step " << step << " simd=" << simd;
+          ASSERT_TRUE(same_bits(voltage(multi, i, c), want[i]))
+              << "factor row, lanes=" << lanes << " lane " << c << " node "
+              << i << " step " << step << " simd=" << simd;
+        }
         for (std::size_t p = 0; p < pads; ++p)
           ASSERT_TRUE(same_bits(multi.pad_currents()[p * lanes + c],
                                 singles[c].pad_currents()[p]))
               << "pad current, lane " << c << " pad " << p;
       }
     }
-    EXPECT_EQ(multi.steps_taken(), 60u);
+    EXPECT_EQ(multi.steps_taken(), 23u);  // since the reset
   }
 }
 
 TEST(TransientLanes, LanesMatchOneLaneSimulators) {
   const PowerGrid grid(small_config());
-  for (std::size_t lanes : {2, 4, 5})
+  for (std::size_t lanes : {1, 2, 3, 4, 5, 8})
     expect_lanes_match_one_lane_sims(grid, lanes, grid.node_count(), 0.05);
 }
 
@@ -418,8 +439,8 @@ TEST(TransientLanes, InductivePadLanesMatchOneLaneSimulators) {
   GridConfig c = small_config();
   c.pad_inductance = 5e-10;
   const PowerGrid grid(c);
-  expect_lanes_match_one_lane_sims(grid, 3, grid.node_count(), 0.05);
-  expect_lanes_match_one_lane_sims(grid, 8, grid.node_count(), 0.05);
+  for (std::size_t lanes : {1, 3, 4, 5, 8})
+    expect_lanes_match_one_lane_sims(grid, lanes, grid.node_count(), 0.05);
 }
 
 TEST(TransientLanes, TwoLayerLanesWithDeviceSizedLoadsMatch) {
@@ -431,7 +452,102 @@ TEST(TransientLanes, TwoLayerLanesWithDeviceSizedLoadsMatch) {
   c.two_layer = true;
   c.pad_inductance = 2e-10;
   const PowerGrid grid(c);
-  expect_lanes_match_one_lane_sims(grid, 6, grid.device_node_count(), 0.02);
+  for (std::size_t lanes : {1, 3, 4, 5, 6, 8})
+    expect_lanes_match_one_lane_sims(grid, lanes, grid.device_node_count(),
+                                     0.02);
+}
+
+/// Steps a `lanes`-wide simulator on per-block loads (step_blocks(), a
+/// power model with leakage) and one one-lane simulator per lane on the
+/// same loads per node (PowerModel::to_node_currents, step()), resetting
+/// all of them part-way. Every lane's voltages, read by factor row, and its
+/// pad currents must equal its one-lane twin's byte for byte.
+void expect_block_loads_match_node_loads(const GridConfig& config,
+                                         std::size_t lanes) {
+  const PowerGrid grid(config);
+  chip::FloorplanConfig fc;
+  fc.cores_x = 2;
+  fc.cores_y = 1;
+  fc.core_margin = 1;
+  const chip::Floorplan plan(grid, fc);
+  const workload::PowerModel model(plan, /*current_scale=*/3.0,
+                                   /*leakage_density=*/2e-4);
+  const auto suite = workload::parsec_like_suite();
+  SimdGuard guard;
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_level(simd ? linalg::kern::SimdLevel::kAvx2
+                                      : linalg::kern::SimdLevel::kScalar);
+    TransientSim multi(grid, 1e-10, lanes);
+    multi.set_block_loads(plan.node_blocks(), model.leakage());
+    std::vector<TransientSim> singles;
+    std::vector<workload::ActivityGenerator> generators;
+    for (std::size_t c = 0; c < lanes; ++c) {
+      singles.emplace_back(grid, 1e-10);
+      generators.emplace_back(plan, suite[c % suite.size()], Rng(40 + c));
+    }
+    std::vector<linalg::Vector> block_currents(
+        lanes, linalg::Vector(plan.block_count()));
+    linalg::Vector node_currents(grid.node_count());
+    for (int step = 0; step < 50; ++step) {
+      if (step == 29) {
+        multi.reset();
+        for (TransientSim& single : singles) single.reset();
+      }
+      std::vector<linalg::Vector> activity;
+      for (std::size_t c = 0; c < lanes; ++c) {
+        activity.push_back(generators[c].step());
+        model.to_block_currents(activity[c], block_currents[c]);
+      }
+      multi.step_blocks(block_currents);
+      for (std::size_t c = 0; c < lanes; ++c) {
+        model.to_node_currents(activity[c], node_currents);
+        const linalg::Vector& want = singles[c].step(node_currents);
+        for (std::size_t i = 0; i < grid.node_count(); ++i)
+          ASSERT_TRUE(same_bits(voltage(multi, i, c), want[i]))
+              << "lanes=" << lanes << " lane " << c << " node " << i
+              << " step " << step << " simd=" << simd;
+        for (std::size_t p = 0; p < grid.pad_nodes().size(); ++p)
+          ASSERT_TRUE(same_bits(multi.pad_currents()[p * lanes + c],
+                                singles[c].pad_currents()[p]))
+              << "pad current, lane " << c << " pad " << p;
+      }
+    }
+  }
+}
+
+TEST(TransientRows, BlockLoadsMatchPerNodeLoads) {
+  GridConfig resistive;
+  resistive.nx = 32;
+  resistive.ny = 16;
+  resistive.node_capacitance = 80e-12;
+  resistive.pad_resistance = 0.02;
+  resistive.pad_spacing = 8;
+  GridConfig inductive = resistive;
+  inductive.pad_inductance = 5e-11;
+  GridConfig two_layer = inductive;
+  two_layer.two_layer = true;
+  for (const GridConfig& config : {resistive, inductive, two_layer})
+    for (std::size_t lanes : {1, 3, 4, 5, 8})
+      expect_block_loads_match_node_loads(config, lanes);
+}
+
+TEST(TransientRows, BlockStepsNeedTheirMapAndOneVectorPerLane) {
+  const PowerGrid grid(small_config());
+  TransientSim sim(grid, 1e-11, 2);
+  const std::vector<linalg::Vector> currents(2, linalg::Vector(3));
+  EXPECT_THROW(sim.step_blocks(currents), vmap::ContractError);
+  std::vector<std::int32_t> node_block(grid.node_count(), -1);
+  node_block[5] = 2;
+  sim.set_block_loads(node_block, linalg::Vector(grid.node_count()));
+  EXPECT_THROW(sim.step_blocks(std::span(currents).first(1)),
+               vmap::ContractError);
+  EXPECT_THROW(sim.step_blocks(std::vector<linalg::Vector>(
+                   2, linalg::Vector(2))),  // block 2 has no current
+               vmap::ContractError);
+  EXPECT_THROW(sim.set_block_loads(node_block, linalg::Vector(3)),
+               vmap::ContractError);
+  sim.step_blocks(currents);
+  EXPECT_EQ(sim.steps_taken(), 1u);
 }
 
 TEST(TransientLanes, DroopIsLinearInTheLoad) {
@@ -679,7 +795,7 @@ TEST(TransientOracle, ErrorAgainstTheExponentialIsFirstOrderInDt) {
     for (int s = 0; s < steps; ++s) sim.step(load);
     double error = 0.0;
     for (std::size_t i = 0; i < grid.node_count(); ++i)
-      error = std::max(error, std::abs(sim.voltages()[i] - exact));
+      error = std::max(error, std::abs(voltage(sim, i) - exact));
     if (previous > 0.0) {
       EXPECT_GT(previous / error, 1.8) << steps << " steps";
       EXPECT_LT(previous / error, 2.2) << steps << " steps";

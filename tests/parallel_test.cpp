@@ -919,10 +919,9 @@ class ParallelDeterminismTest : public ::testing::Test {
 };
 
 TEST_F(ParallelDeterminismTest, CollectionBitIdenticalAcrossThreadCounts) {
-  // Each chunk steps its benchmarks in lockstep as lanes of one simulator,
-  // so the thread count sets the lane grouping: 1 thread runs all three
-  // benchmarks as three lanes, 2 threads run chunks of 1 and 2 lanes, and
-  // 3 or 4 threads run every benchmark alone in a one-lane simulator.
+  // Three benchmarks make one three-lane panel at every thread count, so
+  // this checks the rest of the collect; DatasetPipelineTest's
+  // CollectIsIndependentOfTheThreadCount varies the panels.
   const core::Dataset serial = collect_with(1);
   for (std::size_t threads : {2, 3, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

@@ -71,9 +71,14 @@ def archives():
                 yield os.path.join(top, f)
 
 # Out-of-line functions: (member, section) for every global or local
-# (not weak) function symbol that owns its .text.<symbol> section and
-# names something in namespace vmap (a system header's static helper, or
-# a template instance that only project code uses, is not ours).
+# (not weak) function symbol that owns its .text.<symbol> section and whose
+# own qualified name is in namespace vmap: the mangled name opens with a
+# nested name (N, after a Z per enclosing function scope and any cv- or
+# ref-qualifiers) whose first component is vmap. That takes a vmap
+# function, and a lambda's call operator inside one, but not a system
+# header's static helper, nor a library template instantiated for a vmap
+# type, such as the std::function handler of a vmap lambda.
+in_vmap = re.compile(r"_ZZ*N[rVK]*[RO]?4vmap")
 functions = set()
 for archive in archives():
     member = None
@@ -88,7 +93,7 @@ for archive in archives():
         if len(parts) < 5 or flags[6:] != "F" or flags[1] == "w":
             continue
         section, symbol = parts[-3], parts[-1]
-        if section == ".text." + symbol:
+        if section == ".text." + symbol and in_vmap.match(symbol):
             functions.add((member, section))
 
 def demangle(fns):
@@ -99,7 +104,6 @@ def demangle(fns):
     return dict(zip(fns, out.splitlines()))
 
 name_of = demangle(functions)
-functions = {fn for fn, name in name_of.items() if "vmap::" in name}
 
 loaded_re = re.compile(r"^\((.+\.a)\)(.+)$")
 removed_re = re.compile(
